@@ -7,13 +7,15 @@ sample grids never materialize the full pair matrix at once.
 """
 from __future__ import annotations
 
+from functools import cached_property
+from typing import NamedTuple, Optional
+
 import numpy as np
 
-from .graph import COMPLETE, CUSTOM, DIAGONAL, EXPLICIT, contains_edge
-from .metric import CoordinateSpace, TabulatedSpace
+from .graph import edge_index, first_unpreserved
+from .metric import DEFAULT_TOL, TabulatedSpace, euclidean
 
 _BLOCK_ELEMS = 2_000_000
-_CACHE_LIMIT = 20_000_000
 
 
 def point_array(space, pts):
@@ -27,103 +29,86 @@ def elem_dists(space, p, q):
     """Distances between aligned point arrays."""
     if isinstance(space, TabulatedSpace):
         return np.asarray(space.dist[p, q], dtype=float)
-    diff = p - q
-    return np.sqrt(np.einsum("...i,...i->...", diff, diff))
+    return euclidean(p, q)
 
 
 def cross_dists(space, p, q):
     """Full |p| x |q| distance matrix."""
     if isinstance(space, TabulatedSpace):
         return np.asarray(space.dist[np.ix_(p, q)], dtype=float)
-    from scipy.spatial.distance import cdist
+    return euclidean(p, q, cross=True)
 
-    return cdist(p, q)
+
+class Certificate(NamedTuple):
+    """One pass over a map's edges; each edge is the first (x, y) in scan order."""
+
+    zero_edge: Optional[tuple]    # d(x, y) <= 0 while d(fx, fy) > DEFAULT_TOL
+    ratio: float                  # max d(fx, fy) / d(x, y) over d(x, y) > 0, else 0
+    ratio_edge: Optional[tuple]
+    margin: Optional[float]       # max d(fx, fy) - d(x, y), None without edges
+    margin_edge: Optional[tuple]
 
 
 class EdgeScanner:
-    """Streams (I, J, D, DF, U) over the edges of a graph.
+    """The edge engine of one map, or a map pair, on an instance's points.
 
-    I and J index into ``points``; DF uses ``images_left`` on the I side and
-    ``images_right`` on the J side (both equal to the single map's images in
-    the one-map case).  ``rows``/``cols`` restrict a complete graph to a
-    sub-rectangle of the pair set (used for the A x B scans of map pairs).
+    Holds the images, point arrays, self-distances and edge index, and streams
+    (start, stop, D, DF, U) blocks over the edges at scan positions
+    start..stop-1.  DF takes ``images_left`` on the I side and ``images_right``
+    (default: the same) on the J side; ``rows``/``cols`` limit the edges to a
+    rectangle such as A x B.
     """
 
     def __init__(self, space, points, graph, images_left, images_right=None,
-                 rows=None, cols=None, cache=False):
+                 rows=None, cols=None):
         self.space = space
         self.points = tuple(points)
         self.graph = graph
         n = len(self.points)
+        self.images_left = tuple(images_left)
+        self.images_right = self.images_left if images_right is None else tuple(images_right)
         self.P = point_array(space, self.points)
-        self.FL = point_array(space, images_left)
-        self.FR = self.FL if images_right is None else point_array(space, images_right)
+        self.FL = point_array(space, self.images_left)
+        self.FR = self.FL if images_right is None else point_array(space, self.images_right)
         self.self_left = elem_dists(space, self.P, self.FL)
-        self.self_right = elem_dists(space, self.P, self.FR)
+        self.self_right = self.self_left if images_right is None else elem_dists(space, self.P, self.FR)
         self.rows = np.arange(n) if rows is None else np.asarray(rows, dtype=np.intp)
         self.cols = np.arange(n) if cols is None else np.asarray(cols, dtype=np.intp)
-        self._pairs = None
-        if graph.rule in (EXPLICIT, CUSTOM, DIAGONAL):
-            self._pairs = self._listed_pairs()
-        self._cache = None
-        n_edges = self.edge_count()
-        self._want_cache = cache and n_edges <= _CACHE_LIMIT
+        self.index = edge_index(graph, self.points)
+        self.edges = self.index if rows is None and cols is None else \
+            edge_index(graph, self.points, self.rows, self.cols)
 
-    def _listed_pairs(self):
-        order = {p: i for i, p in enumerate(self.points)}
-        rset = set(self.rows.tolist())
-        cset = set(self.cols.tolist())
-        out = []
-        if self.graph.rule == DIAGONAL:
-            for i in range(len(self.points)):
-                if i in rset and i in cset:
-                    out.append((i, i))
-        elif self.graph.rule == EXPLICIT:
-            idx = []
-            for x, y in self.graph.edges:
-                i = order.get(x)
-                j = order.get(y)
-                if i is not None and j is not None and i in rset and j in cset:
-                    idx.append((i, j))
-            out = sorted(idx)
-        else:  # CUSTOM
-            for i in self.rows.tolist():
-                for j in self.cols.tolist():
-                    if contains_edge(self.graph, self.points[i], self.points[j]):
-                        out.append((i, j))
-        if out:
-            arr = np.asarray(out, dtype=np.intp)
-            return arr[:, 0], arr[:, 1]
-        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+    def edge_at(self, k: int):
+        """(i, j) of the edge at position k of the scan order."""
+        if self.edges is not None:
+            return int(self.edges[0][k]), int(self.edges[1][k])
+        r, c = divmod(k, int(self.cols.size))
+        return int(self.rows[r]), int(self.cols[c])
 
-    def edge_count(self) -> int:
-        if self._pairs is not None:
-            return int(self._pairs[0].size)
-        return int(self.rows.size) * int(self.cols.size)
+    def edge_points(self, i: int, j: int):
+        return self.points[i], self.points[j]
+
+    @cached_property
+    def preserved(self):
+        """(ok, first violating edge): each scanned edge (x, y) keeps (Fx, Fy)
+        and, for a pair, (Gx, Gy) an edge of the graph."""
+        images = [self.images_left]
+        if self.images_right is not self.images_left:
+            images.append(self.images_right)
+        k = first_unpreserved(self.graph, self.points, self.index, self.edges, *images)
+        return (True, None) if k is None else (False, self._edge(k))
 
     def blocks(self):
-        """Yield (I, J, D, DF, U) in deterministic lexicographic order."""
-        if self._cache is not None:
-            yield from self._cache
-            return
-        store = [] if self._want_cache else None
-        for blk in self._raw_blocks():
-            if store is not None:
-                store.append(blk)
-            yield blk
-        if store is not None:
-            self._cache = store
-
-    def _raw_blocks(self):
-        if self._pairs is not None:
-            i, j = self._pairs
+        """Yield (start, stop, D, DF, U) in deterministic lexicographic order."""
+        if self.edges is not None:
+            i, j = self.edges
             for s in range(0, i.size, _BLOCK_ELEMS):
                 bi = i[s:s + _BLOCK_ELEMS]
                 bj = j[s:s + _BLOCK_ELEMS]
                 d = elem_dists(self.space, self.P[bi], self.P[bj])
                 df = elem_dists(self.space, self.FL[bi], self.FR[bj])
                 u = self.self_left[bi] + self.self_right[bj]
-                yield bi, bj, d, df, u
+                yield s, s + bi.size, d, df, u
             return
         nc = self.cols.size
         if nc == 0 or self.rows.size == 0:
@@ -137,22 +122,75 @@ class EdgeScanner:
             d = cross_dists(self.space, self.P[r], pc).ravel()
             df = cross_dists(self.space, self.FL[r], fc).ravel()
             u = (self.self_left[r][:, None] + uc[None, :]).ravel()
-            i = np.repeat(r, nc)
-            j = np.tile(self.cols, r.size)
-            yield i, j, d, df, u
+            yield s * nc, (s + r.size) * nc, d, df, u
 
-    def edge_points(self, i: int, j: int):
-        return self.points[i], self.points[j]
+    @cached_property
+    def certificate(self) -> Certificate:
+        """Zero-edge check, largest ratio and nonexpansive margin, in one pass."""
+        zero = None
+        ratio, ratio_at = 0.0, None
+        margin, margin_at = None, None
+        for start, _stop, d, df, _u in self.blocks():
+            if d.size == 0:
+                continue
+            if zero is None:
+                bad = np.flatnonzero((d <= 0.0) & (df > DEFAULT_TOL))
+                if bad.size:
+                    zero = start + int(bad[0])
+            mask = d > 0.0
+            if mask.any():
+                ratios = np.where(mask, df / np.where(mask, d, 1.0), -np.inf)
+                p = int(np.argmax(ratios))
+                if ratio_at is None or ratios[p] > ratio:
+                    ratio, ratio_at = float(ratios[p]), start + p
+            gaps = df - d
+            p = int(np.argmax(gaps))
+            if margin is None or gaps[p] > margin:
+                margin, margin_at = float(gaps[p]), start + p
+        return Certificate(self._edge(zero), ratio, self._edge(ratio_at),
+                           margin, self._edge(margin_at))
+
+    def _edge(self, k):
+        return None if k is None else self.edge_points(*self.edge_at(k))
+
+
+def map_engine(inst, f=None) -> EdgeScanner:
+    """The engine of one map over all edges: the instance's stored one for
+    its own map, a fresh one for another map."""
+    if f is None or f is inst.cyclic_map:
+        return inst.engine
+    return build_map_engine(inst, f)
+
+
+def pair_engine(inst, pair=None) -> EdgeScanner:
+    """The engine of a map pair over the A x B edges, T on the A side and S
+    on the B side: stored for the instance's own pair, fresh for another."""
+    if pair is None or pair is inst.map_pair:
+        return inst.pair_engine
+    return build_pair_engine(inst, pair)
+
+
+def build_map_engine(inst, f) -> EdgeScanner:
+    return EdgeScanner(inst.space, inst.points, inst.graph, [f(p) for p in inst.points])
+
+
+def build_pair_engine(inst, pair) -> EdgeScanner:
+    pts = inst.points
+    order = {p: i for i, p in enumerate(pts)}
+    return EdgeScanner(inst.space, pts, inst.graph,
+                       [pair.t(p) for p in pts], [pair.s(p) for p in pts],
+                       rows=[order[p] for p in inst.sets.a],
+                       cols=[order[p] for p in inst.sets.b])
 
 
 def fold_max(scanner: EdgeScanner, value_fn):
     """Max of value_fn(D, DF, U) over all edges, with the first arg-max edge.
 
-    Returns (max_value, (i, j)) or (None, None) when there are no edges.
+    Returns (max_value, (i, j), (d, df, u)) with the winning edge's values,
+    or (None, None, None) when there are no edges.
     """
-    best = None
-    best_edge = None
-    for i, j, d, df, u in scanner.blocks():
+    best = best_at = best_vals = None
+    for start, _stop, d, df, u in scanner.blocks():
         if d.size == 0:
             continue
         vals = value_fn(d, df, u)
@@ -160,5 +198,8 @@ def fold_max(scanner: EdgeScanner, value_fn):
         v = float(vals[pos])
         if best is None or v > best:
             best = v
-            best_edge = (int(i[pos]), int(j[pos]))
-    return best, best_edge
+            best_at = start + pos
+            best_vals = (float(d[pos]), float(df[pos]), float(u[pos]))
+    if best is None:
+        return None, None, None
+    return best, scanner.edge_at(best_at), best_vals

@@ -2,13 +2,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from ._scan import cross_dists, elem_dists, point_array
-from .errors import CapabilityError, DomainError
-from .graph import COMPLETE, contains_edge
+from ._scan import cross_dists, elem_dists, map_engine, pair_engine, point_array
+from .errors import DomainError
+from .graph import COMPLETE, contains_edge, contains_index_pairs
 from .maps import CyclicMap, Instance, MapPair
 from .metric import DEFAULT_TOL, set_diameter
 from .operators import is_edge_nonexpansive
@@ -38,13 +37,6 @@ class MinimizerReport:
     minimizer_in_set: bool
 
 
-def _sample_points(inst: Instance):
-    pts = inst.points
-    if not pts:
-        raise CapabilityError("instance has no stored sample points to enumerate")
-    return pts
-
-
 def _edge_flags(inst: Instance, pts, images):
     if inst.graph.rule == COMPLETE:
         return [True] * len(pts)
@@ -64,14 +56,11 @@ def enumerate_proximity_set(inst: Instance, epsilon: float, mode: str = STRICT,
         raise DomainError(f"unknown mode {mode!r}")
     if epsilon < 0:
         raise DomainError("epsilon must be nonnegative")
-    f = f or inst.require_map()
-    pts = _sample_points(inst)
-    images = [f(p) for p in pts]
-    space = inst.space
-    d_self = elem_dists(space, point_array(space, pts), point_array(space, images))
+    pts = inst.points
+    eng = map_engine(inst, f)
     dab = inst.d_ab
-    close = d_self <= dab + epsilon + tol
-    edges = _edge_flags(inst, pts, images)
+    close = eng.self_left <= dab + epsilon + tol
+    edges = _edge_flags(inst, pts, eng.images_left)
     members = []
     for p, on_edge, ok in zip(pts, edges, close):
         if (on_edge and ok) or (mode == VACUOUS and not on_edge):
@@ -84,25 +73,14 @@ def enumerate_pair_set(inst: Instance, epsilon: float, pair: MapPair = None,
     """Scan E(G) restricted to A x B for pairs with d(Tx, Sy) <= d(A,B) + epsilon."""
     if epsilon < 0:
         raise DomainError("epsilon must be nonnegative")
-    pair = pair or inst.require_pair()
-    _sample_points(inst)
+    eng = pair_engine(inst, pair)
+    dmat = cross_dists(inst.space, eng.FL[eng.rows], eng.FR[eng.cols])
+    r, c = np.nonzero(dmat <= inst.d_ab + epsilon + tol)
+    on_edge = contains_index_pairs(eng.index, len(eng.points), eng.rows[r], eng.cols[c])
     a = inst.sets.a
     b = inst.sets.b
-    space = inst.space
-    ta = point_array(space, [pair.t(p) for p in a])
-    sb = point_array(space, [pair.s(p) for p in b])
-    dmat = cross_dists(space, ta, sb)
-    dab = inst.d_ab
-    close = dmat <= dab + epsilon + tol
-    complete = inst.graph.rule == COMPLETE
-    members = []
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            if not close[i, j]:
-                continue
-            if complete or contains_edge(inst.graph, x, y):
-                members.append((x, y))
-    return PairProximitySet(epsilon, tuple(members))
+    members = tuple((a[i], b[j]) for i, j in zip(r[on_edge].tolist(), c[on_edge].tolist()))
+    return PairProximitySet(epsilon, members)
 
 
 def proximity_diameter(inst: Instance, ps: ProximitySet) -> float:
@@ -145,20 +123,15 @@ def minimizer_report(inst: Instance, f: CyclicMap = None,
     contain the minimizer; the report carries that re-check.
     """
     f = f or inst.require_map()
-    pts = _sample_points(inst)
-    images = [f(p) for p in pts]
-    space = inst.space
-    d_self = elem_dists(space, point_array(space, pts), point_array(space, images))
-    edges = _edge_flags(inst, pts, images)
-    best = None
-    best_pos = None
-    for pos, (on_edge, d) in enumerate(zip(edges, d_self)):
-        if on_edge and (best is None or d < best):
-            best = float(d)
-            best_pos = pos
-    if best_pos is None:
+    pts = inst.points
+    eng = map_engine(inst, f)
+    d_self = eng.self_left
+    edges = _edge_flags(inst, pts, eng.images_left)
+    eligible = [pos for pos, on_edge in enumerate(edges) if on_edge]
+    if not eligible:
         raise DomainError("no point satisfies the edge eligibility condition")
-    residual = best - inst.d_ab
+    best_pos = min(eligible, key=d_self.__getitem__)
+    residual = float(d_self[best_pos]) - inst.d_ab
     nonexp = bool(is_edge_nonexpansive(inst, f, tol=tol))
     members = enumerate_proximity_set(inst, max(residual, 0.0) + tol, f=f, tol=tol).members
     return MinimizerReport(pts[best_pos], residual, nonexp, pts[best_pos] in members)

@@ -15,8 +15,7 @@ from .errors import (ClassificationError, DomainError, GproximityError,
                      HypothesisError, OrbitError, ParseError)
 from .graph import validate_graph
 from .maps import Instance
-from .metric import (DEFAULT_TOL, CoordinateSpace, TabulatedSpace,
-                     pair_distance, validate_metric, validate_sets)
+from .metric import DEFAULT_TOL, TabulatedSpace, validate_metric, validate_sets
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -37,6 +36,10 @@ def _fmt_point(p) -> str:
     return str(p)
 
 
+def _fmt_pair(pair) -> str:
+    return _fmt_point(pair[0]) + " | " + _fmt_point(pair[1])
+
+
 def _fmt_edge(edge) -> str:
     if edge is None:
         return "none"
@@ -53,8 +56,11 @@ class Report:
     def section(self, name):
         self.lines.append(f"[{name}]")
 
-    def emit(self):
+    def finish(self, code: int) -> int:
+        """Close the report with its exit status, print it and return the code."""
+        self.add("exit-status", code)
         sys.stdout.write("\n".join(self.lines) + "\n")
+        return code
 
 
 def _load(path) -> Instance:
@@ -78,12 +84,14 @@ def _parse_start(inst: Instance, text: str):
         raise SystemExit(EXIT_USAGE)
 
 
-def _echo(rep: Report, inst: Instance, args):
+def _report(inst: Instance, args) -> Report:
+    rep = Report()
     rep.add("command", args.command)
     rep.add("instance", inst.name)
     rep.add("kind", inst.kind)
     rep.add("points", len(inst.points))
     rep.add("tolerance", _fmt(args.tol))
+    return rep
 
 
 def _validation_block(rep: Report, inst: Instance, tol: float) -> bool:
@@ -105,12 +113,9 @@ def _validation_block(rep: Report, inst: Instance, tol: float) -> bool:
 
 def cmd_validate(args) -> int:
     inst = _load(args.instance)
-    rep = Report()
-    _echo(rep, inst, args)
+    rep = _report(inst, args)
     ok = _validation_block(rep, inst, args.tol)
-    rep.add("exit-status", 0 if ok else 1)
-    rep.emit()
-    return EXIT_OK if ok else EXIT_NEGATIVE
+    return rep.finish(EXIT_OK if ok else EXIT_NEGATIVE)
 
 
 def _classify_block(rep: Report, inst: Instance, args) -> int:
@@ -154,73 +159,63 @@ def _classify_block(rep: Report, inst: Instance, args) -> int:
 
 def cmd_classify(args) -> int:
     inst = _load(args.instance)
-    rep = Report()
-    _echo(rep, inst, args)
-    code = _classify_block(rep, inst, args)
-    rep.add("exit-status", code)
-    rep.emit()
-    return code
+    rep = _report(inst, args)
+    return rep.finish(_classify_block(rep, inst, args))
 
 
 def cmd_solve(args) -> int:
     inst = _load(args.instance)
-    rep = Report()
-    _echo(rep, inst, args)
+    rep = _report(inst, args)
     rep.add("mode", args.mode)
     rep.add("epsilon", _fmt(args.epsilon))
     cfg = solver.SolveConfig(args.epsilon, args.max_iter, args.tol)
     try:
+        x0 = _parse_start(inst, args.start) if args.start else inst.sets.a[0]
         if args.mode == "single":
-            x0 = _parse_start(inst, args.start) if args.start else inst.sets.a[0]
             rep.add("start", _fmt_point(x0))
             result = solver.find_proximity_point(inst, x0, cfg)
             _solve_report(rep, inst, result, cfg)
-        elif args.mode == "parallel":
-            x0 = _parse_start(inst, args.start) if args.start else inst.sets.a[0]
-            y0 = _parse_start(inst, args.start_b) if args.start_b else inst.sets.b[0]
-            rep.add("start", _fmt_point(x0))
-            rep.add("start-b", _fmt_point(y0))
-            result = solver.two_map_parallel(inst, x0, y0, cfg)
-            _pair_report(rep, result)
         else:
-            x0 = _parse_start(inst, args.start) if args.start else inst.sets.a[0]
             y0 = _parse_start(inst, args.start_b) if args.start_b else inst.sets.b[0]
-            if args.alpha is None or args.gamma is None:
+            if args.mode == "alternating" and (args.alpha is None or args.gamma is None):
                 print("error: alternating mode needs --alpha and --gamma", file=sys.stderr)
                 return EXIT_USAGE
             rep.add("start", _fmt_point(x0))
             rep.add("start-b", _fmt_point(y0))
-            result = solver.two_map_alternating(inst, x0, y0, args.alpha, args.gamma, cfg)
-            _pair_report(rep, result)
-            if result.bounds:
-                for n, b in enumerate(result.bounds):
+            if args.mode == "parallel":
+                result = solver.two_map_parallel(inst, x0, y0, cfg)
+                _trace_report(rep, result, _fmt_pair)
+            else:
+                result = solver.two_map_alternating(inst, x0, y0, args.alpha, args.gamma, cfg)
+                _trace_report(rep, result, _fmt_pair)
+                for n, b in enumerate(result.bounds or ()):
                     rep.add("gap-bound", f"{n} {_fmt(b)}")
     except (DomainError, OrbitError, HypothesisError) as exc:
         rep.add("error", str(exc))
-        rep.add("exit-status", EXIT_NEGATIVE)
-        rep.emit()
-        return EXIT_NEGATIVE
-    code = EXIT_OK if result.found else EXIT_NEGATIVE
-    rep.add("exit-status", code)
-    rep.emit()
-    return code
+        return rep.finish(EXIT_NEGATIVE)
+    return rep.finish(EXIT_OK if result.found else EXIT_NEGATIVE)
 
 
 _STEP_PREVIEW = 12
 
 
-def _solve_report(rep: Report, inst: Instance, result: solver.SolveResult,
-                  cfg: solver.SolveConfig):
+def _trace_report(rep: Report, result: solver.SolveResult, fmt):
     rep.add("status", result.status)
     rep.add("iterations", result.iterations)
     res = result.trace.residuals
     for n, r in enumerate(res[:_STEP_PREVIEW]):
-        rep.add("step", f"{n} {_fmt_point(result.trace.points[n])} residual={_fmt(r)}")
+        rep.add("step", f"{n} {fmt(result.trace.points[n])} residual={_fmt(r)}")
     if len(res) > _STEP_PREVIEW:
         rep.add("steps-truncated", len(res) - _STEP_PREVIEW)
     if result.witness is not None:
-        rep.add("witness", _fmt_point(result.witness))
-    if result.found and inst.cyclic_map is not None:
+        rep.add("witness", fmt(result.witness))
+
+
+def _solve_report(rep: Report, inst: Instance, result: solver.SolveResult,
+                  cfg: solver.SolveConfig):
+    _trace_report(rep, result, _fmt_point)
+    # the a-priori bound needs CRR constants, which need edge preservation
+    if result.found and inst.cyclic_map is not None and inst.engine.preserved[0]:
         params = operators.crr_params_feasible(inst, 0.1, tol=cfg.tol)
         if params is not None and result.trace.residuals:
             d0 = result.trace.residuals[0] + inst.d_ab
@@ -228,21 +223,15 @@ def _solve_report(rep: Report, inst: Instance, result: solver.SolveResult,
             rep.add("crr-iteration-bound", bound)
 
 
-def _pair_report(rep: Report, result: solver.SolveResult):
-    rep.add("status", result.status)
-    rep.add("iterations", result.iterations)
-    res = result.trace.residuals
-    for n, r in enumerate(res[:_STEP_PREVIEW]):
-        x, y = result.trace.points[n]
-        rep.add("step", f"{n} {_fmt_point(x)} | {_fmt_point(y)} residual={_fmt(r)}")
-    if len(res) > _STEP_PREVIEW:
-        rep.add("steps-truncated", len(res) - _STEP_PREVIEW)
-    if result.witness is not None:
-        x, y = result.witness
-        rep.add("witness", _fmt_point(x) + " | " + _fmt_point(y))
-
-
 _MEMBER_PREVIEW = 20
+
+
+def _members_report(rep: Report, members, fmt):
+    rep.add("set-size", len(members))
+    for m in members[:_MEMBER_PREVIEW]:
+        rep.add("member", fmt(m))
+    if len(members) > _MEMBER_PREVIEW:
+        rep.add("members-truncated", len(members) - _MEMBER_PREVIEW)
 
 
 def _enumerate_block(rep: Report, inst: Instance, epsilon: float, mode: str,
@@ -252,21 +241,13 @@ def _enumerate_block(rep: Report, inst: Instance, epsilon: float, mode: str,
     rep.add("d(A,B)", _fmt(dab))
     if inst.map_pair is not None:
         pset = analysis.enumerate_pair_set(inst, epsilon, tol=tol)
-        rep.add("set-size", len(pset.members))
-        for x, y in pset.members[:_MEMBER_PREVIEW]:
-            rep.add("member", _fmt_point(x) + " | " + _fmt_point(y))
-        if len(pset.members) > _MEMBER_PREVIEW:
-            rep.add("members-truncated", len(pset.members) - _MEMBER_PREVIEW)
+        _members_report(rep, pset.members, _fmt_pair)
         if pset.members:
             rep.add("pair-diameter", _fmt(analysis.pair_diameter(inst, pset)))
         return len(pset.members)
     ps = analysis.enumerate_proximity_set(inst, epsilon, mode=mode, tol=tol)
     rep.add("mode", mode)
-    rep.add("set-size", len(ps.members))
-    for p in ps.members[:_MEMBER_PREVIEW]:
-        rep.add("member", _fmt_point(p))
-    if len(ps.members) > _MEMBER_PREVIEW:
-        rep.add("members-truncated", len(ps.members) - _MEMBER_PREVIEW)
+    _members_report(rep, ps.members, _fmt_point)
     if ps.members:
         rep.add("set-diameter", _fmt(analysis.proximity_diameter(inst, ps)))
         try:
@@ -281,59 +262,48 @@ def _enumerate_block(rep: Report, inst: Instance, epsilon: float, mode: str,
 
 def cmd_enumerate(args) -> int:
     inst = _load(args.instance)
-    rep = Report()
-    _echo(rep, inst, args)
+    rep = _report(inst, args)
     size = _enumerate_block(rep, inst, args.epsilon, args.mode, args.tol)
-    code = EXIT_NEGATIVE if (args.require_nonempty and size == 0) else EXIT_OK
-    rep.add("exit-status", code)
-    rep.emit()
-    return code
+    return rep.finish(EXIT_NEGATIVE if (args.require_nonempty and size == 0) else EXIT_OK)
 
 
-_DEMO_STEPS = {"interval": 0.01, "ellipse": 0.1, "segments": 0.01}
+_DEMOS = {"interval": (instances.interval_example, 0.01),
+          "ellipse": (instances.ellipse_example, 0.1),
+          "segments": (instances.segments_example, 0.01)}
 
 
 def cmd_demo(args) -> int:
-    if args.name not in _DEMO_STEPS:
+    if args.name not in _DEMOS:
         print(f"error: unknown demo {args.name!r}", file=sys.stderr)
         return EXIT_USAGE
-    step = args.grid_step if args.grid_step is not None else _DEMO_STEPS[args.name]
-    builder = {"interval": instances.interval_example,
-               "ellipse": instances.ellipse_example,
-               "segments": instances.segments_example}[args.name]
+    builder, step = _DEMOS[args.name]
+    step = args.grid_step if args.grid_step is not None else step
     try:
         inst = builder(step)
     except GproximityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    rep = Report()
-    _echo(rep, inst, args)
+    rep = _report(inst, args)
     rep.add("grid-step", _fmt(step))
     rep.section("validate")
     ok = _validation_block(rep, inst, args.tol)
     rep.section("classify")
     _classify_block(rep, inst, args)
     cfg = solver.SolveConfig(0.3, 200, args.tol)
-    if args.name == "interval":
+    if args.name != "segments":
         rep.section("solve")
-        rep.add("start", _fmt_point((-3.0,)))
-        rep.add("epsilon", _fmt(0.3))
-        result = solver.find_proximity_point(inst, (-3.0,), cfg)
-        _solve_report(rep, inst, result, cfg)
-        rep.section("enumerate-exact")
-        _enumerate_block(rep, inst, 0.0, analysis.STRICT, args.tol)
-        rep.section("enumerate")
-        _enumerate_block(rep, inst, 0.3, analysis.STRICT, args.tol)
-    elif args.name == "ellipse":
-        rep.section("solve")
-        # reflection across the y-axis: only minor-axis points make progress
-        start = (0.0, 0.0)
+        # ellipse: reflection across the y-axis, only minor-axis points make progress
+        start = (-3.0,) if args.name == "interval" else (0.0, 0.0)
         rep.add("start", _fmt_point(start))
         rep.add("epsilon", _fmt(0.3))
         result = solver.find_proximity_point(inst, start, cfg)
         _solve_report(rep, inst, result, cfg)
+        if args.name == "interval":
+            rep.section("enumerate-exact")
+            _enumerate_block(rep, inst, 0.0, analysis.STRICT, args.tol)
         rep.section("enumerate")
-        _enumerate_block(rep, inst, 0.01, analysis.STRICT, args.tol)
+        _enumerate_block(rep, inst, 0.3 if args.name == "interval" else 0.01,
+                         analysis.STRICT, args.tol)
     else:
         rep.section("solve-parallel")
         x0, y0 = inst.sets.a[0], inst.sets.b[-1]
@@ -341,15 +311,13 @@ def cmd_demo(args) -> int:
         rep.add("start-b", _fmt_point(y0))
         pcfg = solver.SolveConfig(0.01, 50, args.tol)
         result = solver.two_map_parallel(inst, x0, y0, pcfg)
-        _pair_report(rep, result)
+        _trace_report(rep, result, _fmt_pair)
         rep.section("solve-alternating")
         result = solver.two_map_alternating(inst, (0.0, 0.0), (1.0, 1.0), 0.0, 1.0, pcfg)
-        _pair_report(rep, result)
+        _trace_report(rep, result, _fmt_pair)
         rep.section("enumerate")
         _enumerate_block(rep, inst, 0.01, analysis.STRICT, args.tol)
-    rep.add("exit-status", 0 if ok else 1)
-    rep.emit()
-    return EXIT_OK if ok else EXIT_NEGATIVE
+    return rep.finish(EXIT_OK if ok else EXIT_NEGATIVE)
 
 
 def build_parser() -> argparse.ArgumentParser:

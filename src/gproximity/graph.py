@@ -7,7 +7,10 @@ explicit set of ordered point pairs.  Every query treats (x, x) as an edge;
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable, Optional
+
+import numpy as np
 
 from .errors import DomainError
 from .metric import ValidationReport, Violation
@@ -102,27 +105,80 @@ def _point_key(p):
     return (0, (p,))
 
 
+def edge_index(g: DirectedGraph, points, rows=None, cols=None):
+    """The edges among ``points`` as sorted index arrays (I, J) into ``points``:
+    explicit graphs their listed edges only, diagonal graphs (i, i), custom
+    graphs the predicate's edges plus the diagonal; None for complete graphs
+    (every pair).  Position arrays ``rows`` and ``cols`` (given together) limit
+    the edges to that rectangle, ordered by (rank in rows, rank in cols); a
+    repeated position counts at its first rank.
+    """
+    pts = tuple(points)
+    n = len(pts)
+    if g.rule == COMPLETE:
+        return None
+    if g.rule == DIAGONAL:
+        i = j = np.arange(n)
+    elif g.rule == EXPLICIT:
+        order = {p: k for k, p in enumerate(pts)}
+        keys = [order[x] * n + order[y] for x, y in g.edges if x in order and y in order]
+        i, j = np.divmod(np.unique(np.asarray(keys, dtype=np.intp)), n)
+    else:
+        mask = np.array([[contains_edge(g, x, y) for y in pts] for x in pts], dtype=bool)
+        i, j = np.nonzero(mask.reshape(n, n))
+    if rows is None:
+        return i, j
+    ri, cj = _first_ranks(rows, n)[i], _first_ranks(cols, n)[j]
+    keep = np.flatnonzero((ri >= 0) & (cj >= 0))
+    keep = keep[np.lexsort((cj[keep], ri[keep]))]
+    return i[keep], j[keep]
+
+
+def _first_ranks(sel, n):
+    """rank[p] = first position of p in sel, or -1."""
+    values, first = np.unique(np.asarray(sel, dtype=np.intp), return_index=True)
+    rank = np.full(n, -1)
+    rank[values] = first
+    return rank
+
+
+def contains_index_pairs(index, n: int, fi, fj):
+    """contains_edge for position pairs (fi, fj) into the points, given
+    their full edge_index: the diagonal or an indexed edge."""
+    if index is None:
+        return np.ones(len(fi), dtype=bool)
+    return (fi == fj) | np.isin(fi * n + fj, index[0] * n + index[1])
+
+
+def first_unpreserved(g: DirectedGraph, points, index, edges, *image_lists):
+    """Position in ``edges`` (I, J) of the first edge that a map, given as its
+    image of every point, sends off the graph with full edge_index ``index``;
+    None when every edge is kept.  Images outside the points ask contains_edge.
+    """
+    if index is None:
+        return None
+    pts = tuple(points)
+    order = {p: k for k, p in enumerate(pts)}
+    ei, ej = edges
+    bad = np.zeros(ei.size, dtype=bool)
+    for images in image_lists:
+        pos = np.array([order.get(q, -1) for q in images], dtype=np.intp)
+        fi, fj = pos[ei], pos[ej]
+        ok = contains_index_pairs(index, len(pts), fi, fj)
+        for k in np.flatnonzero((fi < 0) | (fj < 0)):
+            ok[k] = contains_edge(g, images[ei[k]], images[ej[k]])
+        bad |= ~ok
+    hits = np.flatnonzero(bad)
+    return int(hits[0]) if hits.size else None
+
+
 def iter_edges(g: DirectedGraph, points):
     """All edges among the given points, in lexicographic scan order."""
     pts = tuple(points)
-    if g.rule == COMPLETE:
-        for x in pts:
-            for y in pts:
-                yield (x, y)
-    elif g.rule == DIAGONAL:
-        for x in pts:
-            yield (x, x)
-    elif g.rule == EXPLICIT:
-        pset = set(pts)
-        order = {p: i for i, p in enumerate(pts)}
-        for x, y in sorted(g.edges, key=lambda e: (order.get(e[0], -1), order.get(e[1], -1))):
-            if x in pset and y in pset:
-                yield (x, y)
-    else:
-        for x in pts:
-            for y in pts:
-                if contains_edge(g, x, y):
-                    yield (x, y)
+    index = edge_index(g, pts)
+    if index is None:
+        return product(pts, pts)
+    return ((pts[i], pts[j]) for i, j in zip(*index))
 
 
 def preserves_edges(g: DirectedGraph, f, points):
@@ -134,7 +190,9 @@ def preserves_edges(g: DirectedGraph, f, points):
     """
     if g.rule in (COMPLETE, DIAGONAL):
         return True, None
-    for x, y in iter_edges(g, points):
-        if not contains_edge(g, f(x), f(y)):
-            return False, (x, y)
-    return True, None
+    pts = tuple(points)
+    index = edge_index(g, pts)
+    k = first_unpreserved(g, pts, index, index, [f(p) for p in pts])
+    if k is None:
+        return True, None
+    return False, (pts[index[0][k]], pts[index[1][k]])

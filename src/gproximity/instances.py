@@ -7,21 +7,18 @@ docs/instance_format.md for the file grammar.
 """
 from __future__ import annotations
 
+import inspect
 import math
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import ParseError, SpecError
-from .graph import (COMPLETE, CUSTOM, DIAGONAL, EXPLICIT, DirectedGraph,
+from .graph import (COMPLETE, DIAGONAL, EXPLICIT, DirectedGraph,
                     complete_graph, diagonal_graph, explicit_graph)
 from .maps import CyclicMap, Instance, MapPair
-from .metric import CoordinateSpace, SubsetPair, TabulatedSpace
+from .metric import CoordinateSpace, SubsetPair, TabulatedSpace, euclidean
 
 _EDGE_TOL = 1e-9
-
-#: Named predicates usable for custom graph rules in instance files.
-GRAPH_PREDICATES = {}
 
 
 def _check_divides(step: float, length: float, what: str) -> int:
@@ -130,7 +127,7 @@ def affine_segments_pair(factor: float, shift: float = 0.0,
 
 
 def _tabulated_from_coords(coords: np.ndarray) -> TabulatedSpace:
-    return TabulatedSpace(cdist(coords, coords))
+    return TabulatedSpace(euclidean(coords, coords, cross=True))
 
 
 def _graph_from_rule(rule: str, n: int, rng) -> DirectedGraph:
@@ -149,7 +146,7 @@ def _graph_from_rule(rule: str, n: int, rng) -> DirectedGraph:
 
 
 def _nearest_in(coords: np.ndarray, sources, targets) -> dict:
-    d = cdist(coords[list(sources)], coords[list(targets)])
+    d = euclidean(coords[list(sources)], coords[list(targets)], cross=True)
     picks = d.argmin(axis=1)
     tlist = list(targets)
     return {s: tlist[int(p)] for s, p in zip(sources, picks)}
@@ -326,9 +323,7 @@ def dumps(inst: Instance) -> str:
         for x, y in edges:
             lines.append(f"edge: {x} {y}")
     else:
-        if not g.predicate_name or g.predicate_name not in GRAPH_PREDICATES:
-            raise SpecError("custom graphs serialize only by registered rule name")
-        lines.append(f"graph: custom {g.predicate_name}")
+        raise SpecError("custom graphs do not serialize")
     if inst.map_pair is not None:
         lines.append("map: pair")
         lines.append("table-t: " + " ".join(str(i) for i in inst.map_pair.t.table))
@@ -350,10 +345,14 @@ class _Reader:
         self.lines = text.splitlines()
         self.pos = 0
 
-    def next(self, expect_key: str = None) -> str:
+    def more(self) -> bool:
+        """Skip blank lines; True while a line is left."""
         while self.pos < len(self.lines) and not self.lines[self.pos].strip():
             self.pos += 1
-        if self.pos >= len(self.lines):
+        return self.pos < len(self.lines)
+
+    def next(self, expect_key: str = None) -> str:
+        if not self.more():
             raise ParseError("unexpected end of file", line=self.pos + 1)
         line = self.lines[self.pos].strip()
         self.pos += 1
@@ -369,14 +368,12 @@ class _Reader:
 
 
 def _parse_value(text: str):
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
 
 
 def loads(text: str) -> Instance:
@@ -390,21 +387,23 @@ def loads(text: str) -> Instance:
         builder = r.next("builder")
         if builder not in _BUILDERS:
             r.error(f"unknown builder {builder!r}")
+        builder_line = r.pos
+        accepted = inspect.signature(_BUILDERS[builder]).parameters
         kwargs = {}
-        while True:
-            while r.pos < len(r.lines) and not r.lines[r.pos].strip():
-                r.pos += 1
-            if r.pos >= len(r.lines):
-                break
-            line = r.next()
-            if not line.startswith("arg:"):
-                r.error(f"unexpected line {line!r}")
-            body = line[len("arg:"):].strip()
+        while r.more():
+            body = r.next("arg")
             if "=" not in body:
                 r.error(f"malformed arg {body!r}")
             key, value = body.split("=", 1)
-            kwargs[key.strip()] = _parse_value(value.strip())
-        return _BUILDERS[builder](**kwargs)
+            key = key.strip()
+            if key not in accepted:
+                r.error(f"builder {builder!r} takes no argument {key!r}")
+            kwargs[key] = _parse_value(value.strip())
+        try:
+            return _BUILDERS[builder](**kwargs)
+        except (SpecError, TypeError) as exc:
+            raise ParseError(f"builder {builder!r} rejects its arguments: {exc}",
+                             line=builder_line) from exc
     if kind != "tabulated":
         r.error(f"unknown kind {kind!r}")
 
@@ -414,12 +413,23 @@ def loads(text: str) -> Instance:
         except ValueError:
             r.error(f"malformed {what} list {text!r}")
 
+    def indices(what, count=None):
+        idx = ints(r.next(what), what)
+        if not idx or count is not None and len(idx) != count:
+            r.error(f"{what} needs {count or 'at least one'} entries, got {len(idx)}")
+        bad = [i for i in idx if not 0 <= i < n]
+        if bad:
+            r.error(f"{what} index {bad[0]} outside 0..{n - 1}")
+        return idx
+
     try:
         n = int(r.next("n"))
     except ValueError:
         r.error("malformed point count")
-    a = ints(r.next("A"), "A")
-    b = ints(r.next("B"), "B")
+    if n < 1:
+        r.error(f"point count {n} is not positive")
+    a = indices("A")
+    b = indices("B")
     gspec = r.next("graph")
     if gspec in (COMPLETE, DIAGONAL):
         graph = complete_graph() if gspec == COMPLETE else diagonal_graph()
@@ -436,26 +446,16 @@ def loads(text: str) -> Instance:
                 r.error(f"malformed edge {body!r}")
             edges.add(pair)
         graph = explicit_graph(edges)
-    elif gspec.startswith("custom"):
-        try:
-            rule_name = gspec.split()[1]
-        except IndexError:
-            r.error("custom graph needs a rule name")
-        if rule_name not in GRAPH_PREDICATES:
-            r.error(f"unknown custom graph rule {rule_name!r}")
-        graph = DirectedGraph(CUSTOM, predicate=GRAPH_PREDICATES[rule_name],
-                              predicate_name=rule_name)
     else:
         r.error(f"unknown graph spec {gspec!r}")
     mspec = r.next("map")
     fmap = None
     pair = None
     if mspec == "table":
-        fmap = CyclicMap("table", table=ints(r.next("table"), "table"))
+        fmap = CyclicMap("table", table=indices("table", n))
     elif mspec == "pair":
-        t = CyclicMap("table-t", table=ints(r.next("table-t"), "table-t"))
-        s = CyclicMap("table-s", table=ints(r.next("table-s"), "table-s"))
-        pair = MapPair(t, s)
+        pair = MapPair(CyclicMap("table-t", table=indices("table-t", n)),
+                       CyclicMap("table-s", table=indices("table-s", n)))
     elif mspec != "none":
         r.error(f"unknown map spec {mspec!r}")
     if r.next() != "dist:":
@@ -469,11 +469,10 @@ def loads(text: str) -> Instance:
             values = [float(tok) for tok in row]
         except ValueError:
             r.error(f"malformed distance in row {i}")
+        if not all(math.isfinite(v) for v in values):
+            r.error(f"non-finite distance in row {i}")
         dist[i, :i] = values
         dist[:i, i] = values
-    for fm in ([fmap] if fmap else []) + ([pair.t, pair.s] if pair else []):
-        if len(fm.table) != n or any(not (0 <= v < n) for v in fm.table):
-            r.error("map table does not match the point count")
     return Instance(name, TabulatedSpace(dist), SubsetPair(a, b), graph,
                     cyclic_map=fmap, map_pair=pair)
 

@@ -1,7 +1,7 @@
 """Cyclic maps, map pairs, operator constants, and the instance aggregate."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -105,6 +105,20 @@ class Instance:
         from .metric import pair_distance
 
         return pair_distance(self.space, self.sets)
+
+    @cached_property
+    def engine(self):
+        """The edge engine of the single map, built on first use."""
+        from ._scan import build_map_engine
+
+        return build_map_engine(self, self.require_map())
+
+    @cached_property
+    def pair_engine(self):
+        """The A x B edge engine of the map pair, built on first use."""
+        from ._scan import build_pair_engine
+
+        return build_pair_engine(self, self.require_pair())
 
 
 def apply_map(f: CyclicMap, x, last_valid: int = -1):

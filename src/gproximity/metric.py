@@ -8,7 +8,7 @@ plus an optional region membership test.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -20,7 +20,8 @@ from .errors import DomainError, StructuralError
 #: double-precision round-off sits far below this.
 DEFAULT_TOL = 1e-9
 
-Point = "int | tuple[float, ...]"
+#: Pairs per chunk of a cross-distance matrix: bounds the kernel's temporaries.
+_KERNEL_ELEMS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -82,7 +83,28 @@ class CoordinateSpace:
         return math.dist(x, y)
 
 
-MetricSpace = "TabulatedSpace | CoordinateSpace"
+def euclidean(p, q, cross: bool = False) -> np.ndarray:
+    """Euclidean distances between the rows of two coordinate arrays.
+
+    Aligned rows by default; ``cross=True`` gives the |p| x |q| matrix, filled
+    in row chunks.  Squared coordinate differences are summed one coordinate
+    at a time, so no |p| x |q| x d array is formed, then square-rooted.
+    """
+    pt, qt = np.ascontiguousarray(p.T), np.ascontiguousarray(q.T)
+    if not cross:
+        return _root_sum_sq(np.subtract, pt, qt)
+    out = np.empty((len(p), len(q)))
+    rows = max(1, _KERNEL_ELEMS // max(len(q), 1))
+    for s in range(0, len(p), rows):
+        _root_sum_sq(np.subtract.outer, pt[:, s:s + rows], qt, out=out[s:s + rows])
+    return out
+
+
+def _root_sum_sq(diff, pt, qt, out=None):
+    acc = diff(pt[0], qt[0]) ** 2
+    for k in range(1, len(pt)):
+        acc += diff(pt[k], qt[k]) ** 2
+    return np.sqrt(acc, out=out)
 
 
 @dataclass(frozen=True)
@@ -127,13 +149,7 @@ class SubsetPair:
     @cached_property
     def points(self) -> tuple:
         """A followed by the B samples not already in A, in stored order."""
-        seen = set(self.a)
-        extra = []
-        for p in self.b:
-            if p not in seen:
-                seen.add(p)
-                extra.append(p)
-        return self.a + tuple(extra)
+        return self.a + tuple(dict.fromkeys(p for p in self.b if p not in self._a_set))
 
 
 def validate_metric(space, tol: float = DEFAULT_TOL) -> ValidationReport:
@@ -145,22 +161,25 @@ def validate_metric(space, tol: float = DEFAULT_TOL) -> ValidationReport:
     d = space.dist
     n = space.n
     out = []
-    bad_diag = np.flatnonzero(np.abs(np.diag(d)) > tol)
-    for i in bad_diag:
+    for i in np.flatnonzero(np.abs(np.diag(d)) > tol):
         out.append(Violation("identity", (int(i),), f"d({i},{i}) = {d[i, i]!r} != 0"))
-    asym = np.argwhere(np.triu(np.abs(d - d.T), k=1) > tol)
-    for i, j in asym:
+    for i, j in np.argwhere(np.triu(np.abs(d - d.T), k=1) > tol):
         out.append(Violation("symmetry", (int(i), int(j)),
                              f"d({i},{j}) = {d[i, j]!r} but d({j},{i}) = {d[j, i]!r}"))
-    neg = np.argwhere(d < -tol)
-    for i, j in neg:
+    for i, j in np.argwhere(d < -tol):
         out.append(Violation("nonnegativity", (int(i), int(j)), f"d({i},{j}) = {d[i, j]!r} < 0"))
-    # d[i,j] <= d[i,k] + d[k,j] + tol for every triple
-    excess = d[:, None, :] - (d[:, :, None] + d[None, :, :])  # [i, k, j]
-    tri = np.argwhere(excess > tol)
-    for i, k, j in tri:
-        out.append(Violation("triangle", (int(i), int(k), int(j)),
-                             f"d({i},{j}) = {d[i, j]!r} > d({i},{k}) + d({k},{j}) = {d[i, k] + d[k, j]!r}"))
+    # d[i,j] <= d[i,k] + d[k,j] + tol for every triple, in blocks of i so
+    # that no n x n x n array is formed
+    from ._scan import _BLOCK_ELEMS
+
+    step = max(1, _BLOCK_ELEMS // max(n * n, 1))
+    for i0 in range(0, n, step):
+        excess = d[i0:i0 + step, :, None] + d[None, :, :]  # [i, k, j]
+        np.subtract(d[i0:i0 + step, None, :], excess, out=excess)
+        for i, k, j in np.argwhere(excess > tol):
+            i += i0
+            out.append(Violation("triangle", (int(i), int(k), int(j)),
+                                 f"d({i},{j}) = {d[i, j]!r} > d({i},{k}) + d({k},{j}) = {d[i, k] + d[k, j]!r}"))
     return ValidationReport(tuple(out))
 
 
@@ -187,17 +206,11 @@ def validate_sets(space, sets: SubsetPair) -> ValidationReport:
     return ValidationReport(tuple(out))
 
 
-def distance(space, x, y) -> float:
-    return space.distance(x, y)
-
-
 def pair_distance(space, sets: SubsetPair) -> float:
     """min over a in A, b in B of d(a, b), evaluated on the stored samples."""
     from ._scan import cross_dists, point_array
 
-    pa = point_array(space, sets.a)
-    pb = point_array(space, sets.b)
-    return float(cross_dists(space, pa, pb).min())
+    return float(cross_dists(space, point_array(space, sets.a), point_array(space, sets.b)).min())
 
 
 def set_diameter(space, points) -> float:

@@ -10,11 +10,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
-from ._scan import EdgeScanner, fold_max
+from ._scan import EdgeScanner, fold_max, map_engine, pair_engine
 from .errors import ClassificationError, DomainError
-from .graph import contains_edge, preserves_edges
 from .maps import CrrParams, CyclicMap, Instance, MapPair
 from .metric import DEFAULT_TOL, ValidationReport, Violation
 
@@ -40,45 +37,46 @@ class ContractionEstimate:
 def validate_cyclic(inst: Instance, f: CyclicMap = None) -> ValidationReport:
     """Flag every a in A with f(a) outside B and every b in B with f(b) outside A."""
     f = f or inst.require_map()
-    sets = inst.sets
-    out = []
-    for a in sets.a:
-        fa = f(a)
-        if not sets.in_b(fa):
-            out.append(Violation("cyclic", (a,), f"image {fa!r} of A-point is not in B"))
-    for b in sets.b:
-        fb = f(b)
-        if not sets.in_a(fb):
-            out.append(Violation("cyclic", (b,), f"image {fb!r} of B-point is not in A"))
-    return ValidationReport(tuple(out))
+    return _cyclic_report(inst.sets, f, f, ("", ""))
 
 
 def validate_pair(inst: Instance, pair: MapPair = None) -> ValidationReport:
     """Two-map variant: T(A) in B and S(B) in A."""
     pair = pair or inst.require_pair()
-    sets = inst.sets
+    return _cyclic_report(inst.sets, pair.t, pair.s, ("T-", "S-"))
+
+
+def _cyclic_report(sets, t, s, labels) -> ValidationReport:
     out = []
-    for a in sets.a:
-        ta = pair.t(a)
-        if not sets.in_b(ta):
-            out.append(Violation("cyclic", (a,), f"T-image {ta!r} of A-point is not in B"))
-    for b in sets.b:
-        sb = pair.s(b)
-        if not sets.in_a(sb):
-            out.append(Violation("cyclic", (b,), f"S-image {sb!r} of B-point is not in A"))
+    for pts, fn, inside, label, src, dst in ((sets.a, t, sets.in_b, labels[0], "A", "B"),
+                                             (sets.b, s, sets.in_a, labels[1], "B", "A")):
+        for p in pts:
+            fp = fn(p)
+            if not inside(fp):
+                out.append(Violation("cyclic", (p,), f"{label}image {fp!r} of {src}-point is not in {dst}"))
     return ValidationReport(tuple(out))
 
 
-def _single_scanner(inst: Instance, f: CyclicMap, cache: bool = False) -> EdgeScanner:
-    pts = inst.points
-    images = [f(p) for p in pts]
-    return EdgeScanner(inst.space, pts, inst.graph, images, cache=cache)
-
-
-def _require_preserving(inst: Instance, f: CyclicMap):
-    ok, edge = preserves_edges(inst.graph, f, inst.points)
+def _require_preserving(eng: EdgeScanner):
+    ok, edge = eng.preserved
     if not ok:
         raise ClassificationError(f"map does not preserve edges; violating edge {edge!r}")
+
+
+def _fold_check(eng: EdgeScanner, value_fn, tol: float) -> CheckResult:
+    """Edge preservation, then value_fn(D, DF, U) <= tol on every edge."""
+    ok, edge = eng.preserved
+    if not ok:
+        return CheckResult(False, worst_edge=edge, reason="edge preservation fails")
+    worst, pos, _ = fold_max(eng, value_fn)
+    if worst is None:
+        return CheckResult(True, margin=0.0)
+    return CheckResult(worst <= tol, worst_edge=eng.edge_points(*pos), margin=worst)
+
+
+def _crr_excess(params: CrrParams, dab: float):
+    a, b, c = params.alpha, params.beta, params.gamma
+    return lambda d, df, u: df - a * d - b * u - c * dab
 
 
 def min_contraction_factor(inst: Instance, f: CyclicMap = None) -> ContractionEstimate:
@@ -88,26 +86,12 @@ def min_contraction_factor(inst: Instance, f: CyclicMap = None) -> ContractionEs
     flagged non-contractive when the factor reaches 1 or some zero-length
     edge has a positive-length image.
     """
-    f = f or inst.require_map()
-    _require_preserving(inst, f)
-    scan = _single_scanner(inst, f)
-    best = 0.0
-    best_edge = None
-    for i, j, d, df, _u in scan.blocks():
-        bad = np.flatnonzero((d <= 0.0) & (df > DEFAULT_TOL))
-        if bad.size:
-            p = int(bad[0])
-            return ContractionEstimate(False, math.inf, scan.edge_points(int(i[p]), int(j[p])))
-        mask = d > 0.0
-        if not mask.any():
-            continue
-        ratios = np.where(mask, df / np.where(mask, d, 1.0), -np.inf)
-        p = int(np.argmax(ratios))
-        v = float(ratios[p])
-        if best_edge is None or v > best:
-            best = v
-            best_edge = scan.edge_points(int(i[p]), int(j[p]))
-    return ContractionEstimate(best < 1.0, best, best_edge)
+    eng = map_engine(inst, f)
+    _require_preserving(eng)
+    cert = eng.certificate
+    if cert.zero_edge is not None:
+        return ContractionEstimate(False, math.inf, cert.zero_edge)
+    return ContractionEstimate(cert.ratio < 1.0, cert.ratio, cert.ratio_edge)
 
 
 def is_g_contraction(inst: Instance, alpha: float, f: CyclicMap = None,
@@ -115,42 +99,22 @@ def is_g_contraction(inst: Instance, alpha: float, f: CyclicMap = None,
     """Edge preservation plus d(fx, fy) <= alpha * d(x, y) on every edge."""
     if not (0.0 < alpha < 1.0):
         raise DomainError("contraction factor must lie in (0, 1)")
-    f = f or inst.require_map()
-    ok, edge = preserves_edges(inst.graph, f, inst.points)
-    if not ok:
-        return CheckResult(False, worst_edge=edge, reason="edge preservation fails")
-    scan = _single_scanner(inst, f)
-    worst, pos = fold_max(scan, lambda d, df, u: df - alpha * d)
-    if worst is None:
-        return CheckResult(True, margin=0.0)
-    return CheckResult(worst <= tol, worst_edge=scan.edge_points(*pos), margin=worst)
+    return _fold_check(map_engine(inst, f), lambda d, df, u: df - alpha * d, tol)
 
 
 def is_edge_nonexpansive(inst: Instance, f: CyclicMap = None,
                          tol: float = DEFAULT_TOL) -> CheckResult:
     """d(fx, fy) <= d(x, y) on every edge."""
-    f = f or inst.require_map()
-    scan = _single_scanner(inst, f)
-    worst, pos = fold_max(scan, lambda d, df, u: df - d)
-    if worst is None:
+    cert = map_engine(inst, f).certificate
+    if cert.margin is None:
         return CheckResult(True, margin=0.0)
-    return CheckResult(worst <= tol, worst_edge=scan.edge_points(*pos), margin=worst)
+    return CheckResult(cert.margin <= tol, worst_edge=cert.margin_edge, margin=cert.margin)
 
 
 def is_crr_moh(inst: Instance, params: CrrParams, f: CyclicMap = None,
                tol: float = DEFAULT_TOL) -> CheckResult:
     """d(fx,fy) <= a d(x,y) + b [d(x,fx) + d(y,fy)] + c d(A,B) on every edge."""
-    f = f or inst.require_map()
-    ok, edge = preserves_edges(inst.graph, f, inst.points)
-    if not ok:
-        return CheckResult(False, worst_edge=edge, reason="edge preservation fails")
-    dab = inst.d_ab
-    a, b, c = params.alpha, params.beta, params.gamma
-    scan = _single_scanner(inst, f)
-    worst, pos = fold_max(scan, lambda d, df, u: df - a * d - b * u - c * dab)
-    if worst is None:
-        return CheckResult(True, margin=0.0)
-    return CheckResult(worst <= tol, worst_edge=scan.edge_points(*pos), margin=worst)
+    return _fold_check(map_engine(inst, f), _crr_excess(params, inst.d_ab), tol)
 
 
 def crr_params_feasible(inst: Instance, grid_step: float, f: CyclicMap = None,
@@ -159,20 +123,17 @@ def crr_params_feasible(inst: Instance, grid_step: float, f: CyclicMap = None,
 
     Scans the simplex alpha + 2*beta + gamma < 1 at the given resolution in
     lexicographic order and returns the first feasible triple, or None.
-    Refuted candidates leave behind witness edges, so most candidates die on
-    a handful of cached constraints instead of a full edge scan.
+    Each refuted candidate leaves its worst edge's (d, df, u) behind as a
+    cut, so most candidates die on a handful of cuts instead of a full scan.
     """
     if grid_step <= 0:
         raise DomainError("grid step must be positive")
-    f = f or inst.require_map()
-    _require_preserving(inst, f)
+    eng = map_engine(inst, f)
+    _require_preserving(eng)
     dab = inst.d_ab
-    scan = _single_scanner(inst, f, cache=True)
     steps = int(math.ceil(1.0 / grid_step))
     values = [i * grid_step for i in range(steps + 1)]
-    wd = []
-    wdf = []
-    wu = []
+    cuts = []
     for a in values:
         for b in values:
             if a + 2 * b >= 1:
@@ -180,67 +141,22 @@ def crr_params_feasible(inst: Instance, grid_step: float, f: CyclicMap = None,
             for c in values:
                 if a + 2 * b + c >= 1:
                     break
-                if wd:
-                    lhs = np.asarray(wdf)
-                    rhs = a * np.asarray(wd) + b * np.asarray(wu) + c * dab + tol
-                    if np.any(lhs > rhs):
-                        continue
-                worst, pos = fold_max(scan, lambda d, df, u: df - a * d - b * u - c * dab)
+                if any(df > a * d + b * u + c * dab + tol for d, df, u in cuts):
+                    continue
+                worst, _, witness = fold_max(eng, lambda d, df, u: df - a * d - b * u - c * dab)
                 if worst is None or worst <= tol:
                     return CrrParams(a, b, c)
-                for i, j, d, df, u in scan.blocks():
-                    # recover the witness edge values at the arg-max position
-                    hit = np.flatnonzero((i == pos[0]) & (j == pos[1]))
-                    if hit.size:
-                        p = int(hit[0])
-                        wd.append(float(d[p]))
-                        wdf.append(float(df[p]))
-                        wu.append(float(u[p]))
-                        break
+                cuts.append(witness)
     return None
-
-
-def _pair_positions(inst: Instance):
-    order = {p: i for i, p in enumerate(inst.points)}
-    rows = [order[p] for p in inst.sets.a]
-    cols = [order[p] for p in inst.sets.b]
-    return rows, cols
 
 
 def pair_preserves_edges(inst: Instance, pair: MapPair = None):
     """Condition (i) of the two-map class over E(G) restricted to A x B."""
-    pair = pair or inst.require_pair()
-    g = inst.graph
-    if g.rule == "complete":
-        return True, None
-    for a in inst.sets.a:
-        for b in inst.sets.b:
-            if not contains_edge(g, a, b):
-                continue
-            if not contains_edge(g, pair.t(a), pair.t(b)):
-                return False, (a, b)
-            if not contains_edge(g, pair.s(a), pair.s(b)):
-                return False, (a, b)
-    return True, None
+    return pair_engine(inst, pair).preserved
 
 
 def is_crr_2map(inst: Instance, params: CrrParams, pair: MapPair = None,
                 tol: float = DEFAULT_TOL) -> CheckResult:
     """Two-map class: both maps preserve A x B edges and
     d(Tx, Sy) <= a d(x,y) + b [d(x,Tx) + d(y,Sy)] + c d(A,B) on them."""
-    pair = pair or inst.require_pair()
-    ok, edge = pair_preserves_edges(inst, pair)
-    if not ok:
-        return CheckResult(False, worst_edge=edge, reason="edge preservation fails")
-    dab = inst.d_ab
-    a, b, c = params.alpha, params.beta, params.gamma
-    pts = inst.points
-    t_images = [pair.t(p) for p in pts]
-    s_images = [pair.s(p) for p in pts]
-    rows, cols = _pair_positions(inst)
-    scan = EdgeScanner(inst.space, pts, inst.graph, t_images, s_images,
-                       rows=rows, cols=cols)
-    worst, pos = fold_max(scan, lambda d, df, u: df - a * d - b * u - c * dab)
-    if worst is None:
-        return CheckResult(True, margin=0.0)
-    return CheckResult(worst <= tol, worst_edge=scan.edge_points(*pos), margin=worst)
+    return _fold_check(pair_engine(inst, pair), _crr_excess(params, inst.d_ab), tol)

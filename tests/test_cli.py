@@ -75,6 +75,17 @@ class TestSolve:
         assert code == 1
         assert "status: exhausted" in out
 
+    def test_witness_kept_when_edges_are_not_preserved(self, capsys, tmp_path):
+        # the map breaks edge preservation, so there is no CRR bound, but the
+        # found witness is still reported
+        path = tmp_path / "rand.gpx"
+        gp.save_instance(gp.random_instance(0, 12, 12, graph_rule="random:0.6"), path)
+        code, out = run(capsys, "solve", str(path), "--epsilon", "0.3")
+        assert code == 0
+        assert "status: found" in out
+        assert "witness: 0" in out
+        assert "crr-iteration-bound" not in out
+
     def test_alternating_needs_constants(self, capsys, tmp_path):
         path = tmp_path / "seg.gpx"
         gp.save_instance(gp.segments_example(0.25), path)
@@ -93,11 +104,9 @@ class TestEnumerate:
         # d(A,B) = 4, so the exact proximity set is empty
         import numpy as np
 
-        coords = np.array([[0.0], [10.0], [4.0], [6.0]])
-        from scipy.spatial.distance import cdist
-
+        coords = np.array([0.0, 10.0, 4.0, 6.0])
         inst = gp.Instance(
-            "hollow", gp.TabulatedSpace(cdist(coords, coords)),
+            "hollow", gp.TabulatedSpace(np.abs(coords[:, None] - coords[None, :])),
             gp.SubsetPair(a=(0, 1), b=(2, 3)), gp.complete_graph(),
             cyclic_map=gp.CyclicMap("swap-far", table=(3, 2, 1, 0)))
         path = tmp_path / "hollow.gpx"
@@ -118,6 +127,29 @@ class TestDemo:
 
     def test_unknown_demo(self, capsys):
         assert main(["demo", "torus"]) == 2
+
+
+MALFORMED = {
+    "bogus": ("gproximity-instance v1\nname: bogus-arg\nkind: coordinate\n"
+              "builder: interval\narg: bogus=1\n"),
+    "out-of-range": ("gproximity-instance v1\nname: out-of-range\nkind: tabulated\nn: 2\n"
+                     "A: 0\nB: 5\ngraph: complete\nmap: table\ntable: 1 0\ndist:\nrow: 1.0\n"),
+    "nan": ("gproximity-instance v1\nname: nan-distance\nkind: tabulated\nn: 2\n"
+            "A: 0\nB: 1\ngraph: complete\nmap: table\ntable: 1 0\ndist:\nrow: nan\n"),
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "classify", "solve", "enumerate"])
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_file_is_one_error_line(tmp_path, name, command):
+    path = tmp_path / f"{name}.gpx"
+    path.write_text(MALFORMED[name], encoding="utf-8")
+    proc = subprocess.run([sys.executable, "-m", "gproximity", command, str(path)],
+                          capture_output=True, text=True, check=False)
+    errors = [ln for ln in (proc.stdout + proc.stderr).splitlines() if ln.startswith("error:")]
+    assert proc.returncode == 2
+    assert len(errors) == 1 and errors[0].startswith("error: line ")
+    assert "Traceback" not in proc.stderr
 
 
 class TestDeterminism:

@@ -3,6 +3,7 @@ import pytest
 from gproximity import (complete_graph, contains_edge, custom_graph,
                         diagonal_graph, explicit_graph, iter_edges,
                         preserves_edges, validate_graph)
+from gproximity.graph import edge_index
 from gproximity.errors import DomainError
 
 PTS = (0, 1, 2, 3)
@@ -87,3 +88,27 @@ class TestPreservesEdges:
         ok, edge = preserves_edges(g, shift.__getitem__, PTS)
         assert not ok
         assert edge == (0, 1)
+
+
+class TestEdgeIndex:
+    def pairs(self, g, rows=None, cols=None):
+        index = edge_index(g, PTS, rows, cols)
+        return None if index is None else list(zip(index[0].tolist(), index[1].tolist()))
+
+    def test_complete_is_all_pairs(self):
+        assert self.pairs(complete_graph()) is None
+
+    def test_explicit_lists_only_its_edges_sorted(self):
+        g = explicit_graph({(2, 0), (0, 1), (1, 1), (0, 9)})
+        assert self.pairs(g) == [(0, 1), (1, 1), (2, 0)]
+
+    def test_custom_always_has_the_diagonal(self):
+        g = custom_graph("less", lambda x, y: x < y)
+        assert self.pairs(g) == [(i, j) for i in PTS for j in PTS if i <= j]
+
+    def test_diagonal(self):
+        assert self.pairs(diagonal_graph()) == [(i, i) for i in PTS]
+
+    def test_rectangle_follows_rows_then_cols_order(self):
+        g = explicit_graph({(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)})
+        assert self.pairs(g, rows=[1, 0], cols=[3, 2]) == [(1, 3), (1, 2), (0, 3), (0, 2)]

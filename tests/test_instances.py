@@ -182,6 +182,32 @@ class TestSerialization:
         with pytest.raises(ParseError):
             gp.loads("not an instance file\n")
 
+    @pytest.mark.parametrize("text, line, words", [
+        ("gproximity-instance v1\nname: x\nkind: coordinate\nbuilder: interval\n"
+         "arg: bogus=1\n", 5, "bogus"),
+        ("gproximity-instance v1\nname: x\nkind: coordinate\nbuilder: interval\n"
+         "arg: grid_step=0.3\n", 4, "does not divide"),
+        ("gproximity-instance v1\nname: x\nkind: tabulated\nn: 2\nA: 0\nB: 5\n"
+         "graph: complete\nmap: table\ntable: 1 0\ndist:\nrow: 1.0\n", 6, "outside 0..1"),
+        ("gproximity-instance v1\nname: x\nkind: tabulated\nn: 2\nA: 0\nB: 1\n"
+         "graph: complete\nmap: table\ntable: 1 0\ndist:\nrow: nan\n", 11, "non-finite"),
+        ("gproximity-instance v1\nname: x\nkind: tabulated\nn: 2\nA: 0\nB: 1\n"
+         "graph: custom even\nmap: table\ntable: 1 0\ndist:\nrow: 1.0\n", 7, "graph spec"),
+    ])
+    def test_malformed_files_raise_with_line(self, text, line, words):
+        with pytest.raises(ParseError) as err:
+            gp.loads(text)
+        assert err.value.line == line
+        assert words in str(err.value)
+
+    def test_custom_graph_does_not_serialize(self):
+        inst = gp.random_instance(8, 3, 3)
+        custom = gp.Instance(inst.name, inst.space, inst.sets,
+                             gp.custom_graph("any", lambda x, y: True),
+                             cyclic_map=inst.cyclic_map)
+        with pytest.raises(SpecError):
+            gp.dumps(custom)
+
     def test_truncated_raises_with_line(self):
         inst = gp.random_instance(8, 4, 4)
         text = gp.dumps(inst)

@@ -64,6 +64,34 @@ class TestValidateMetric:
         report = validate_metric(TabulatedSpace(d))
         assert any(v.axiom == "triangle" for v in report.violations)
 
+    def test_triangle_violations_match_triple_loop(self, monkeypatch):
+        import gproximity._scan
+
+        monkeypatch.setattr(gproximity._scan, "_BLOCK_ELEMS", 100)  # 2 rows of i per block
+        rng = np.random.default_rng(5)
+        d = euclidean_table(rng.uniform(0, 1, size=(7, 2)))
+        d[1, 5] = d[5, 1] = 3.0
+        d[2, 6] = d[6, 2] = 2.5
+        report = validate_metric(TabulatedSpace(d))
+        found = [v.where for v in report.violations if v.axiom == "triangle"]
+        expected = [(i, k, j) for i in range(7) for k in range(7) for j in range(7)
+                    if d[i, j] - (d[i, k] + d[k, j]) > 1e-9]
+        assert found == expected and expected
+
+    def test_triangle_check_memory_stays_below_one_cube(self):
+        import tracemalloc
+
+        n = 200
+        space = TabulatedSpace(euclidean_table(np.random.default_rng(1).uniform(0, 1, size=(n, 2))))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert validate_metric(space).ok
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < n ** 3 * 8
+
     def test_flags_nonzero_diagonal(self):
         d = np.array([[0.5, 1.0], [1.0, 0.0]])
         report = validate_metric(TabulatedSpace(d))
