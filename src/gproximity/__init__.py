@@ -12,9 +12,9 @@ from .analysis import (PairProximitySet, ProximitySet, MinimizerReport,
                        enumerate_pair_set, enumerate_proximity_set,
                        minimizer_report, pair_diameter, proximity_diameter,
                        two_map_diam_bound)
-from .errors import (CapabilityError, ClassificationError, DomainError,
-                     GproximityError, HypothesisError, OrbitError, ParseError,
-                     SpecError, StructuralError)
+from .errors import (ClassificationError, DomainError, GproximityError,
+                     HypothesisError, OrbitError, ParseError, SpecError,
+                     StructuralError)
 from .graph import (COMPLETE, CUSTOM, DIAGONAL, EXPLICIT, DirectedGraph,
                     complete_graph, contains_edge, custom_graph,
                     diagonal_graph, explicit_graph, iter_edges,

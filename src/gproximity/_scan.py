@@ -12,7 +12,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .graph import edge_index, first_unpreserved
+from .graph import contains_pairs, edge_index, first_unpreserved
 from .metric import DEFAULT_TOL, TabulatedSpace, euclidean
 
 _BLOCK_ELEMS = 2_000_000
@@ -89,6 +89,13 @@ class EdgeScanner:
         return self.points[i], self.points[j]
 
     @cached_property
+    def on_edge(self):
+        """Per point p: whether (p, Fp) is an edge, F the map of the I side."""
+        k = np.arange(len(self.points))
+        return contains_pairs(self.graph, self.points, self.index, self.points,
+                              self.images_left, k, k)
+
+    @cached_property
     def preserved(self):
         """(ok, first violating edge): each scanned edge (x, y) keeps (Fx, Fy)
         and, for a pair, (Gx, Gy) an edge of the graph."""
@@ -152,35 +159,6 @@ class EdgeScanner:
 
     def _edge(self, k):
         return None if k is None else self.edge_points(*self.edge_at(k))
-
-
-def map_engine(inst, f=None) -> EdgeScanner:
-    """The engine of one map over all edges: the instance's stored one for
-    its own map, a fresh one for another map."""
-    if f is None or f is inst.cyclic_map:
-        return inst.engine
-    return build_map_engine(inst, f)
-
-
-def pair_engine(inst, pair=None) -> EdgeScanner:
-    """The engine of a map pair over the A x B edges, T on the A side and S
-    on the B side: stored for the instance's own pair, fresh for another."""
-    if pair is None or pair is inst.map_pair:
-        return inst.pair_engine
-    return build_pair_engine(inst, pair)
-
-
-def build_map_engine(inst, f) -> EdgeScanner:
-    return EdgeScanner(inst.space, inst.points, inst.graph, [f(p) for p in inst.points])
-
-
-def build_pair_engine(inst, pair) -> EdgeScanner:
-    pts = inst.points
-    order = {p: i for i, p in enumerate(pts)}
-    return EdgeScanner(inst.space, pts, inst.graph,
-                       [pair.t(p) for p in pts], [pair.s(p) for p in pts],
-                       rows=[order[p] for p in inst.sets.a],
-                       cols=[order[p] for p in inst.sets.b])
 
 
 def fold_max(scanner: EdgeScanner, value_fn):

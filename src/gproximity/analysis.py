@@ -5,10 +5,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._scan import cross_dists, elem_dists, map_engine, pair_engine, point_array
+from ._scan import elem_dists, point_array
 from .errors import DomainError
-from .graph import COMPLETE, contains_edge, contains_index_pairs
-from .maps import CyclicMap, Instance, MapPair
+from .maps import Instance
 from .metric import DEFAULT_TOL, set_diameter
 from .operators import is_edge_nonexpansive
 
@@ -37,14 +36,8 @@ class MinimizerReport:
     minimizer_in_set: bool
 
 
-def _edge_flags(inst: Instance, pts, images):
-    if inst.graph.rule == COMPLETE:
-        return [True] * len(pts)
-    return [contains_edge(inst.graph, p, fp) for p, fp in zip(pts, images)]
-
-
 def enumerate_proximity_set(inst: Instance, epsilon: float, mode: str = STRICT,
-                            f: CyclicMap = None, tol: float = DEFAULT_TOL) -> ProximitySet:
+                            tol: float = DEFAULT_TOL) -> ProximitySet:
     """Exact scan of the stored points against the membership definition.
 
     Strict mode takes the conjunction (edge holds and the displacement is
@@ -54,32 +47,27 @@ def enumerate_proximity_set(inst: Instance, epsilon: float, mode: str = STRICT,
     """
     if mode not in (STRICT, VACUOUS):
         raise DomainError(f"unknown mode {mode!r}")
-    if epsilon < 0:
+    if not epsilon >= 0:
         raise DomainError("epsilon must be nonnegative")
-    pts = inst.points
-    eng = map_engine(inst, f)
-    dab = inst.d_ab
-    close = eng.self_left <= dab + epsilon + tol
-    edges = _edge_flags(inst, pts, eng.images_left)
-    members = []
-    for p, on_edge, ok in zip(pts, edges, close):
-        if (on_edge and ok) or (mode == VACUOUS and not on_edge):
-            members.append(p)
-    return ProximitySet(epsilon, tuple(members), mode)
+    eng = inst.engine
+    close = eng.self_left <= inst.d_ab + epsilon + tol
+    keep = eng.on_edge & close
+    if mode == VACUOUS:
+        keep |= ~eng.on_edge
+    return ProximitySet(epsilon, tuple(inst.points[k] for k in np.flatnonzero(keep)), mode)
 
 
-def enumerate_pair_set(inst: Instance, epsilon: float, pair: MapPair = None,
+def enumerate_pair_set(inst: Instance, epsilon: float,
                        tol: float = DEFAULT_TOL) -> PairProximitySet:
-    """Scan E(G) restricted to A x B for pairs with d(Tx, Sy) <= d(A,B) + epsilon."""
-    if epsilon < 0:
+    """Scan E(G) restricted to A x B for pairs with d(Tx, Sy) <= d(A,B) + epsilon,
+    in scan order (A order, then B order)."""
+    if not epsilon >= 0:
         raise DomainError("epsilon must be nonnegative")
-    eng = pair_engine(inst, pair)
-    dmat = cross_dists(inst.space, eng.FL[eng.rows], eng.FR[eng.cols])
-    r, c = np.nonzero(dmat <= inst.d_ab + epsilon + tol)
-    on_edge = contains_index_pairs(eng.index, len(eng.points), eng.rows[r], eng.cols[c])
-    a = inst.sets.a
-    b = inst.sets.b
-    members = tuple((a[i], b[j]) for i, j in zip(r[on_edge].tolist(), c[on_edge].tolist()))
+    eng = inst.pair_engine
+    limit = inst.d_ab + epsilon + tol
+    members = tuple(eng.edge_points(*eng.edge_at(start + int(k)))
+                    for start, _stop, _d, df, _u in eng.blocks()
+                    for k in np.flatnonzero(df <= limit))
     return PairProximitySet(epsilon, members)
 
 
@@ -114,24 +102,20 @@ def two_map_diam_bound(k: float, epsilon: float, d_ab: float) -> float:
     return (epsilon + d_ab) / (1.0 - k)
 
 
-def minimizer_report(inst: Instance, f: CyclicMap = None,
-                     tol: float = DEFAULT_TOL) -> MinimizerReport:
+def minimizer_report(inst: Instance, tol: float = DEFAULT_TOL) -> MinimizerReport:
     """Exact minimizer of d(z, f z) over points with (z, f z) an edge.
 
     Ties break toward the lowest scan position.  When the map is
     nonexpansive on edges, the strict set at epsilon = residual + tol must
     contain the minimizer; the report carries that re-check.
     """
-    f = f or inst.require_map()
-    pts = inst.points
-    eng = map_engine(inst, f)
-    d_self = eng.self_left
-    edges = _edge_flags(inst, pts, eng.images_left)
-    eligible = [pos for pos, on_edge in enumerate(edges) if on_edge]
-    if not eligible:
+    eng = inst.engine
+    eligible = np.flatnonzero(eng.on_edge)
+    if not eligible.size:
         raise DomainError("no point satisfies the edge eligibility condition")
-    best_pos = min(eligible, key=d_self.__getitem__)
-    residual = float(d_self[best_pos]) - inst.d_ab
-    nonexp = bool(is_edge_nonexpansive(inst, f, tol=tol))
-    members = enumerate_proximity_set(inst, max(residual, 0.0) + tol, f=f, tol=tol).members
-    return MinimizerReport(pts[best_pos], residual, nonexp, pts[best_pos] in members)
+    best_pos = eligible[np.argmin(eng.self_left[eligible])]
+    best = inst.points[best_pos]
+    residual = float(eng.self_left[best_pos]) - inst.d_ab
+    nonexp = bool(is_edge_nonexpansive(inst, tol=tol))
+    members = enumerate_proximity_set(inst, max(residual, 0.0) + tol, tol=tol).members
+    return MinimizerReport(best, residual, nonexp, best in members)

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 domain or negative result, 2 usage/parse errors.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 
@@ -74,7 +75,10 @@ def _load(path) -> Instance:
 def _parse_start(inst: Instance, text: str):
     try:
         if isinstance(inst.space, TabulatedSpace):
-            return int(text)
+            index = int(text)
+            if not 0 <= index < inst.space.n:
+                raise ValueError(f"index outside 0..{inst.space.n - 1}")
+            return index
         coords = tuple(float(tok) for tok in text.split(","))
         if len(coords) != inst.space.dimension:
             raise ValueError(f"expected {inst.space.dimension} coordinates")
@@ -368,8 +372,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_FLOAT_OPTIONS = ("tol", "alpha", "crr_grid", "epsilon", "gamma", "grid_step")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    for name in _FLOAT_OPTIONS:
+        value = getattr(args, name, None)
+        if value is not None and not math.isfinite(value):
+            print(f"error: --{name.replace('_', '-')} must be a finite number, got {value!r}",
+                  file=sys.stderr)
+            return EXIT_USAGE
     started = time.perf_counter()
     try:
         code = args.func(args)

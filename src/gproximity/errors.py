@@ -13,10 +13,6 @@ class DomainError(GproximityError):
     """An operation was called outside its mathematical domain."""
 
 
-class CapabilityError(GproximityError):
-    """The instance kind does not support the requested operation."""
-
-
 class ClassificationError(GproximityError):
     """A classification precondition failed (e.g. edge preservation)."""
 

@@ -1,8 +1,10 @@
 """Directed graphs over the point set, with the diagonal convention.
 
 A graph is either a named rule (complete, diagonal, custom predicate) or an
-explicit set of ordered point pairs.  Every query treats (x, x) as an edge;
-`validate_graph` still flags explicit edge sets that omit diagonal pairs.
+explicit set of ordered point pairs.  Every rule contains the diagonal: each
+query, and the edge index every scan reads, treats (x, x) as an edge whether
+listed or not; `validate_graph` still flags explicit edge sets that omit
+diagonal pairs, since such a file is incomplete.
 """
 from __future__ import annotations
 
@@ -106,12 +108,13 @@ def _point_key(p):
 
 
 def edge_index(g: DirectedGraph, points, rows=None, cols=None):
-    """The edges among ``points`` as sorted index arrays (I, J) into ``points``:
-    explicit graphs their listed edges only, diagonal graphs (i, i), custom
-    graphs the predicate's edges plus the diagonal; None for complete graphs
-    (every pair).  Position arrays ``rows`` and ``cols`` (given together) limit
-    the edges to that rectangle, ordered by (rank in rows, rank in cols); a
-    repeated position counts at its first rank.
+    """E(G) among ``points`` as sorted index arrays (I, J) into ``points``,
+    the diagonal included for every rule: explicit graphs their listed edges
+    plus (i, i), diagonal graphs (i, i), custom graphs the predicate's edges
+    plus the diagonal; None for complete graphs (every pair).  Position
+    arrays ``rows`` and ``cols`` (given together) limit the edges to that
+    rectangle, ordered by (rank in rows, rank in cols); a repeated position
+    counts at its first rank.
     """
     pts = tuple(points)
     n = len(pts)
@@ -122,6 +125,7 @@ def edge_index(g: DirectedGraph, points, rows=None, cols=None):
     elif g.rule == EXPLICIT:
         order = {p: k for k, p in enumerate(pts)}
         keys = [order[x] * n + order[y] for x, y in g.edges if x in order and y in order]
+        keys.extend(range(0, n * n, n + 1))
         i, j = np.divmod(np.unique(np.asarray(keys, dtype=np.intp)), n)
     else:
         mask = np.array([[contains_edge(g, x, y) for y in pts] for x in pts], dtype=bool)
@@ -142,32 +146,34 @@ def _first_ranks(sel, n):
     return rank
 
 
-def contains_index_pairs(index, n: int, fi, fj):
-    """contains_edge for position pairs (fi, fj) into the points, given
-    their full edge_index: the diagonal or an indexed edge."""
+def contains_pairs(g: DirectedGraph, points, index, left, right, i, j):
+    """contains_edge(g, left[i[k]], right[j[k]]) for every k, given the full
+    edge_index ``index`` of ``points``: one index lookup, with contains_edge
+    asked only for pairs that leave the points."""
     if index is None:
-        return np.ones(len(fi), dtype=bool)
-    return (fi == fj) | np.isin(fi * n + fj, index[0] * n + index[1])
+        return np.ones(len(i), dtype=bool)
+    n = len(points)
+    order = {p: k for k, p in enumerate(points)}
+    lpos = np.array([order.get(q, -1) for q in left], dtype=np.intp)
+    rpos = lpos if right is left else np.array([order.get(q, -1) for q in right], dtype=np.intp)
+    li, rj = lpos[i], rpos[j]
+    ok = np.isin(li * n + rj, index[0] * n + index[1])
+    for k in np.flatnonzero((li < 0) | (rj < 0)):
+        ok[k] = contains_edge(g, left[i[k]], right[j[k]])
+    return ok
 
 
 def first_unpreserved(g: DirectedGraph, points, index, edges, *image_lists):
     """Position in ``edges`` (I, J) of the first edge that a map, given as its
     image of every point, sends off the graph with full edge_index ``index``;
-    None when every edge is kept.  Images outside the points ask contains_edge.
+    None when every edge is kept.
     """
     if index is None:
         return None
-    pts = tuple(points)
-    order = {p: k for k, p in enumerate(pts)}
     ei, ej = edges
     bad = np.zeros(ei.size, dtype=bool)
     for images in image_lists:
-        pos = np.array([order.get(q, -1) for q in images], dtype=np.intp)
-        fi, fj = pos[ei], pos[ej]
-        ok = contains_index_pairs(index, len(pts), fi, fj)
-        for k in np.flatnonzero((fi < 0) | (fj < 0)):
-            ok[k] = contains_edge(g, images[ei[k]], images[ej[k]])
-        bad |= ~ok
+        bad |= ~contains_pairs(g, points, index, images, images, ei, ej)
     hits = np.flatnonzero(bad)
     return int(hits[0]) if hits.size else None
 

@@ -22,7 +22,7 @@ _EDGE_TOL = 1e-9
 
 
 def _check_divides(step: float, length: float, what: str) -> int:
-    if step <= 0:
+    if not step > 0:
         raise SpecError("grid step must be positive")
     k = round(length / step)
     if k < 1 or abs(k * step - length) > _EDGE_TOL:
@@ -55,7 +55,7 @@ def interval_example(grid_step: float = 0.01) -> Instance:
 
 def ellipse_example(grid_step: float = 0.1) -> Instance:
     """Two overlapping elliptical discs in the plane, mirrored by x -> -x."""
-    if grid_step <= 0:
+    if not grid_step > 0:
         raise SpecError("grid step must be positive")
     k = int(math.ceil(1.5 / grid_step))
     axis = [i * grid_step for i in range(-k, k + 1)]
@@ -422,14 +422,21 @@ def loads(text: str) -> Instance:
             r.error(f"{what} index {bad[0]} outside 0..{n - 1}")
         return idx
 
+    def subset(what):
+        idx = indices(what)
+        if len(set(idx)) < len(idx):
+            repeated = next(i for k, i in enumerate(idx) if i in idx[:k])
+            r.error(f"{what} index {repeated} repeated")
+        return idx
+
     try:
         n = int(r.next("n"))
     except ValueError:
         r.error("malformed point count")
     if n < 1:
         r.error(f"point count {n} is not positive")
-    a = indices("A")
-    b = indices("B")
+    a = subset("A")
+    b = subset("B")
     gspec = r.next("graph")
     if gspec in (COMPLETE, DIAGONAL):
         graph = complete_graph() if gspec == COMPLETE else diagonal_graph()

@@ -32,9 +32,11 @@ class CyclicMap:
     def __call__(self, x):
         if self.table is not None:
             try:
-                return self.table[x]
-            except (IndexError, TypeError) as exc:
-                raise DomainError(f"map {self.name!r} is not defined at {x!r}") from exc
+                if x >= 0:
+                    return self.table[x]
+            except (IndexError, TypeError):
+                pass
+            raise DomainError(f"map {self.name!r} is not defined at {x!r}")
         return self.fn(x)
 
 
@@ -108,17 +110,27 @@ class Instance:
 
     @cached_property
     def engine(self):
-        """The edge engine of the single map, built on first use."""
-        from ._scan import build_map_engine
+        """The edge engine of the single map, built on first use; another
+        map is analysed as its own instance, ``dataclasses.replace(inst,
+        cyclic_map=g)``."""
+        from ._scan import EdgeScanner
 
-        return build_map_engine(self, self.require_map())
+        f = self.require_map()
+        return EdgeScanner(self.space, self.points, self.graph, [f(p) for p in self.points])
 
     @cached_property
     def pair_engine(self):
-        """The A x B edge engine of the map pair, built on first use."""
-        from ._scan import build_pair_engine
+        """The A x B edge engine of the map pair, T on the A side and S on
+        the B side, built on first use."""
+        from ._scan import EdgeScanner
 
-        return build_pair_engine(self, self.require_pair())
+        pair = self.require_pair()
+        pts = self.points
+        order = {p: i for i, p in enumerate(pts)}
+        return EdgeScanner(self.space, pts, self.graph,
+                           [pair.t(p) for p in pts], [pair.s(p) for p in pts],
+                           rows=[order[p] for p in self.sets.a],
+                           cols=[order[p] for p in self.sets.b])
 
 
 def apply_map(f: CyclicMap, x, last_valid: int = -1):

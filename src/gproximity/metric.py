@@ -45,9 +45,6 @@ class ValidationReport:
     def __bool__(self):
         return self.ok
 
-    def merged(self, other: "ValidationReport") -> "ValidationReport":
-        return ValidationReport(self.violations + other.violations)
-
 
 @dataclass(frozen=True)
 class TabulatedSpace:
@@ -148,13 +145,13 @@ class SubsetPair:
 
     @cached_property
     def points(self) -> tuple:
-        """A followed by the B samples not already in A, in stored order."""
-        return self.a + tuple(dict.fromkeys(p for p in self.b if p not in self._a_set))
+        """A followed by B, each point once, in stored order."""
+        return tuple(dict.fromkeys(self.a + self.b))
 
 
 def validate_metric(space, tol: float = DEFAULT_TOL) -> ValidationReport:
     """Check the metric axioms; coordinate spaces hold by construction."""
-    if tol < 0:
+    if not tol >= 0:
         raise DomainError("tolerance must be nonnegative")
     if isinstance(space, CoordinateSpace):
         return ValidationReport()
@@ -208,19 +205,25 @@ def validate_sets(space, sets: SubsetPair) -> ValidationReport:
 
 def pair_distance(space, sets: SubsetPair) -> float:
     """min over a in A, b in B of d(a, b), evaluated on the stored samples."""
-    from ._scan import cross_dists, point_array
-
-    return float(cross_dists(space, point_array(space, sets.a), point_array(space, sets.b)).min())
+    return _fold_cross(space, sets.a, sets.b, np.min)
 
 
 def set_diameter(space, points) -> float:
     """max over x, y in S of d(x, y); a singleton has diameter 0."""
-    from ._scan import cross_dists, point_array
-
     pts = tuple(points)
     if not pts:
         raise DomainError("diameter of the empty set is undefined")
     if len(pts) == 1:
         return 0.0
-    arr = point_array(space, pts)
-    return float(cross_dists(space, arr, arr).max())
+    return _fold_cross(space, pts, pts, np.max)
+
+
+def _fold_cross(space, xs, ys, reduce) -> float:
+    """reduce (np.min or np.max) of d(x, y) over xs x ys, folded over row
+    blocks of at most _BLOCK_ELEMS pairs so the full matrix never exists."""
+    from ._scan import _BLOCK_ELEMS, cross_dists, point_array
+
+    p, q = point_array(space, xs), point_array(space, ys)
+    rows = max(1, _BLOCK_ELEMS // len(q))
+    return float(reduce([reduce(cross_dists(space, p[s:s + rows], q))
+                         for s in range(0, len(p), rows)]))

@@ -10,9 +10,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from ._scan import EdgeScanner, fold_max, map_engine, pair_engine
+from ._scan import EdgeScanner, fold_max
 from .errors import ClassificationError, DomainError
-from .maps import CrrParams, CyclicMap, Instance, MapPair
+from .maps import CrrParams, Instance
 from .metric import DEFAULT_TOL, ValidationReport, Violation
 
 
@@ -34,15 +34,15 @@ class ContractionEstimate:
     worst_edge: Optional[tuple] = None
 
 
-def validate_cyclic(inst: Instance, f: CyclicMap = None) -> ValidationReport:
+def validate_cyclic(inst: Instance) -> ValidationReport:
     """Flag every a in A with f(a) outside B and every b in B with f(b) outside A."""
-    f = f or inst.require_map()
+    f = inst.require_map()
     return _cyclic_report(inst.sets, f, f, ("", ""))
 
 
-def validate_pair(inst: Instance, pair: MapPair = None) -> ValidationReport:
+def validate_pair(inst: Instance) -> ValidationReport:
     """Two-map variant: T(A) in B and S(B) in A."""
-    pair = pair or inst.require_pair()
+    pair = inst.require_pair()
     return _cyclic_report(inst.sets, pair.t, pair.s, ("T-", "S-"))
 
 
@@ -79,14 +79,14 @@ def _crr_excess(params: CrrParams, dab: float):
     return lambda d, df, u: df - a * d - b * u - c * dab
 
 
-def min_contraction_factor(inst: Instance, f: CyclicMap = None) -> ContractionEstimate:
+def min_contraction_factor(inst: Instance) -> ContractionEstimate:
     """Smallest uniform factor shrinking every edge, by exhaustive scan.
 
     Vacuous suprema (no edge with positive distance) give 0.  The result is
     flagged non-contractive when the factor reaches 1 or some zero-length
     edge has a positive-length image.
     """
-    eng = map_engine(inst, f)
+    eng = inst.engine
     _require_preserving(eng)
     cert = eng.certificate
     if cert.zero_edge is not None:
@@ -94,30 +94,27 @@ def min_contraction_factor(inst: Instance, f: CyclicMap = None) -> ContractionEs
     return ContractionEstimate(cert.ratio < 1.0, cert.ratio, cert.ratio_edge)
 
 
-def is_g_contraction(inst: Instance, alpha: float, f: CyclicMap = None,
-                     tol: float = DEFAULT_TOL) -> CheckResult:
+def is_g_contraction(inst: Instance, alpha: float, tol: float = DEFAULT_TOL) -> CheckResult:
     """Edge preservation plus d(fx, fy) <= alpha * d(x, y) on every edge."""
     if not (0.0 < alpha < 1.0):
         raise DomainError("contraction factor must lie in (0, 1)")
-    return _fold_check(map_engine(inst, f), lambda d, df, u: df - alpha * d, tol)
+    return _fold_check(inst.engine, lambda d, df, u: df - alpha * d, tol)
 
 
-def is_edge_nonexpansive(inst: Instance, f: CyclicMap = None,
-                         tol: float = DEFAULT_TOL) -> CheckResult:
+def is_edge_nonexpansive(inst: Instance, tol: float = DEFAULT_TOL) -> CheckResult:
     """d(fx, fy) <= d(x, y) on every edge."""
-    cert = map_engine(inst, f).certificate
+    cert = inst.engine.certificate
     if cert.margin is None:
         return CheckResult(True, margin=0.0)
     return CheckResult(cert.margin <= tol, worst_edge=cert.margin_edge, margin=cert.margin)
 
 
-def is_crr_moh(inst: Instance, params: CrrParams, f: CyclicMap = None,
-               tol: float = DEFAULT_TOL) -> CheckResult:
+def is_crr_moh(inst: Instance, params: CrrParams, tol: float = DEFAULT_TOL) -> CheckResult:
     """d(fx,fy) <= a d(x,y) + b [d(x,fx) + d(y,fy)] + c d(A,B) on every edge."""
-    return _fold_check(map_engine(inst, f), _crr_excess(params, inst.d_ab), tol)
+    return _fold_check(inst.engine, _crr_excess(params, inst.d_ab), tol)
 
 
-def crr_params_feasible(inst: Instance, grid_step: float, f: CyclicMap = None,
+def crr_params_feasible(inst: Instance, grid_step: float,
                         tol: float = DEFAULT_TOL) -> Optional[CrrParams]:
     """Deterministic grid search for feasible CRR constants.
 
@@ -126,9 +123,9 @@ def crr_params_feasible(inst: Instance, grid_step: float, f: CyclicMap = None,
     Each refuted candidate leaves its worst edge's (d, df, u) behind as a
     cut, so most candidates die on a handful of cuts instead of a full scan.
     """
-    if grid_step <= 0:
+    if not grid_step > 0:
         raise DomainError("grid step must be positive")
-    eng = map_engine(inst, f)
+    eng = inst.engine
     _require_preserving(eng)
     dab = inst.d_ab
     steps = int(math.ceil(1.0 / grid_step))
@@ -150,13 +147,12 @@ def crr_params_feasible(inst: Instance, grid_step: float, f: CyclicMap = None,
     return None
 
 
-def pair_preserves_edges(inst: Instance, pair: MapPair = None):
+def pair_preserves_edges(inst: Instance):
     """Condition (i) of the two-map class over E(G) restricted to A x B."""
-    return pair_engine(inst, pair).preserved
+    return inst.pair_engine.preserved
 
 
-def is_crr_2map(inst: Instance, params: CrrParams, pair: MapPair = None,
-                tol: float = DEFAULT_TOL) -> CheckResult:
+def is_crr_2map(inst: Instance, params: CrrParams, tol: float = DEFAULT_TOL) -> CheckResult:
     """Two-map class: both maps preserve A x B edges and
     d(Tx, Sy) <= a d(x,y) + b [d(x,Tx) + d(y,Sy)] + c d(A,B) on them."""
-    return _fold_check(pair_engine(inst, pair), _crr_excess(params, inst.d_ab), tol)
+    return _fold_check(inst.pair_engine, _crr_excess(params, inst.d_ab), tol)

@@ -12,7 +12,7 @@ from typing import Optional
 
 from .errors import DomainError, HypothesisError
 from .graph import contains_edge
-from .maps import CyclicMap, Instance, MapPair, apply_map
+from .maps import Instance, apply_map
 from .metric import DEFAULT_TOL
 
 FOUND = "found"
@@ -27,7 +27,7 @@ class SolveConfig:
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise DomainError("epsilon must be positive")
         if self.max_iter < 1:
             raise DomainError("max_iter must be at least 1")
@@ -52,9 +52,9 @@ class SolveResult:
         return self.status == FOUND
 
 
-def picard_orbit(inst: Instance, x0, n: int, f: CyclicMap = None) -> IterationTrace:
+def picard_orbit(inst: Instance, x0, n: int) -> IterationTrace:
     """x0, f(x0), ..., f^n(x0) with the n residuals between neighbours."""
-    f = f or inst.require_map()
+    f = inst.require_map()
     if n < 0:
         raise DomainError("orbit length must be nonnegative")
     dab = inst.d_ab
@@ -69,14 +69,13 @@ def picard_orbit(inst: Instance, x0, n: int, f: CyclicMap = None) -> IterationTr
     return IterationTrace(tuple(pts), tuple(res))
 
 
-def find_proximity_point(inst: Instance, x0, cfg: SolveConfig,
-                         f: CyclicMap = None) -> SolveResult:
+def find_proximity_point(inst: Instance, x0, cfg: SolveConfig) -> SolveResult:
     """Iterate T from x0 until d(x, Tx) <= d(A,B) + epsilon.
 
     Requires (x0, T x0) to be an edge; the same condition is re-verified at
     the witness.  Status is exhausted after max_iter applications.
     """
-    f = f or inst.require_map()
+    f = inst.require_map()
     dab = inst.d_ab
     fx0 = apply_map(f, x0, last_valid=0)
     if not contains_edge(inst.graph, x0, fx0):
@@ -127,15 +126,14 @@ def crr_iteration_bound(d0: float, k: float, d_ab: float, epsilon: float,
     return n
 
 
-def is_gt_minimizing(inst: Instance, trace: IterationTrace, window: int,
-                     delta: float, f: CyclicMap = None):
+def is_gt_minimizing(inst: Instance, trace: IterationTrace, window: int, delta: float):
     """Finite surrogate for a minimizing sequence: every trace point must sit
     on an edge with its image, and the last `window` residuals stay <= delta.
 
     Returns (ok, failing_index); failing_index names the first off-edge
     point when the precondition fails, else None.
     """
-    f = f or inst.require_map()
+    f = inst.require_map()
     if window < 1:
         raise DomainError("window must be at least 1")
     if len(trace.residuals) < window:
@@ -147,10 +145,9 @@ def is_gt_minimizing(inst: Instance, trace: IterationTrace, window: int,
     return all(r <= delta for r in tail), None
 
 
-def epsilon_fixed_point(inst: Instance, x0, power: int, cfg: SolveConfig,
-                        f: CyclicMap = None) -> SolveResult:
+def epsilon_fixed_point(inst: Instance, x0, power: int, cfg: SolveConfig) -> SolveResult:
     """Search the orbit of f^power for a point z with d(z, f^power z) < epsilon."""
-    f = f or inst.require_map()
+    f = inst.require_map()
     if power < 1:
         raise DomainError("power must be at least 1")
 
@@ -177,10 +174,9 @@ def epsilon_fixed_point(inst: Instance, x0, power: int, cfg: SolveConfig,
                        IterationTrace(tuple(pts), tuple(res)))
 
 
-def two_map_parallel(inst: Instance, x0, y0, cfg: SolveConfig,
-                     pair: MapPair = None) -> SolveResult:
+def two_map_parallel(inst: Instance, x0, y0, cfg: SolveConfig) -> SolveResult:
     """Iterate x_n = T^n x0, y_n = S^n y0 until d(T x_n, S y_n) <= d(A,B) + epsilon."""
-    pair = pair or inst.require_pair()
+    pair = inst.require_pair()
     sets = inst.sets
     if not sets.in_a(x0) or not sets.in_b(y0):
         raise DomainError("parallel scheme needs a start pair in A x B")
@@ -204,7 +200,7 @@ def two_map_parallel(inst: Instance, x0, y0, cfg: SolveConfig,
 
 
 def two_map_alternating(inst: Instance, x1, y1, alpha: float, gamma: float,
-                        cfg: SolveConfig, pair: MapPair = None) -> SolveResult:
+                        cfg: SolveConfig) -> SolveResult:
     """Alternating recursion x_{n+1} = S y_n, y_{n+1} = T x_n.
 
     Requires alpha + gamma = 1 with alpha in [0, 1).  Each step checks the
@@ -212,7 +208,7 @@ def two_map_alternating(inst: Instance, x1, y1, alpha: float, gamma: float,
     (raising HypothesisError on failure) and records the geometric-series
     bound alpha^n d(x1, y1) + (1 - alpha^n) d(A,B) alongside the gap.
     """
-    pair = pair or inst.require_pair()
+    pair = inst.require_pair()
     if abs(alpha + gamma - 1.0) > cfg.tol:
         raise DomainError("alternating scheme needs alpha + gamma = 1")
     if not (0.0 <= alpha < 1.0):

@@ -86,6 +86,16 @@ class TestSolve:
         assert "witness: 0" in out
         assert "crr-iteration-bound" not in out
 
+    @pytest.mark.parametrize("start", ["-1", "26", "99"])
+    def test_start_index_outside_points_is_usage_error(self, capsys, contraction_file, start):
+        with pytest.raises(SystemExit) as err:
+            main(["solve", contraction_file, f"--start={start}", "--epsilon", "0.05"])
+        captured = capsys.readouterr()
+        errors = [ln for ln in captured.err.splitlines() if ln.startswith("error:")]
+        assert err.value.code == 2
+        assert len(errors) == 1 and errors[0].startswith("error: bad start point")
+        assert captured.out == ""
+
     def test_alternating_needs_constants(self, capsys, tmp_path):
         path = tmp_path / "seg.gpx"
         gp.save_instance(gp.segments_example(0.25), path)

