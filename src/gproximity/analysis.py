@@ -65,10 +65,12 @@ def enumerate_pair_set(inst: Instance, epsilon: float,
         raise DomainError("epsilon must be nonnegative")
     eng = inst.pair_engine
     limit = inst.d_ab + epsilon + tol
-    members = tuple(eng.edge_points(*eng.edge_at(start + int(k)))
-                    for start, _stop, _d, df, _u in eng.blocks()
-                    for k in np.flatnonzero(df <= limit))
-    return PairProximitySet(epsilon, members)
+    pts = eng.points
+    members = []
+    for start, _stop, _d, df, _u in eng.blocks():
+        i, j = eng.edge_pairs(start + np.flatnonzero(df <= limit))
+        members.extend(zip([pts[k] for k in i.tolist()], [pts[k] for k in j.tolist()]))
+    return PairProximitySet(epsilon, tuple(members))
 
 
 def proximity_diameter(inst: Instance, ps: ProximitySet) -> float:

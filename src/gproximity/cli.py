@@ -374,15 +374,38 @@ def build_parser() -> argparse.ArgumentParser:
 
 _FLOAT_OPTIONS = ("tol", "alpha", "crr_grid", "epsilon", "gamma", "grid_step")
 
+#: (option, commands it applies to or None for all, test, domain) of the float
+#: options whose out-of-domain values are usage errors; --grid-step is left
+#: to the demo builders, which also check that the step divides the sets.
+_OPTION_DOMAINS = (
+    ("tol", None, lambda v: v >= 0, "nonnegative"),
+    ("alpha", ("classify",), lambda v: 0 < v < 1, "in (0, 1)"),
+    ("crr_grid", None, lambda v: v > 0, "positive"),
+    ("epsilon", ("solve",), lambda v: v > 0, "positive"),
+    ("epsilon", ("enumerate",), lambda v: v >= 0, "nonnegative"),
+)
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+
+def _option_error(args):
+    """The usage error of the first non-finite or out-of-domain float option."""
     for name in _FLOAT_OPTIONS:
         value = getattr(args, name, None)
         if value is not None and not math.isfinite(value):
-            print(f"error: --{name.replace('_', '-')} must be a finite number, got {value!r}",
-                  file=sys.stderr)
-            return EXIT_USAGE
+            return f"--{name.replace('_', '-')} must be a finite number, got {value!r}"
+    for name, commands, test, domain in _OPTION_DOMAINS:
+        value = getattr(args, name, None)
+        if value is not None and (commands is None or args.command in commands) \
+                and not test(value):
+            return f"--{name.replace('_', '-')} must be {domain}, got {value!r}"
+    return None
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    problem = _option_error(args)
+    if problem is not None:
+        print(f"error: {problem}", file=sys.stderr)
+        return EXIT_USAGE
     started = time.perf_counter()
     try:
         code = args.func(args)

@@ -413,14 +413,17 @@ def loads(text: str) -> Instance:
         except ValueError:
             r.error(f"malformed {what} list {text!r}")
 
-    def indices(what, count=None):
-        idx = ints(r.next(what), what)
-        if not idx or count is not None and len(idx) != count:
-            r.error(f"{what} needs {count or 'at least one'} entries, got {len(idx)}")
+    def in_range(idx, what):
         bad = [i for i in idx if not 0 <= i < n]
         if bad:
             r.error(f"{what} index {bad[0]} outside 0..{n - 1}")
         return idx
+
+    def indices(what, count=None):
+        idx = ints(r.next(what), what)
+        if not idx or count is not None and len(idx) != count:
+            r.error(f"{what} needs {count or 'at least one'} entries, got {len(idx)}")
+        return in_range(idx, what)
 
     def subset(what):
         idx = indices(what)
@@ -451,7 +454,7 @@ def loads(text: str) -> Instance:
             pair = ints(body, "edge")
             if len(pair) != 2:
                 r.error(f"malformed edge {body!r}")
-            edges.add(pair)
+            edges.add(in_range(pair, "edge"))
         graph = explicit_graph(edges)
     else:
         r.error(f"unknown graph spec {gspec!r}")

@@ -122,15 +122,21 @@ def crr_params_feasible(inst: Instance, grid_step: float,
     lexicographic order and returns the first feasible triple, or None.
     Each refuted candidate leaves its worst edge's (d, df, u) behind as a
     cut, so most candidates die on a handful of cuts instead of a full scan.
+    The first candidate, (0, 0, 0), has excess d(fx, fy) on every edge, so
+    the certificate pass's largest image distance decides it and gives the
+    first cut.
     """
     if not grid_step > 0:
         raise DomainError("grid step must be positive")
     eng = inst.engine
     _require_preserving(eng)
+    cert = eng.certificate
+    if cert.reach is None or cert.reach <= tol:
+        return CrrParams(0.0, 0.0, 0.0)
     dab = inst.d_ab
     steps = int(math.ceil(1.0 / grid_step))
     values = [i * grid_step for i in range(steps + 1)]
-    cuts = []
+    cuts = [cert.reach_witness]
     for a in values:
         for b in values:
             if a + 2 * b >= 1:

@@ -1,5 +1,8 @@
-"""The edge engine against plain loops over all pairs with contains_edge."""
+"""The edge engine against plain loops over all pairs with contains_edge,
+and its half-triangle scans against folds over the full square of pairs."""
+import contextlib
 import dataclasses
+import io
 import math
 
 import numpy as np
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 
 import gproximity as gp
 import gproximity._scan
+from gproximity.cli import main
 from gproximity.errors import ClassificationError
 
 TOL = 1e-9
@@ -204,3 +208,191 @@ def test_unlisted_self_loop_is_an_edge_of_every_scan():
         assert gp.enumerate_pair_set(inst, 2.0).members == ((0, 2), (1, 1))
         assert list(gp.iter_edges(inst.graph, inst.points)) == \
             [(0, 0), (0, 2), (1, 1), (2, 2)]
+
+
+# Half-triangle scans: the engine's folds against row-major folds over the
+# full n x n square of pairs.
+
+CRR_GRID = 0.1
+
+
+def grid_instance(seed):
+    """Integer-grid planar points under a map into the grid: many equal
+    distances, so ties for every arg-max."""
+    rng = np.random.default_rng(seed)
+    grid = [(float(x), float(y)) for x in range(4) for y in range(4)]
+    pts = [grid[k] for k in rng.permutation(len(grid))[:int(rng.integers(2, 15))]]
+    n_a = int(rng.integers(1, len(pts)))
+    images = {p: grid[int(rng.integers(len(grid)))] for p in pts}
+    return gp.Instance(f"grid-{seed}", gp.CoordinateSpace(2),
+                       gp.SubsetPair(tuple(pts[:n_a]), tuple(pts[n_a:])),
+                       gp.complete_graph(), cyclic_map=gp.CyclicMap("grid", fn=images.__getitem__))
+
+
+def line_instance(seed, skew=False):
+    """Integer positions on a line, some coincident, under a random table;
+    with ``skew`` one positive distance is raised by one ulp, so the matrix
+    is no longer exactly symmetric."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 14))
+    pos = rng.integers(0, 5, size=n).astype(float)
+    dist = np.abs(np.subtract.outer(pos, pos))
+    if skew:
+        dist[0, 1] = dist[1, 0] = 1.0
+        dist[0, 1] = np.nextafter(1.0, 2.0)
+    n_a = int(rng.integers(1, n))
+    table = [int(t) for t in rng.integers(0, n, size=n)]
+    return gp.Instance(f"line-{seed}", gp.TabulatedSpace(dist),
+                       gp.SubsetPair(tuple(range(n_a)), tuple(range(n_a, n))),
+                       gp.complete_graph(), cyclic_map=gp.CyclicMap("t", table=table))
+
+
+def shared_ratio_instance():
+    """Points 0..6 on a line and k -> min(2k, 6): the largest ratio, 2, is
+    reached by every edge among 0..3 in both directions."""
+    dist = np.abs(np.subtract.outer(np.arange(7.0), np.arange(7.0)))
+    return gp.Instance("shared", gp.TabulatedSpace(dist),
+                       gp.SubsetPair((0, 1, 2, 3), (4, 5, 6)), gp.complete_graph(),
+                       cyclic_map=gp.CyclicMap("t", table=(0, 2, 4, 6, 6, 6, 6)))
+
+
+def square(inst):
+    """Row-major D, DF and U over all n x n pairs of points."""
+    space = inst.space
+    pts = inst.points
+    p = gproximity._scan.point_array(space, pts)
+    f = gproximity._scan.point_array(space, [inst.cyclic_map(x) for x in pts])
+    own = gproximity._scan.elem_dists(space, p, f)
+    return (gproximity._scan.cross_dists(space, p, p).ravel(),
+            gproximity._scan.cross_dists(space, f, f).ravel(),
+            np.add.outer(own, own).ravel())
+
+
+def first_max(values):
+    """(max, first row-major position) of a flat array."""
+    k = int(np.argmax(values))
+    return float(values[k]), k
+
+
+def crr_grid_reference(d, df, u, dab):
+    """The lexicographic grid search with a full fold for every candidate."""
+    values = [i * CRR_GRID for i in range(int(math.ceil(1.0 / CRR_GRID)) + 1)]
+    for a in values:
+        for b in values:
+            if a + 2 * b >= 1:
+                break
+            for c in values:
+                if a + 2 * b + c >= 1:
+                    break
+                if (df - a * d - b * u - c * dab).max() <= TOL:
+                    return gp.CrrParams(a, b, c)
+    return None
+
+
+def check_against_square(inst, symmetric):
+    eng = inst.engine
+    assert eng.symmetric == symmetric
+    pts, n = inst.points, len(inst.points)
+    d, df, u = square(inst)
+
+    def edge(k):
+        return pts[k // n], pts[k % n]
+
+    zero = np.flatnonzero((d <= 0.0) & (df > TOL))
+    mask = d > 0.0
+    ratio, ratio_at = first_max(np.where(mask, df / np.where(mask, d, 1.0), -np.inf)) \
+        if mask.any() else (0.0, None)
+    margin, margin_at = first_max(df - d)
+    reach, reach_at = first_max(df)
+    assert eng.certificate == (
+        edge(zero[0]) if zero.size else None, ratio,
+        None if ratio_at is None else edge(ratio_at), margin, edge(margin_at),
+        reach, (float(d[reach_at]), reach, float(u[reach_at])))
+
+    dab = inst.d_ab
+    for fn in (lambda d, df, u: df - 0.0 * d - 0.0 * u - 0.0 * dab,
+               lambda d, df, u: df - 0.7 * d,
+               lambda d, df, u: df - 0.3 * d - 0.1 * u - 0.2 * dab):
+        value, k = first_max(fn(d, df, u))
+        assert gproximity._scan.fold_max(eng, fn) == \
+            (value, divmod(k, n), (float(d[k]), float(df[k]), float(u[k])))
+    assert gp.crr_params_feasible(inst, CRR_GRID) == crr_grid_reference(d, df, u, dab)
+
+    if gproximity._scan._BLOCK_ELEMS == 1:  # one row per block
+        visited = sum(blk[2].size for blk in eng.blocks())
+        assert visited == (n * (n + 1) // 2 if symmetric else n * n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from(("grid", "line", "skewed")),
+       st.sampled_from(BLOCKS))
+def test_half_scan_matches_full_square(seed, kind, block):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gproximity._scan, "_BLOCK_ELEMS", block)
+        if kind == "grid":
+            check_against_square(grid_instance(seed), True)
+        else:
+            check_against_square(line_instance(seed, skew=kind == "skewed"), kind == "line")
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_shared_largest_ratio_keeps_first_edge(block):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gproximity._scan, "_BLOCK_ELEMS", block)
+        inst = shared_ratio_instance()
+        check_against_square(inst, True)
+        d, df, _u = square(inst)
+        assert np.count_nonzero((d > 0.0) & (df == 2.0 * d)) == 12
+        assert gp.min_contraction_factor(inst).worst_edge == (0, 1)
+
+
+def test_reach_is_the_fold_of_the_zero_candidate():
+    for inst in (gp.contraction_instance(2), gp.reflection_instance(5),
+                 gp.random_instance(9, 6, 7, graph_rule="random:0.6"), gp.ellipse_example(0.2)):
+        eng = inst.engine
+        value, _edge, witness = gproximity._scan.fold_max(
+            eng, lambda d, df, u: df - 0.0 * d - 0.0 * u - 0.0 * inst.d_ab)
+        assert (eng.certificate.reach, eng.certificate.reach_witness) == (value, witness)
+
+
+def test_classify_isometry_makes_one_pass(tmp_path, monkeypatch):
+    """The certificate pass gives the first CRR cut; on the mirror map of the
+    ellipse example no later candidate survives the cuts."""
+    path = tmp_path / "ellipse.gpx"
+    inst = gp.ellipse_example(0.1)
+    gp.save_instance(inst, path)
+    passes = []
+    blocks = gproximity._scan.EdgeScanner.blocks
+
+    def counted(self):
+        passes.append(0)
+        for blk in blocks(self):
+            passes[-1] += blk[2].size
+            yield blk
+
+    monkeypatch.setattr(gproximity._scan.EdgeScanner, "blocks", counted)
+    with contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()):
+        assert main(["classify", str(path)]) == 0
+    assert "crr-params: none" in out.getvalue()
+    n = len(inst.points)
+    assert len(passes) == 1 and passes[0] < 0.7 * n * n
+
+
+def test_certificate_pass_memory_is_a_few_blocks():
+    import tracemalloc
+
+    xs = tuple((float(x),) for x in range(3000))
+    inst = gp.Instance("line", gp.CoordinateSpace(1), gp.SubsetPair(xs[:1500], xs[1500:]),
+                       gp.complete_graph(),
+                       cyclic_map=gp.CyclicMap("flip", fn=lambda p: (2999.0 - p[0],)))
+    eng = inst.engine
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        cert = eng.certificate
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert (cert.ratio, cert.reach) == (1.0, 2999.0)
+    assert peak < 10 * 8 * gproximity._scan._BLOCK_ELEMS < 3000 * 3000 * 8 / 10

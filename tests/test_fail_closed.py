@@ -127,6 +127,37 @@ def test_non_finite_float_option_is_usage_error(files, option, argv, value):
     assert out == "" and "Traceback" not in err
 
 
+@pytest.mark.parametrize("option, argv", [
+    ("--crr-grid", ["classify", "{single}", "--crr-grid=0"]),
+    ("--crr-grid", ["classify", "{single}", "--crr-grid=-1"]),
+    ("--alpha", ["classify", "{single}", "--alpha=0"]),
+    ("--alpha", ["classify", "{single}", "--alpha=1.5"]),
+    ("--epsilon", ["solve", "{single}", "--epsilon=-1"]),
+    ("--epsilon", ["solve", "{single}", "--epsilon=0"]),
+    ("--epsilon", ["enumerate", "{single}", "--epsilon=-1"]),
+    ("--tol", ["--tol=-1", "validate", "{single}"]),
+    ("--tol", ["--tol=-1", "classify", "{single}"]),
+])
+def test_out_of_domain_option_is_usage_error(files, option, argv):
+    _root, single, _pair = files
+    code, out, err = run_main([a.format(single=single) for a in argv])
+    errors = error_lines(err)
+    assert code == 2
+    assert len(errors) == 1 and option in errors[0]
+    assert out == "" and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "{single}", "--epsilon=0"],
+    ["--tol=0", "classify", "{single}", "--alpha=0.5"],
+    ["solve", "{pair}", "--mode=alternating", "--alpha=0", "--gamma=1"],
+])
+def test_domain_edges_stay_accepted(files, argv):
+    _root, single, pair = files
+    code, _out, err = run_main([a.format(single=single, pair=pair) for a in argv])
+    assert code in (0, 1) and not error_lines(err)
+
+
 @pytest.mark.parametrize("call", [
     lambda: gp.crr_params_feasible(gp.contraction_instance(3), NAN),
     lambda: gp.SolveConfig(NAN),

@@ -199,6 +199,12 @@ class TestSerialization:
         ("gproximity-instance v1\nname: x\nkind: tabulated\nn: 3\nA: 0 1\nB: 2 1 2\n"
          "graph: complete\nmap: table\ntable: 2 2 0\ndist:\nrow: 1.0\nrow: 2.0 1.0\n",
          6, "index 2 repeated"),
+        ("gproximity-instance v1\nname: x\nkind: tabulated\nn: 2\nA: 0\nB: 1\n"
+         "graph: edges 2\nedge: 0 1\nedge: -1 1\nmap: table\ntable: 1 0\ndist:\nrow: 1.0\n",
+         9, "edge index -1 outside 0..1"),
+        ("gproximity-instance v1\nname: x\nkind: tabulated\nn: 2\nA: 0\nB: 1\n"
+         "graph: edges 1\nedge: 0 2\nmap: table\ntable: 1 0\ndist:\nrow: 1.0\n",
+         8, "edge index 2 outside 0..1"),
     ])
     def test_malformed_files_raise_with_line(self, text, line, words):
         with pytest.raises(ParseError) as err:
