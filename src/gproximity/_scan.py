@@ -15,20 +15,27 @@ at row s then scans only columns s..n-1: a row-major subsequence holding
 every i <= j, hence the same maximum, the same first arg-max edge and the
 same first zero-length edge as the full square.
 
-Block size: ``_BLOCK_ELEMS`` pairs, 512 KiB per float64 array, so D, DF, U
-and the certificate's scratch buffer together stay near a 2 MiB L2 cache.
-Streaming contract: a block's arrays are valid until the next block is
-requested; a consumer that keeps values copies them.
+Buffers: an engine holds the kernel forms of its points and images (see
+``metric.DistanceKernel``), built once.  Each pass of ``blocks()`` allocates
+D, DF, U and one kernel scratch array once, at the size of its largest
+block: at most ``_BLOCK_ELEMS`` pairs unless one row is longer, 512 KiB per
+float64 array, so that with the certificate's buffer they stay near a 2 MiB
+L2 cache.  The distance kernel writes every block into them in place.
+
+Streaming contract: the arrays of a block are views of the pass's buffers,
+valid until the next block is requested, which overwrites them.  A consumer
+that keeps values past that point copies them.
 """
 from __future__ import annotations
 
+import math
 from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .graph import contains_pairs, edge_index, first_unpreserved
-from .metric import DEFAULT_TOL, TabulatedSpace, euclidean
+from .metric import DEFAULT_TOL, DistanceKernel, TabulatedSpace
 
 _BLOCK_ELEMS = 1 << 16
 
@@ -41,17 +48,22 @@ def point_array(space, pts):
 
 
 def elem_dists(space, p, q):
-    """Distances between aligned point arrays."""
-    if isinstance(space, TabulatedSpace):
-        return np.asarray(space.dist[p, q], dtype=float)
-    return euclidean(p, q)
+    """Distances between aligned point arrays (``point_array`` rows), in a
+    new array."""
+    kern = DistanceKernel(space)
+    return kern(kern.rows(p), kern.cols(q))
 
 
 def cross_dists(space, p, q):
-    """Full |p| x |q| distance matrix."""
-    if isinstance(space, TabulatedSpace):
-        return np.asarray(space.dist[np.ix_(p, q)], dtype=float)
-    return euclidean(p, q, cross=True)
+    """Full |p| x |q| distance matrix of two point arrays, in a new array."""
+    kern = DistanceKernel(space)
+    return kern(kern.rows(p), kern.cols(q), cross=True)
+
+
+def _gather(form, idx, buf):
+    """form[..., idx] of a kernel form, into the head of a flat buffer."""
+    shape = form.shape[:-1] + idx.shape
+    return np.take(form, idx, axis=-1, out=buf[:math.prod(shape)].reshape(shape), mode="clip")
 
 
 def exactly_symmetric(space) -> bool:
@@ -88,12 +100,14 @@ class EdgeScanner:
     full point set, an exactly symmetric metric) the block starting at row s
     covers columns s..n-1 only, which changes no fold result (see the module
     docstring), else every column.  Scan positions count the visited edges.
-    A block's arrays are valid until the next block.
+    A block's arrays are views of the pass's buffers, valid until the next
+    block (module docstring).
     """
 
     def __init__(self, space, points, graph, images_left, images_right=None,
                  rows=None, cols=None):
         self.space = space
+        self.kernel = DistanceKernel(space)
         self.points = tuple(points)
         self.graph = graph
         n = len(self.points)
@@ -111,6 +125,26 @@ class EdgeScanner:
             edge_index(graph, self.points, self.rows, self.cols)
         self.symmetric = (self.edges is None and rows is None and cols is None
                           and images_right is None and exactly_symmetric(space))
+
+    @cached_property
+    def _forms(self):
+        """Kernel forms of P and FL on the row side and of P and FR on the
+        column side, with the self-distances U adds: of the row and column
+        points for a complete graph, of every point for listed edges."""
+        k = self.kernel
+        r = c = slice(None)
+        if self.edges is None:
+            r, c = self.rows, self.cols
+        return (k.rows(self.P[r]), k.rows(self.FL[r]), self.self_left[r],
+                k.cols(self.P[c]), k.cols(self.FR[c]), self.self_right[c])
+
+    def _largest_block(self) -> int:
+        if self.edges is not None:
+            return min(_BLOCK_ELEMS, self.edges[0].size)
+        layout = self._layout
+        if not layout.size:
+            return 0
+        return int(((layout[:, 1] - layout[:, 0]) * (self.cols.size - layout[:, 2])).max())
 
     @cached_property
     def _layout(self):
@@ -163,27 +197,35 @@ class EdgeScanner:
         return (True, None) if k is None else (False, self._edge(k))
 
     def blocks(self):
-        """Yield (start, stop, D, DF, U) in row-major scan order; the arrays
-        are valid until the next block."""
+        """Yield (start, stop, D, DF, U) in row-major scan order.  D, DF and U
+        are views of buffers allocated once per pass, at the size of its
+        largest block; each block overwrites the previous one."""
+        kern = self.kernel
+        pr, fr, ur, pc, fc, uc = self._forms
+        size = self._largest_block()
+        d_buf, df_buf, u_buf = np.empty(size), np.empty(size), np.empty(size)
+        scratch = np.empty(size, dtype=kern.scratch_dtype)
         if self.edges is not None:
             i, j = self.edges
+            gi = np.empty(math.prod(pr.shape[:-1]) * size, dtype=pr.dtype)
+            gj = np.empty_like(gi)
             for s in range(0, i.size, _BLOCK_ELEMS):
-                bi = i[s:s + _BLOCK_ELEMS]
-                bj = j[s:s + _BLOCK_ELEMS]
-                d = elem_dists(self.space, self.P[bi], self.P[bj])
-                df = elem_dists(self.space, self.FL[bi], self.FR[bj])
-                u = self.self_left[bi] + self.self_right[bj]
-                yield s, s + bi.size, d, df, u
+                bi, bj = i[s:s + _BLOCK_ELEMS], j[s:s + _BLOCK_ELEMS]
+                m = bi.size
+                u = np.add(_gather(ur, bi, u_buf), _gather(uc, bj, df_buf), out=u_buf[:m])
+                d = kern(_gather(pr, bi, gi), _gather(pc, bj, gj), False, d_buf[:m], scratch)
+                df = kern(_gather(fr, bi, gi), _gather(fc, bj, gj), False, df_buf[:m], scratch)
+                yield s, s + m, d, df, u
             return
-        pc = self.P[self.cols]
-        fc = self.FR[self.cols]
-        uc = self.self_right[self.cols]
+        nc = self.cols.size
         for s, e, lo, start in self._layout.tolist():
-            r = self.rows[s:e]
-            d = cross_dists(self.space, self.P[r], pc[lo:]).ravel()
-            df = cross_dists(self.space, self.FL[r], fc[lo:]).ravel()
-            u = (self.self_left[r][:, None] + uc[None, lo:]).ravel()
-            yield start, start + d.size, d, df, u
+            shape = (e - s, nc - lo)
+            m = shape[0] * shape[1]
+            d, df, u = d_buf[:m], df_buf[:m], u_buf[:m]
+            kern(pr[..., s:e], pc[..., lo:], True, d.reshape(shape), scratch)
+            kern(fr[..., s:e], fc[..., lo:], True, df.reshape(shape), scratch)
+            np.add.outer(ur[s:e], uc[lo:], out=u.reshape(shape))
+            yield start, start + m, d, df, u
 
     @cached_property
     def certificate(self) -> Certificate:
@@ -193,21 +235,25 @@ class EdgeScanner:
         ratio, ratio_at = 0.0, None
         margin = margin_at = None
         reach = reach_witness = None
-        scratch = np.empty(0)
+        size = self._largest_block()
+        values = np.empty(size)
+        low, high = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
         for start, _stop, d, df, u in self.blocks():
-            if d.size == 0:
+            m = d.size
+            if m == 0:
                 continue
-            if scratch.size < d.size:
-                scratch = np.empty(d.size)
-            buf = scratch[:d.size]
+            buf, lo, hi = values[:m], low[:m], high[:m]
             if zero is None:
-                bad = np.flatnonzero((d <= 0.0) & (df > DEFAULT_TOL))
-                if bad.size:
-                    zero = start + int(bad[0])
-            mask = d > 0.0
-            if mask.any():
+                np.less_equal(d, 0.0, out=lo)
+                np.greater(df, DEFAULT_TOL, out=hi)
+                np.logical_and(lo, hi, out=lo)
+                p = int(np.argmax(lo))
+                if lo[p]:
+                    zero = start + p
+            np.greater(d, 0.0, out=hi)
+            if hi.any():
                 buf.fill(-np.inf)
-                np.divide(df, d, out=buf, where=mask)
+                np.divide(df, d, out=buf, where=hi)
                 p = int(np.argmax(buf))
                 if ratio_at is None or buf[p] > ratio:
                     ratio, ratio_at = float(buf[p]), start + p
@@ -220,6 +266,13 @@ class EdgeScanner:
                 reach, reach_witness = float(df[p]), (float(d[p]), float(df[p]), float(u[p]))
         return Certificate(self._edge(zero), ratio, self._edge(ratio_at),
                            margin, self._edge(margin_at), reach, reach_witness)
+
+    @cached_property
+    def cuts(self) -> list:
+        """(d, df, u) of the edges that refuted candidates of a CRR constants
+        search on this engine, kept for every later search; seeded with the
+        certificate's reach witness, the cut of the candidate (0, 0, 0)."""
+        return [self.certificate.reach_witness]
 
     def _edge(self, k):
         return None if k is None else self.edge_points(*self.edge_at(k))

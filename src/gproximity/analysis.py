@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._scan import elem_dists, point_array
+from ._scan import elem_dists
 from .errors import DomainError
 from .maps import Instance
 from .metric import DEFAULT_TOL, set_diameter
@@ -84,10 +84,14 @@ def pair_diameter(inst: Instance, pps: PairProximitySet) -> float:
     """Max within-pair distance d(x, y) over the member pairs (x, y)."""
     if not pps.members:
         raise DomainError("diameter of an empty pair set is undefined")
-    space = inst.space
-    xs = point_array(space, [m[0] for m in pps.members])
-    ys = point_array(space, [m[1] for m in pps.members])
-    return float(elem_dists(space, xs, ys).max())
+    eng = inst.pair_engine
+    order = {p: k for k, p in enumerate(eng.points)}
+    try:
+        i = np.array([order[x] for x, _y in pps.members], dtype=np.intp)
+        j = np.array([order[y] for _x, y in pps.members], dtype=np.intp)
+    except KeyError as exc:
+        raise DomainError(f"pair member {exc.args[0]!r} is not a point of the instance") from None
+    return float(elem_dists(inst.space, eng.P[i], eng.P[j]).max())
 
 
 def contraction_diam_bound(alpha: float, epsilon: float, d_ab: float) -> float:

@@ -83,9 +83,9 @@ def validate_graph(g: DirectedGraph, points) -> ValidationReport:
         for p in pts:
             if (p, p) not in g.edges:
                 out.append(Violation("diagonal", (p,), f"diagonal incomplete at {p!r}"))
-        for x, y in sorted(g.edges, key=_edge_key):
-            if x not in pset or y not in pset:
-                out.append(Violation("endpoint", (x, y), "foreign endpoint"))
+        foreign = [e for e in g.edges if e[0] not in pset or e[1] not in pset]
+        for edge in sorted(foreign, key=_edge_key):
+            out.append(Violation("endpoint", edge, "foreign endpoint"))
     elif g.rule == CUSTOM:
         # contains_edge forces the diagonal anyway; still surface predicates
         # that contradict the convention

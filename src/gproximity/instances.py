@@ -127,7 +127,8 @@ def affine_segments_pair(factor: float, shift: float = 0.0,
 
 
 def _tabulated_from_coords(coords: np.ndarray) -> TabulatedSpace:
-    return TabulatedSpace(euclidean(coords, coords, cross=True))
+    ct = np.ascontiguousarray(coords.T)
+    return TabulatedSpace(euclidean(ct, ct, cross=True))
 
 
 def _graph_from_rule(rule: str, n: int, rng) -> DirectedGraph:
@@ -146,7 +147,8 @@ def _graph_from_rule(rule: str, n: int, rng) -> DirectedGraph:
 
 
 def _nearest_in(coords: np.ndarray, sources, targets) -> dict:
-    d = euclidean(coords[list(sources)], coords[list(targets)], cross=True)
+    d = euclidean(np.ascontiguousarray(coords[list(sources)].T),
+                  np.ascontiguousarray(coords[list(targets)].T), cross=True)
     picks = d.argmin(axis=1)
     tlist = list(targets)
     return {s: tlist[int(p)] for s, p in zip(sources, picks)}

@@ -80,28 +80,88 @@ class CoordinateSpace:
         return math.dist(x, y)
 
 
-def euclidean(p, q, cross: bool = False) -> np.ndarray:
-    """Euclidean distances between the rows of two coordinate arrays.
+def euclidean(p, q, cross: bool = False, out=None, scratch=None) -> np.ndarray:
+    """Euclidean distances between the points of two coordinate-major arrays.
 
-    Aligned rows by default; ``cross=True`` gives the |p| x |q| matrix, filled
-    in row chunks.  Squared coordinate differences are summed one coordinate
-    at a time, so no |p| x |q| x d array is formed, then square-rooted.
+    ``p`` and ``q`` have one row per coordinate (shape (dim, n)), each row
+    contiguous.  Aligned points by default; ``cross=True`` gives the
+    |p| x |q| matrix, filled in row chunks of about ``_KERNEL_ELEMS`` pairs.
+    The first coordinate's differences are written into ``out`` and squared
+    in place; each later coordinate's go into ``scratch``, are squared there
+    and added into ``out``, which is then square-rooted in place.  These are
+    the operations of sqrt(sum((p - q) ** 2)) in its order, so the values
+    are bitwise the same, and no |p| x |q| x dim array is formed.
+
+    Buffers: ``out`` (the result's shape) and ``scratch`` (a flat float array
+    of at least one chunk, read only when dim > 1) belong to the caller,
+    which may reuse them from call to call; both are overwritten.  Without
+    them the result and one chunk of scratch are allocated.
     """
-    pt, qt = np.ascontiguousarray(p.T), np.ascontiguousarray(q.T)
     if not cross:
-        return _root_sum_sq(np.subtract, pt, qt)
-    out = np.empty((len(p), len(q)))
-    rows = max(1, _KERNEL_ELEMS // max(len(q), 1))
-    for s in range(0, len(p), rows):
-        _root_sum_sq(np.subtract.outer, pt[:, s:s + rows], qt, out=out[s:s + rows])
+        if out is None:
+            out = np.empty(p.shape[1])
+        return _root_sum_sq(np.subtract, p, q, out, scratch)
+    n, m = p.shape[1], q.shape[1]
+    if out is None:
+        out = np.empty((n, m))
+    rows = max(1, _KERNEL_ELEMS // max(m, 1))
+    if scratch is None and len(p) > 1:
+        scratch = np.empty(min(rows, n) * m)
+    for s in range(0, n, rows):
+        _root_sum_sq(np.subtract.outer, p[:, s:s + rows], q, out[s:s + rows], scratch)
     return out
 
 
-def _root_sum_sq(diff, pt, qt, out=None):
-    acc = diff(pt[0], qt[0]) ** 2
-    for k in range(1, len(pt)):
-        acc += diff(pt[k], qt[k]) ** 2
-    return np.sqrt(acc, out=out)
+def _root_sum_sq(diff, p, q, out, scratch):
+    diff(p[0], q[0], out=out)
+    np.multiply(out, out, out=out)
+    if len(p) > 1:
+        t = (np.empty(out.shape) if scratch is None
+             else scratch[:out.size].reshape(out.shape))
+        for k in range(1, len(p)):
+            diff(p[k], q[k], out=t)
+            np.multiply(t, t, out=t)
+            np.add(out, t, out=out)
+    return np.sqrt(out, out=out)
+
+
+class DistanceKernel:
+    """The in-place distance kernel of a space and the point forms it reads.
+
+    Coordinates: ``euclidean`` on coordinate-major copies of the points.
+    Tables: a gather from the flattened matrix at row offsets (index * n,
+    the row side) plus column indices (the column side); its scratch holds
+    the flat indices, so it is an intp array.  Calls take the arguments of
+    ``euclidean`` and share its buffer rules.
+    """
+
+    def __init__(self, space):
+        self.table = isinstance(space, TabulatedSpace)
+        self.n = space.n if self.table else None
+        self.flat = space.dist.ravel() if self.table else None
+        self.scratch_dtype = np.intp if self.table else float
+
+    def rows(self, arr):
+        """Row-side form of a point array."""
+        return self._indices(arr) * self.n if self.table else np.ascontiguousarray(arr.T)
+
+    def cols(self, arr):
+        """Column-side form of a point array."""
+        return self._indices(arr) if self.table else np.ascontiguousarray(arr.T)
+
+    def _indices(self, arr):
+        arr = np.asarray(arr, dtype=np.intp)
+        if arr.size and (arr.min() < 0 or arr.max() >= self.n):
+            raise DomainError(f"point index outside 0..{self.n - 1}")
+        return arr
+
+    def __call__(self, p, q, cross=False, out=None, scratch=None):
+        if not self.table:
+            return euclidean(p, q, cross, out, scratch)
+        shape = (p.size, q.size) if cross else p.shape
+        idx = None if scratch is None else scratch[:math.prod(shape)].reshape(shape)
+        idx = (np.add.outer if cross else np.add)(p, q, out=idx)
+        return np.take(self.flat, idx, out=out, mode="clip")
 
 
 @dataclass(frozen=True)
@@ -220,10 +280,18 @@ def set_diameter(space, points) -> float:
 
 def _fold_cross(space, xs, ys, reduce) -> float:
     """reduce (np.min or np.max) of d(x, y) over xs x ys, folded over row
-    blocks of at most _BLOCK_ELEMS pairs so the full matrix never exists."""
-    from ._scan import _BLOCK_ELEMS, cross_dists, point_array
+    blocks of at most _BLOCK_ELEMS pairs, each computed into one buffer, so
+    the full matrix never exists."""
+    from ._scan import _BLOCK_ELEMS, point_array
 
-    p, q = point_array(space, xs), point_array(space, ys)
-    rows = max(1, _BLOCK_ELEMS // len(q))
-    return float(reduce([reduce(cross_dists(space, p[s:s + rows], q))
-                         for s in range(0, len(p), rows)]))
+    kern = DistanceKernel(space)
+    p, q = kern.rows(point_array(space, xs)), kern.cols(point_array(space, ys))
+    n, m = len(xs), len(ys)
+    rows = max(1, _BLOCK_ELEMS // m)
+    buf = np.empty(min(rows, n) * m)
+    scratch = np.empty(buf.size, dtype=kern.scratch_dtype)
+    folds = []
+    for s in range(0, n, rows):
+        block = buf[:min(rows, n - s) * m].reshape(-1, m)
+        folds.append(reduce(kern(p[..., s:s + rows], q, True, block, scratch)))
+    return float(reduce(folds))

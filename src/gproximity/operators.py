@@ -51,7 +51,11 @@ def _cyclic_report(sets, t, s, labels) -> ValidationReport:
     for pts, fn, inside, label, src, dst in ((sets.a, t, sets.in_b, labels[0], "A", "B"),
                                              (sets.b, s, sets.in_a, labels[1], "B", "A")):
         for p in pts:
-            fp = fn(p)
+            try:
+                fp = fn(p)
+            except DomainError as exc:
+                out.append(Violation("cyclic", (p,), f"{label}image of {src}-point: {exc}"))
+                continue
             if not inside(fp):
                 out.append(Violation("cyclic", (p,), f"{label}image {fp!r} of {src}-point is not in {dst}"))
     return ValidationReport(tuple(out))
@@ -124,7 +128,10 @@ def crr_params_feasible(inst: Instance, grid_step: float,
     cut, so most candidates die on a handful of cuts instead of a full scan.
     The first candidate, (0, 0, 0), has excess d(fx, fy) on every edge, so
     the certificate pass's largest image distance decides it and gives the
-    first cut.
+    first cut.  The cuts stay on the engine for every later search (another
+    grid or tolerance); a cut tests the fold's own expression, so it refutes
+    exactly the candidates a full pass would, and no result depends on which
+    search found it.
     """
     if not grid_step > 0:
         raise DomainError("grid step must be positive")
@@ -136,7 +143,7 @@ def crr_params_feasible(inst: Instance, grid_step: float,
     dab = inst.d_ab
     steps = int(math.ceil(1.0 / grid_step))
     values = [i * grid_step for i in range(steps + 1)]
-    cuts = [cert.reach_witness]
+    cuts = eng.cuts
     for a in values:
         for b in values:
             if a + 2 * b >= 1:
@@ -144,7 +151,7 @@ def crr_params_feasible(inst: Instance, grid_step: float,
             for c in values:
                 if a + 2 * b + c >= 1:
                     break
-                if any(df > a * d + b * u + c * dab + tol for d, df, u in cuts):
+                if any(df - a * d - b * u - c * dab > tol for d, df, u in cuts):
                     continue
                 worst, _, witness = fold_max(eng, lambda d, df, u: df - a * d - b * u - c * dab)
                 if worst is None or worst <= tol:

@@ -355,12 +355,8 @@ def test_reach_is_the_fold_of_the_zero_candidate():
         assert (eng.certificate.reach, eng.certificate.reach_witness) == (value, witness)
 
 
-def test_classify_isometry_makes_one_pass(tmp_path, monkeypatch):
-    """The certificate pass gives the first CRR cut; on the mirror map of the
-    ellipse example no later candidate survives the cuts."""
-    path = tmp_path / "ellipse.gpx"
-    inst = gp.ellipse_example(0.1)
-    gp.save_instance(inst, path)
+def count_passes(monkeypatch):
+    """Patch EdgeScanner.blocks to record the edges of every pass."""
     passes = []
     blocks = gproximity._scan.EdgeScanner.blocks
 
@@ -371,6 +367,17 @@ def test_classify_isometry_makes_one_pass(tmp_path, monkeypatch):
             yield blk
 
     monkeypatch.setattr(gproximity._scan.EdgeScanner, "blocks", counted)
+    return passes
+
+
+def test_classify_isometry_makes_one_pass(tmp_path, monkeypatch):
+    """The certificate pass gives the first CRR cut; on the mirror map of the
+    ellipse example no later candidate survives the cuts."""
+    path = tmp_path / "ellipse.gpx"
+    inst = gp.ellipse_example(0.1)
+    gp.save_instance(inst, path)
+    passes = count_passes(monkeypatch)
+
     with contextlib.redirect_stdout(io.StringIO()) as out, \
             contextlib.redirect_stderr(io.StringIO()):
         assert main(["classify", str(path)]) == 0
@@ -396,3 +403,59 @@ def test_certificate_pass_memory_is_a_few_blocks():
         tracemalloc.stop()
     assert (cert.ratio, cert.reach) == (1.0, 2999.0)
     assert peak < 10 * 8 * gproximity._scan._BLOCK_ELEMS < 3000 * 3000 * 8 / 10
+
+
+def test_demo_crr_searches_share_cuts(monkeypatch):
+    """classify searches the constants at grid 0.05 and the solve report at
+    0.1; the first search's cut refutes the second's candidates, so the demo
+    makes two passes: the certificate and one fold."""
+    passes = count_passes(monkeypatch)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["demo", "interval"]) == 0
+    assert len(passes) == 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from(("complete", "explicit", "grid", "line")),
+       st.sampled_from(((0.05, 0.1), (0.1, 0.05), (0.1, 0.25))), st.sampled_from((TOL, 0.0)))
+def test_crr_search_after_another_equals_a_fresh_search(seed, kind, grids, tol):
+    build = {"grid": lambda: grid_instance(seed), "line": lambda: line_instance(seed)}.get(
+        kind, lambda: single_instance(seed, kind))
+    inst = build()
+    if not inst.engine.preserved[0]:
+        return
+    gp.crr_params_feasible(inst, grids[0], tol=tol)
+    assert gp.crr_params_feasible(inst, grids[1], tol=tol) == \
+        gp.crr_params_feasible(build(), grids[1], tol=tol)
+
+
+def listed_grid_instance(seed):
+    """grid_instance with a random explicit edge set instead of the complete graph."""
+    inst = grid_instance(seed)
+    rng = np.random.default_rng(seed)
+    edges = {(x, y) for x in inst.points for y in inst.points if rng.random() < 0.5}
+    return dataclasses.replace(inst, graph=gp.explicit_graph(edges))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: grid_instance(3).engine, lambda: listed_grid_instance(3).engine,
+    lambda: line_instance(3).engine, lambda: single_instance(3, "explicit").engine,
+    lambda: pair_instance(3, "complete").pair_engine])
+def test_blocks_are_views_of_one_buffer_per_pass(build):
+    """Consecutive blocks of a pass share storage, sized to the largest block."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gproximity._scan, "_BLOCK_ELEMS", 5)
+        blks = list(build().blocks())
+    assert len(blks) > 1
+    for prev, cur in zip(blks, blks[1:]):
+        for k in (2, 3, 4):
+            assert np.shares_memory(prev[k], cur[k])
+    largest = max(blk[2].size for blk in blks)
+    assert all(blk[k].base.size == largest for blk in blks for k in (2, 3, 4))
+
+
+def test_one_block_pass_reserves_only_its_edges():
+    inst = grid_instance(5)
+    n = len(inst.points)
+    (blk,) = inst.engine.blocks()
+    assert blk[2].size == blk[2].base.size == n * n < gproximity._scan._BLOCK_ELEMS

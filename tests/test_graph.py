@@ -47,6 +47,9 @@ def test_validate_graph_flags_foreign_explicit_endpoint():
     g = explicit_graph({(0, 9)})
     report = validate_graph(g, PTS)
     assert not report.ok
+    g = explicit_graph({(7, 1), (0, (1.0,)), (2, 3), (0, 9), (-1, 0), (1, 1)})
+    assert [v.where for v in validate_graph(g, PTS).violations if v.axiom == "endpoint"] == \
+        [(-1, 0), (0, 9), (0, (1.0,)), (7, 1)]
 
 
 def test_validate_graph_accepts_complete():

@@ -230,3 +230,60 @@ def test_diameter_grows_with_more_points(points, extra):
     space = CoordinateSpace(2)
     base = set_diameter(space, tuple(points))
     assert set_diameter(space, tuple(points) + (extra,)) >= base
+
+
+def kernel_reference(p, q):
+    return np.sqrt(((p[:, None] - q[None]) ** 2).sum(-1))
+
+
+def same_bits(got, want):
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 30), st.integers(1, 30), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from((1, 7, 64, 1 << 16)))
+def test_distance_kernel_bitwise_equal_to_reference(dim, n, m, seed, chunk):
+    """euclidean (aligned and cross, with and without caller buffers),
+    cross_dists and elem_dists against the broadcast formula; small chunks
+    make cross matrices cross row-chunk boundaries, and NaN-filled buffers
+    show a stale entry."""
+    import gproximity._scan
+    import gproximity.metric
+    from gproximity.metric import euclidean
+
+    rng = np.random.default_rng(seed)
+    p = rng.normal(size=(n, dim)) * 10.0 ** rng.integers(-3, 4, size=(n, 1))
+    q = rng.normal(size=(m, dim)) * 10.0 ** rng.integers(-3, 4, size=(m, 1))
+    if n and m:
+        q[0] = p[0]  # a zero distance
+    q_aligned = q[np.arange(n) % m]
+    cross, aligned = kernel_reference(p, q), np.diagonal(kernel_reference(p, q_aligned))
+    pt, qt, at = (np.ascontiguousarray(a.T) for a in (p, q, q_aligned))
+    space = CoordinateSpace(dim)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gproximity.metric, "_KERNEL_ELEMS", chunk)
+        same_bits(euclidean(pt, qt, cross=True), cross)
+        same_bits(euclidean(pt, at), aligned)
+        chunk_rows = min(n, max(1, chunk // m))
+        out, scratch = np.full((n, m), np.nan), np.full(chunk_rows * m, np.nan)
+        assert euclidean(pt, qt, cross=True, out=out, scratch=scratch) is out
+        same_bits(out, cross)
+        out, scratch = np.full(n, np.nan), np.full(n, np.nan)
+        assert euclidean(pt, at, out=out, scratch=scratch) is out
+        same_bits(out, aligned)
+        same_bits(gproximity._scan.cross_dists(space, p, q), cross)
+        same_bits(gproximity._scan.elem_dists(space, p, q_aligned), aligned)
+    table = TabulatedSpace(kernel_reference(p, p))
+    rows, cols = rng.integers(0, max(n, 1), size=(2, n))
+    same_bits(gproximity._scan.cross_dists(table, rows, cols), table.dist[np.ix_(rows, cols)])
+    same_bits(gproximity._scan.elem_dists(table, rows, cols), table.dist[rows, cols])
+
+
+def test_table_kernel_rejects_foreign_indices():
+    import gproximity._scan
+
+    table = TabulatedSpace(euclidean_table([(0, 0), (1, 0)]))
+    for bad in ([0, 2], [-1, 0]):
+        with pytest.raises(DomainError):
+            gproximity._scan.cross_dists(table, np.array(bad), np.array([0, 1]))

@@ -44,6 +44,18 @@ class TestValidateCyclic:
         inst = halving_toward_zero()
         assert gp.validate_cyclic(inst).ok
 
+    def test_undefined_images_are_violations(self):
+        space = TabulatedSpace(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        sets = SubsetPair((0,), (5,))
+        single = Instance("oob", space, sets, complete_graph(),
+                          cyclic_map=CyclicMap("table", table=(1, 0)))
+        pair = Instance("oob", space, sets, complete_graph(),
+                        map_pair=MapPair(CyclicMap("t", table=(1, 0)), CyclicMap("s", table=(1, 0))))
+        for report in (gp.validate_cyclic(single), gp.validate_pair(pair)):
+            assert [(v.axiom, v.where) for v in report.violations] == \
+                [("cyclic", (0,)), ("cyclic", (5,))]
+            assert "not defined at 5" in report.violations[1].detail
+
     def test_non_cyclic_map_flagged(self):
         inst = line_instance(lambda x: x, a=[-1.0], b=[1.0])
         report = gp.validate_cyclic(inst)
