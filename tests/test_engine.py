@@ -377,7 +377,6 @@ def test_classify_isometry_makes_one_pass(tmp_path, monkeypatch):
     inst = gp.ellipse_example(0.1)
     gp.save_instance(inst, path)
     passes = count_passes(monkeypatch)
-
     with contextlib.redirect_stdout(io.StringIO()) as out, \
             contextlib.redirect_stderr(io.StringIO()):
         assert main(["classify", str(path)]) == 0
