@@ -34,17 +34,10 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .graph import contains_pairs, edge_index, first_unpreserved
-from .metric import DEFAULT_TOL, DistanceKernel, TabulatedSpace
+from .graph import contains_pairs, edge_index, first_unpreserved, image_positions
+from .metric import DEFAULT_TOL, DistanceKernel, point_array
 
 _BLOCK_ELEMS = 1 << 16
-
-
-def point_array(space, pts):
-    if isinstance(space, TabulatedSpace):
-        return np.asarray(pts, dtype=np.intp)
-    arr = np.asarray([tuple(p) for p in pts], dtype=float)
-    return arr.reshape(len(pts), -1)
 
 
 def elem_dists(space, p, q):
@@ -66,13 +59,6 @@ def _gather(form, idx, buf):
     return np.take(form, idx, axis=-1, out=buf[:math.prod(shape)].reshape(shape), mode="clip")
 
 
-def exactly_symmetric(space) -> bool:
-    """Whether d(x, y) and d(y, x) are bitwise equal for every pair."""
-    if isinstance(space, TabulatedSpace):
-        return bool(np.array_equal(space.dist, space.dist.T))
-    return True
-
-
 class Certificate(NamedTuple):
     """One pass over a map's edges; each edge is the first (x, y) in scan order."""
 
@@ -86,29 +72,26 @@ class Certificate(NamedTuple):
 
 
 class EdgeScanner:
-    """The edge engine of one map, or a map pair, on an instance's points.
+    """The edge engine of one map, or a map pair, on the points of a
+    ``SubsetPair``.
 
     Holds the images, point arrays, self-distances and edge index, and streams
     (start, stop, D, DF, U) blocks over the edges at scan positions
     start..stop-1.  DF takes ``images_left`` on the I side and ``images_right``
-    (default: the same) on the J side; ``rows``/``cols`` limit the edges to a
-    rectangle such as A x B.
+    (default: the same) on the J side; a map pair, given ``images_right``,
+    scans the edges of A x B only (rows ``rows``, columns ``cols``).
 
     Listed edges (every graph but the complete one) are scanned in edge-index
     order, ``_BLOCK_ELEMS`` at a time.  A complete graph is scanned in row
-    blocks of about ``_BLOCK_ELEMS`` pairs; when ``symmetric`` (one map, the
-    full point set, an exactly symmetric metric) the block starting at row s
-    covers columns s..n-1 only, which changes no fold result (see the module
-    docstring), else every column.  Scan positions count the visited edges.
-    A block's arrays are views of the pass's buffers, valid until the next
-    block (module docstring).
+    blocks of about ``_BLOCK_ELEMS`` pairs; when ``symmetric`` (one map, an
+    exactly symmetric metric) the block starting at row s covers columns
+    s..n-1 only, which changes no fold result (see the module docstring),
+    else every column.  Scan positions count the visited edges.
     """
 
-    def __init__(self, space, points, graph, images_left, images_right=None,
-                 rows=None, cols=None):
-        self.space = space
+    def __init__(self, space, sets, graph, images_left, images_right=None):
         self.kernel = DistanceKernel(space)
-        self.points = tuple(points)
+        self.points = sets.points
         self.graph = graph
         n = len(self.points)
         self.images_left = tuple(images_left)
@@ -118,13 +101,16 @@ class EdgeScanner:
         self.FR = self.FL if images_right is None else point_array(space, self.images_right)
         self.self_left = elem_dists(space, self.P, self.FL)
         self.self_right = self.self_left if images_right is None else elem_dists(space, self.P, self.FR)
-        self.rows = np.arange(n) if rows is None else np.asarray(rows, dtype=np.intp)
-        self.cols = np.arange(n) if cols is None else np.asarray(cols, dtype=np.intp)
-        self.index = edge_index(graph, self.points)
-        self.edges = self.index if rows is None and cols is None else \
-            edge_index(graph, self.points, self.rows, self.cols)
-        self.symmetric = (self.edges is None and rows is None and cols is None
-                          and images_right is None and exactly_symmetric(space))
+        pair, pos = images_right is not None, sets.position
+        self.rows = np.array([pos[p] for p in sets.a], dtype=np.intp) if pair else np.arange(n)
+        self.cols = np.array([pos[p] for p in sets.b], dtype=np.intp) if pair else np.arange(n)
+        self.index = edge_index(graph, pos)
+        self.edges = edge_index(graph, pos, self.rows, self.cols) if pair else self.index
+        images = (self.images_left, self.images_right) if pair else (self.images_left,)
+        self.maps = [(m, image_positions(pos, m)) for m in images]  # I side, then a pair's J side
+        # one map on a complete graph, with d(x, y) == d(y, x) bitwise
+        self.symmetric = (self.edges is None and not pair
+                          and (not self.kernel.table or np.array_equal(space.dist, space.dist.T)))
 
     @cached_property
     def _forms(self):
@@ -176,30 +162,23 @@ class EdgeScanner:
         i, j = self.edge_pairs([k])
         return int(i[0]), int(j[0])
 
-    def edge_points(self, i: int, j: int):
-        return self.points[i], self.points[j]
-
     @cached_property
     def on_edge(self):
         """Per point p: whether (p, Fp) is an edge, F the map of the I side."""
-        k = np.arange(len(self.points))
-        return contains_pairs(self.graph, self.points, self.index, self.points,
-                              self.images_left, k, k)
+        n = len(self.points)
+        k = np.arange(n)
+        return contains_pairs(self.graph, self.index, n, (self.points, k), self.maps[0], k, k)
 
     @cached_property
     def preserved(self):
         """(ok, first violating edge): each scanned edge (x, y) keeps (Fx, Fy)
         and, for a pair, (Gx, Gy) an edge of the graph."""
-        images = [self.images_left]
-        if self.images_right is not self.images_left:
-            images.append(self.images_right)
-        k = first_unpreserved(self.graph, self.points, self.index, self.edges, *images)
+        k = first_unpreserved(self.graph, self.index, len(self.points), self.edges, *self.maps)
         return (True, None) if k is None else (False, self._edge(k))
 
     def blocks(self):
-        """Yield (start, stop, D, DF, U) in row-major scan order.  D, DF and U
-        are views of buffers allocated once per pass, at the size of its
-        largest block; each block overwrites the previous one."""
+        """Yield (start, stop, D, DF, U) in row-major scan order, in buffers
+        allocated once per pass (module docstring)."""
         kern = self.kernel
         pr, fr, ur, pc, fc, uc = self._forms
         size = self._largest_block()
@@ -275,7 +254,7 @@ class EdgeScanner:
         return [self.certificate.reach_witness]
 
     def _edge(self, k):
-        return None if k is None else self.edge_points(*self.edge_at(k))
+        return None if k is None else tuple(self.points[i] for i in self.edge_at(k))
 
 
 def fold_max(scanner: EdgeScanner, value_fn):

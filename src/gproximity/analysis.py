@@ -1,14 +1,16 @@
-"""Brute-force enumeration of approximate proximity sets and diameter bounds."""
+"""Brute-force enumeration of approximate proximity sets and diameter bounds;
+a set keeps its members' scan positions, and its diameter gathers by them."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
 from ._scan import elem_dists
 from .errors import DomainError
 from .maps import Instance
-from .metric import DEFAULT_TOL, set_diameter
+from .metric import DEFAULT_TOL, array_diameter
 from .operators import is_edge_nonexpansive
 
 STRICT = "strict"
@@ -20,12 +22,14 @@ class ProximitySet:
     epsilon: float
     members: tuple
     mode: str
+    positions: Optional[np.ndarray] = field(default=None, compare=False, repr=False)  # in points
 
 
 @dataclass(frozen=True)
 class PairProximitySet:
     epsilon: float
     members: tuple  # ordered (x, y) pairs from A x B
+    positions: Optional[np.ndarray] = field(default=None, compare=False, repr=False)  # A x B scan
 
 
 @dataclass(frozen=True)
@@ -50,47 +54,46 @@ def enumerate_proximity_set(inst: Instance, epsilon: float, mode: str = STRICT,
     if not epsilon >= 0:
         raise DomainError("epsilon must be nonnegative")
     eng = inst.engine
-    close = eng.self_left <= inst.d_ab + epsilon + tol
-    keep = eng.on_edge & close
+    keep = eng.on_edge & (eng.self_left - inst.d_ab <= epsilon + tol)  # the solver's test
     if mode == VACUOUS:
         keep |= ~eng.on_edge
-    return ProximitySet(epsilon, tuple(inst.points[k] for k in np.flatnonzero(keep)), mode)
+    k = np.flatnonzero(keep)
+    return ProximitySet(epsilon, tuple(inst.points[p] for p in k.tolist()), mode, k)
 
 
 def enumerate_pair_set(inst: Instance, epsilon: float,
                        tol: float = DEFAULT_TOL) -> PairProximitySet:
-    """Scan E(G) restricted to A x B for pairs with d(Tx, Sy) <= d(A,B) + epsilon,
+    """Scan E(G) restricted to A x B for pairs with d(Tx, Sy) - d(A,B) <= epsilon,
     in scan order (A order, then B order)."""
     if not epsilon >= 0:
         raise DomainError("epsilon must be nonnegative")
     eng = inst.pair_engine
-    limit = inst.d_ab + epsilon + tol
-    pts = eng.points
-    members = []
-    for start, _stop, _d, df, _u in eng.blocks():
-        i, j = eng.edge_pairs(start + np.flatnonzero(df <= limit))
-        members.extend(zip([pts[k] for k in i.tolist()], [pts[k] for k in j.tolist()]))
-    return PairProximitySet(epsilon, tuple(members))
+    dab, limit = inst.d_ab, epsilon + tol
+    hits = [start + np.flatnonzero(df - dab <= limit) for start, _stop, _d, df, _u in eng.blocks()]
+    pos = hits[0] if len(hits) == 1 else np.concatenate(hits) if hits else np.empty(0, np.intp)
+    (i, j), pts = eng.edge_pairs(pos), inst.points
+    members = list(zip([pts[k] for k in i.tolist()], [pts[k] for k in j.tolist()]))
+    return PairProximitySet(epsilon, tuple(members), pos.astype(np.int32 if pos.max(initial=0) < 2**31 else np.intp))
+
+
+def _positions(s, what: str):
+    """Scan positions of a non-empty set made by ``enumerate_*``."""
+    if s.positions is None and len(s.members):
+        raise DomainError(f"{what} has no scan positions: only enumerate_* makes them")
+    if s.positions is None or not s.positions.size:
+        raise DomainError(f"diameter of an empty {what} is undefined")
+    return s.positions
 
 
 def proximity_diameter(inst: Instance, ps: ProximitySet) -> float:
-    """Max pairwise distance among set members."""
-    if not ps.members:
-        raise DomainError("diameter of an empty proximity set is undefined")
-    return set_diameter(inst.space, ps.members)
+    """Max pairwise distance among set members, gathered by position."""
+    return array_diameter(inst.space, inst.engine.P[_positions(ps, "proximity set")])
 
 
 def pair_diameter(inst: Instance, pps: PairProximitySet) -> float:
-    """Max within-pair distance d(x, y) over the member pairs (x, y)."""
-    if not pps.members:
-        raise DomainError("diameter of an empty pair set is undefined")
+    """Max within-pair distance d(x, y) over the member pairs, by position."""
     eng = inst.pair_engine
-    order = {p: k for k, p in enumerate(eng.points)}
-    try:
-        i = np.array([order[x] for x, _y in pps.members], dtype=np.intp)
-        j = np.array([order[y] for _x, y in pps.members], dtype=np.intp)
-    except KeyError as exc:
-        raise DomainError(f"pair member {exc.args[0]!r} is not a point of the instance") from None
+    i, j = eng.edge_pairs(_positions(pps, "pair set"))
     return float(elem_dists(inst.space, eng.P[i], eng.P[j]).max())
 
 
@@ -120,8 +123,7 @@ def minimizer_report(inst: Instance, tol: float = DEFAULT_TOL) -> MinimizerRepor
     if not eligible.size:
         raise DomainError("no point satisfies the edge eligibility condition")
     best_pos = eligible[np.argmin(eng.self_left[eligible])]
-    best = inst.points[best_pos]
     residual = float(eng.self_left[best_pos]) - inst.d_ab
     nonexp = bool(is_edge_nonexpansive(inst, tol=tol))
-    members = enumerate_proximity_set(inst, max(residual, 0.0) + tol, tol=tol).members
-    return MinimizerReport(best, residual, nonexp, best in members)
+    in_set = best_pos in enumerate_proximity_set(inst, max(residual, 0.0) + tol, tol=tol).positions
+    return MinimizerReport(inst.points[best_pos], residual, nonexp, bool(in_set))

@@ -82,6 +82,8 @@ def _parse_start(inst: Instance, text: str):
         coords = tuple(float(tok) for tok in text.split(","))
         if len(coords) != inst.space.dimension:
             raise ValueError(f"expected {inst.space.dimension} coordinates")
+        if not all(map(math.isfinite, coords)):
+            raise ValueError("coordinates must be finite")
         return coords
     except ValueError as exc:
         print(f"error: bad start point {text!r}: {exc}", file=sys.stderr)
@@ -188,12 +190,11 @@ def cmd_solve(args) -> int:
             rep.add("start-b", _fmt_point(y0))
             if args.mode == "parallel":
                 result = solver.two_map_parallel(inst, x0, y0, cfg)
-                _trace_report(rep, result, _fmt_pair)
             else:
                 result = solver.two_map_alternating(inst, x0, y0, args.alpha, args.gamma, cfg)
-                _trace_report(rep, result, _fmt_pair)
-                for n, b in enumerate(result.bounds or ()):
-                    rep.add("gap-bound", f"{n} {_fmt(b)}")
+            _trace_report(rep, result, _fmt_pair)
+            for n, b in enumerate(result.bounds or ()):  # the alternating scheme's
+                rep.add("gap-bound", f"{n} {_fmt(b)}")
     except (DomainError, OrbitError, HypothesisError) as exc:
         rep.add("error", str(exc))
         return rep.finish(EXIT_NEGATIVE)
@@ -324,8 +325,13 @@ def cmd_demo(args) -> int:
     return rep.finish(EXIT_OK if ok else EXIT_NEGATIVE)
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one ``error:`` line, as every usage error
+        self.exit(EXIT_USAGE, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gproximity",
         description="Approximate best proximity pairs on graph-endowed metric spaces")
     parser.add_argument("--tol", type=float, default=DEFAULT_TOL,
@@ -374,11 +380,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 _FLOAT_OPTIONS = ("tol", "alpha", "crr_grid", "epsilon", "gamma", "grid_step")
 
-#: (option, commands it applies to or None for all, test, domain) of the float
+#: (option, commands it applies to or None for all, test, domain) of the
 #: options whose out-of-domain values are usage errors; --grid-step is left
 #: to the demo builders, which also check that the step divides the sets.
 _OPTION_DOMAINS = (
     ("tol", None, lambda v: v >= 0, "nonnegative"),
+    ("max_iter", ("solve",), lambda v: v >= 1, "at least 1"),
     ("alpha", ("classify",), lambda v: 0 < v < 1, "in (0, 1)"),
     ("crr_grid", None, lambda v: v > 0, "positive"),
     ("epsilon", ("solve",), lambda v: v > 0, "positive"),

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError
-from .metric import ValidationReport, Violation
+from .metric import ValidationReport, Violation, point_positions
 
 COMPLETE = "complete"
 DIAGONAL = "diagonal"
@@ -97,37 +97,32 @@ def validate_graph(g: DirectedGraph, points) -> ValidationReport:
 
 
 def _edge_key(edge):
-    x, y = edge
-    return (_point_key(x), _point_key(y))
+    """Sort key of an edge whose endpoints mix indices and tuples."""
+    return tuple((1, p) if isinstance(p, tuple) else (0, (p,)) for p in edge)
 
 
-def _point_key(p):
-    if isinstance(p, tuple):
-        return (1, p)
-    return (0, (p,))
-
-
-def edge_index(g: DirectedGraph, points, rows=None, cols=None):
-    """E(G) among ``points`` as sorted index arrays (I, J) into ``points``,
-    the diagonal included for every rule: explicit graphs their listed edges
-    plus (i, i), diagonal graphs (i, i), custom graphs the predicate's edges
-    plus the diagonal; None for complete graphs (every pair).  Position
-    arrays ``rows`` and ``cols`` (given together) limit the edges to that
-    rectangle, ordered by (rank in rows, rank in cols); a repeated position
-    counts at its first rank.
+def edge_index(g: DirectedGraph, position, rows=None, cols=None):
+    """E(G) among the points of ``position`` (a ``SubsetPair.position``) as
+    sorted index arrays (I, J), the diagonal included for every rule: explicit
+    graphs their listed edges plus (i, i), diagonal graphs (i, i), custom
+    graphs the predicate's edges plus the diagonal; None for complete graphs
+    (every pair).  Position arrays ``rows`` and ``cols`` (given together)
+    limit the edges to that rectangle, ordered by (rank in rows, rank in
+    cols); a repeated position counts at its first rank.
     """
-    pts = tuple(points)
-    n = len(pts)
+    n = len(position)
     if g.rule == COMPLETE:
         return None
     if g.rule == DIAGONAL:
         i = j = np.arange(n)
     elif g.rule == EXPLICIT:
-        order = {p: k for k, p in enumerate(pts)}
-        keys = [order[x] * n + order[y] for x, y in g.edges if x in order and y in order]
+        keys = [position[x] * n + position[y] for x, y in g.edges
+                if x in position and y in position]
         keys.extend(range(0, n * n, n + 1))
-        i, j = np.divmod(np.unique(np.asarray(keys, dtype=np.intp)), n)
+        keys = np.sort(np.asarray(keys, dtype=np.intp))  # np.unique imports numpy.ma mid-run
+        i, j = np.divmod(keys[np.diff(keys, prepend=-1) > 0], n)
     else:
+        pts = tuple(position)
         mask = np.array([[contains_edge(g, x, y) for y in pts] for x in pts], dtype=bool)
         i, j = np.nonzero(mask.reshape(n, n))
     if rows is None:
@@ -146,42 +141,43 @@ def _first_ranks(sel, n):
     return rank
 
 
-def contains_pairs(g: DirectedGraph, points, index, left, right, i, j):
-    """contains_edge(g, left[i[k]], right[j[k]]) for every k, given the full
-    edge_index ``index`` of ``points``: one index lookup, with contains_edge
-    asked only for pairs that leave the points."""
+def image_positions(position, images):
+    """The index of each image in ``position``, -1 for one outside the points."""
+    return np.array([position.get(q, -1) for q in images], dtype=np.intp)
+
+
+def contains_pairs(g: DirectedGraph, index, n, left, right, i, j):
+    """contains_edge(g, left[0][i[k]], right[0][j[k]]) for every k; ``left`` and
+    ``right`` are (points, ``image_positions``) among the n points of the full
+    edge_index ``index``, and contains_edge is asked only for pairs leaving them."""
     if index is None:
         return np.ones(len(i), dtype=bool)
-    n = len(points)
-    order = {p: k for k, p in enumerate(points)}
-    lpos = np.array([order.get(q, -1) for q in left], dtype=np.intp)
-    rpos = lpos if right is left else np.array([order.get(q, -1) for q in right], dtype=np.intp)
-    li, rj = lpos[i], rpos[j]
+    li, rj = left[1][i], right[1][j]
     ok = np.isin(li * n + rj, index[0] * n + index[1])
     for k in np.flatnonzero((li < 0) | (rj < 0)):
-        ok[k] = contains_edge(g, left[i[k]], right[j[k]])
+        ok[k] = contains_edge(g, left[0][i[k]], right[0][j[k]])
     return ok
 
 
-def first_unpreserved(g: DirectedGraph, points, index, edges, *image_lists):
-    """Position in ``edges`` (I, J) of the first edge that a map, given as its
-    image of every point, sends off the graph with full edge_index ``index``;
-    None when every edge is kept.
-    """
+def first_unpreserved(g: DirectedGraph, index, n, edges, *maps):
+    """Position in ``edges`` (I, J) of the first edge that a map, given as
+    (images, positions) of the n points, sends off the graph with full
+    edge_index ``index``; None when every edge is kept."""
     if index is None:
         return None
     ei, ej = edges
     bad = np.zeros(ei.size, dtype=bool)
-    for images in image_lists:
-        bad |= ~contains_pairs(g, points, index, images, images, ei, ej)
+    for m in maps:
+        bad |= ~contains_pairs(g, index, n, m, m, ei, ej)
     hits = np.flatnonzero(bad)
     return int(hits[0]) if hits.size else None
 
 
 def iter_edges(g: DirectedGraph, points):
-    """All edges among the given points, in lexicographic scan order."""
-    pts = tuple(points)
-    index = edge_index(g, pts)
+    """All edges among the given (distinct) points, in lexicographic scan order."""
+    position = point_positions(points)
+    pts = tuple(position)
+    index = edge_index(g, position)
     if index is None:
         return product(pts, pts)
     return ((pts[i], pts[j]) for i, j in zip(*index))
@@ -196,9 +192,9 @@ def preserves_edges(g: DirectedGraph, f, points):
     """
     if g.rule in (COMPLETE, DIAGONAL):
         return True, None
-    pts = tuple(points)
-    index = edge_index(g, pts)
-    k = first_unpreserved(g, pts, index, index, [f(p) for p in pts])
-    if k is None:
-        return True, None
-    return False, (pts[index[0][k]], pts[index[1][k]])
+    position = point_positions(points)
+    pts = tuple(position)
+    index = edge_index(g, position)
+    images = [f(p) for p in pts]
+    k = first_unpreserved(g, index, len(pts), index, (images, image_positions(position, images)))
+    return (True, None) if k is None else (False, (pts[index[0][k]], pts[index[1][k]]))

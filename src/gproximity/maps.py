@@ -5,9 +5,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
 
+from ._scan import EdgeScanner
 from .errors import DomainError, OrbitError
 from .graph import DirectedGraph
-from .metric import SubsetPair
+from .metric import SubsetPair, pair_distance
 
 
 @dataclass(frozen=True)
@@ -104,8 +105,6 @@ class Instance:
 
     @cached_property
     def d_ab(self) -> float:
-        from .metric import pair_distance
-
         return pair_distance(self.space, self.sets)
 
     @cached_property
@@ -113,24 +112,16 @@ class Instance:
         """The edge engine of the single map, built on first use; another
         map is analysed as its own instance, ``dataclasses.replace(inst,
         cyclic_map=g)``."""
-        from ._scan import EdgeScanner
-
         f = self.require_map()
-        return EdgeScanner(self.space, self.points, self.graph, [f(p) for p in self.points])
+        return EdgeScanner(self.space, self.sets, self.graph, [f(p) for p in self.points])
 
     @cached_property
     def pair_engine(self):
         """The A x B edge engine of the map pair, T on the A side and S on
         the B side, built on first use."""
-        from ._scan import EdgeScanner
-
-        pair = self.require_pair()
-        pts = self.points
-        order = {p: i for i, p in enumerate(pts)}
-        return EdgeScanner(self.space, pts, self.graph,
-                           [pair.t(p) for p in pts], [pair.s(p) for p in pts],
-                           rows=[order[p] for p in self.sets.a],
-                           cols=[order[p] for p in self.sets.b])
+        pair, pts = self.require_pair(), self.points
+        return EdgeScanner(self.space, self.sets, self.graph,
+                           [pair.t(p) for p in pts], [pair.s(p) for p in pts])
 
 
 def apply_map(f: CyclicMap, x, last_valid: int = -1):

@@ -77,7 +77,19 @@ class CoordinateSpace:
     dimension: int
 
     def distance(self, x, y) -> float:
-        return math.dist(x, y)
+        """``euclidean``'s operations in its order, so the same bits."""
+        total = 0.0
+        for a, b in zip(x, y, strict=True):
+            total += (a - b) * (a - b)
+        return math.sqrt(total)
+
+
+def point_array(space, pts):
+    """Points as an array: indices of a table, else one row per point."""
+    if isinstance(space, TabulatedSpace):
+        return np.asarray(pts, dtype=np.intp)
+    arr = np.asarray([tuple(p) for p in pts], dtype=float)
+    return arr.reshape(len(pts), -1)
 
 
 def euclidean(p, q, cross: bool = False, out=None, scratch=None) -> np.ndarray:
@@ -206,7 +218,17 @@ class SubsetPair:
     @cached_property
     def points(self) -> tuple:
         """A followed by B, each point once, in stored order."""
-        return tuple(dict.fromkeys(self.a + self.b))
+        return tuple(self.position)
+
+    @cached_property
+    def position(self) -> dict:
+        """Point -> its index in ``points``: the one such map of an instance."""
+        return point_positions(self.a + self.b)
+
+
+def point_positions(points) -> dict:
+    """Each distinct point -> its index among them, in first-seen order."""
+    return {p: k for k, p in enumerate(dict.fromkeys(points))}
 
 
 def validate_metric(space, tol: float = DEFAULT_TOL) -> ValidationReport:
@@ -265,7 +287,7 @@ def validate_sets(space, sets: SubsetPair) -> ValidationReport:
 
 def pair_distance(space, sets: SubsetPair) -> float:
     """min over a in A, b in B of d(a, b), evaluated on the stored samples."""
-    return _fold_cross(space, sets.a, sets.b, np.min)
+    return _fold_cross(space, point_array(space, sets.a), point_array(space, sets.b), np.min)
 
 
 def set_diameter(space, points) -> float:
@@ -273,19 +295,22 @@ def set_diameter(space, points) -> float:
     pts = tuple(points)
     if not pts:
         raise DomainError("diameter of the empty set is undefined")
-    if len(pts) == 1:
-        return 0.0
-    return _fold_cross(space, pts, pts, np.max)
+    return array_diameter(space, point_array(space, pts))
+
+
+def array_diameter(space, arr) -> float:
+    """``set_diameter`` of the rows of a non-empty point array."""
+    return 0.0 if len(arr) == 1 else _fold_cross(space, arr, arr, np.max)
 
 
 def _fold_cross(space, xs, ys, reduce) -> float:
-    """reduce (np.min or np.max) of d(x, y) over xs x ys, folded over row
-    blocks of at most _BLOCK_ELEMS pairs, each computed into one buffer, so
-    the full matrix never exists."""
-    from ._scan import _BLOCK_ELEMS, point_array
+    """reduce (np.min or np.max) of d(x, y) over the rows of point arrays xs
+    x ys, folded over row blocks of at most _BLOCK_ELEMS pairs, each computed
+    into one buffer, so the full matrix never exists."""
+    from ._scan import _BLOCK_ELEMS
 
     kern = DistanceKernel(space)
-    p, q = kern.rows(point_array(space, xs)), kern.cols(point_array(space, ys))
+    p, q = kern.rows(xs), kern.cols(ys)
     n, m = len(xs), len(ys)
     rows = max(1, _BLOCK_ELEMS // m)
     buf = np.empty(min(rows, n) * m)

@@ -75,7 +75,7 @@ def _fold_check(eng: EdgeScanner, value_fn, tol: float) -> CheckResult:
     worst, pos, _ = fold_max(eng, value_fn)
     if worst is None:
         return CheckResult(True, margin=0.0)
-    return CheckResult(worst <= tol, worst_edge=eng.edge_points(*pos), margin=worst)
+    return CheckResult(worst <= tol, worst_edge=tuple(eng.points[i] for i in pos), margin=worst)
 
 
 def _crr_excess(params: CrrParams, dab: float):

@@ -96,6 +96,25 @@ class TestSolve:
         assert len(errors) == 1 and errors[0].startswith("error: bad start point")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("builder, argv", [
+        (lambda: gp.interval_example(0.5), ["--start=nan"]),
+        (lambda: gp.interval_example(0.5), ["--start=inf"]),
+        (lambda: gp.interval_example(0.5), ["--start=-inf"]),
+        (lambda: gp.ellipse_example(0.5), ["--start=0,nan"]),
+        (lambda: gp.segments_example(0.25), ["--mode=parallel", "--start-b=0,inf"]),
+        (lambda: gp.segments_example(0.25), ["--mode=parallel", "--start=nan,1"]),
+    ])
+    def test_non_finite_start_is_usage_error(self, capsys, tmp_path, builder, argv):
+        path = tmp_path / "coords.gpx"
+        gp.save_instance(builder(), path)
+        with pytest.raises(SystemExit) as err:
+            main(["solve", str(path), *argv])
+        captured = capsys.readouterr()
+        errors = [ln for ln in captured.err.splitlines() if ln.startswith("error:")]
+        assert err.value.code == 2
+        assert len(errors) == 1 and errors[0].startswith("error: bad start point")
+        assert captured.out == ""
+
     def test_alternating_needs_constants(self, capsys, tmp_path):
         path = tmp_path / "seg.gpx"
         gp.save_instance(gp.segments_example(0.25), path)

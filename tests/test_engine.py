@@ -4,6 +4,8 @@ import contextlib
 import dataclasses
 import io
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -458,3 +460,155 @@ def test_one_block_pass_reserves_only_its_edges():
     n = len(inst.points)
     (blk,) = inst.engine.blocks()
     assert blk[2].size == blk[2].base.size == n * n < gproximity._scan._BLOCK_ELEMS
+
+
+# Result sets carry the scan positions of their members; the diameters are
+# gathers by position.
+
+def on_grid(inst, seed):
+    """A tabulated instance of this module moved onto distinct points of a
+    4 x 4 grid, as a coordinate instance with the same sets, graph and maps;
+    the uneven spacing makes distances that round."""
+    rng = np.random.default_rng(seed)
+    grid = [(0.3 * x, 0.7 * y) for x in range(4) for y in range(4)]
+    n = inst.space.n
+    coords = [grid[k] for k in rng.permutation(len(grid))[:n]]
+    index = {p: k for k, p in enumerate(coords)}
+
+    def moved(m):
+        return gp.CyclicMap(m.name, fn=lambda p: coords[m(index[p])])
+
+    g = inst.graph
+    if g.rule == "explicit":
+        g = gp.explicit_graph({(coords[i], coords[j]) for i, j in g.edges})
+    elif g.rule == "custom":
+        g = gp.custom_graph("listed", lambda x, y, pred=g.predicate: pred(index[x], index[y]))
+    sets = gp.SubsetPair(tuple(coords[k] for k in inst.sets.a),
+                         tuple(coords[k] for k in inst.sets.b))
+    if inst.map_pair is not None:
+        pair = gp.MapPair(moved(inst.map_pair.t), moved(inst.map_pair.s))
+        return gp.Instance(inst.name, gp.CoordinateSpace(2), sets, g, map_pair=pair)
+    return gp.Instance(inst.name, gp.CoordinateSpace(2), sets, g,
+                       cyclic_map=moved(inst.cyclic_map))
+
+
+def build_case(seed, rule, kind, coords):
+    inst = (pair_instance if kind == "pair" else single_instance)(seed, rule)
+    return on_grid(inst, seed) if coords else inst
+
+
+class Unreadable(tuple):
+    """A members tuple that keeps its length but cannot be read."""
+
+    def __iter__(self):
+        raise AssertionError("members were read")
+
+    def __getitem__(self, k):
+        raise AssertionError("members were read")
+
+
+def check_positions(inst, s, diameter, brute):
+    """Positions index inst.points to the members (a pair set's through the
+    A x B scan order); the diameter equals the brute-force value bitwise and
+    never reads the members."""
+    pts = inst.points
+    if isinstance(s, gp.PairProximitySet):
+        i, j = inst.pair_engine.edge_pairs(s.positions)
+        assert tuple(zip((pts[k] for k in i), (pts[k] for k in j))) == s.members
+    else:
+        assert tuple(pts[k] for k in s.positions) == s.members
+    assert s == dataclasses.replace(s, positions=None) and "positions" not in repr(s)
+    if not s.members:
+        with pytest.raises(gp.DomainError):
+            diameter(inst, s)
+        return
+    value = diameter(inst, s)
+    assert value == brute
+    assert diameter(inst, dataclasses.replace(s, members=Unreadable(s.members))) == value
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from(RULES), st.sampled_from(("single", "pair")),
+       st.booleans(), st.sampled_from(BLOCKS))
+def test_sets_carry_positions_and_gather_diameters(seed, rule, kind, coords, block):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gproximity._scan, "_BLOCK_ELEMS", block)
+        inst = build_case(seed, rule, kind, coords)
+        d = inst.space.distance
+        for eps in (0.0, 0.1, 0.5, 2.0):
+            if kind == "pair":
+                pps = gp.enumerate_pair_set(inst, eps)
+                check_positions(inst, pps, gp.pair_diameter,
+                                max((d(x, y) for x, y in pps.members), default=None))
+                continue
+            for mode in (gp.STRICT, gp.VACUOUS):
+                ps = gp.enumerate_proximity_set(inst, eps, mode=mode)
+                check_positions(inst, ps, gp.proximity_diameter,
+                                max((d(x, y) for x in ps.members for y in ps.members),
+                                    default=None))
+
+
+def test_identity_pair_sets_carry_positions():
+    """A = B and T = S = identity: every pair of the shared cloud."""
+    inst = gp.identity_pair_instance(2, n=7)
+    pps = gp.enumerate_pair_set(inst, 10.0)
+    assert len(pps.members) == 49
+    d = inst.space.distance
+    check_positions(inst, pps, gp.pair_diameter, max(d(x, y) for x, y in pps.members))
+
+
+def test_sets_built_by_hand_have_no_diameter():
+    single = single_instance(4, "complete")
+    pair = pair_instance(4, "complete")
+    x, y = pair.sets.a[0], pair.sets.b[0]
+    with pytest.raises(gp.DomainError, match="scan positions"):
+        gp.proximity_diameter(single, gp.ProximitySet(0.0, (single.points[0],), gp.STRICT))
+    with pytest.raises(gp.DomainError, match="scan positions"):
+        gp.pair_diameter(pair, gp.PairProximitySet(0.0, ((x, y),)))
+    with pytest.raises(gp.DomainError, match="empty"):
+        gp.pair_diameter(pair, gp.PairProximitySet(0.0, ()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from(RULES), st.booleans(),
+       st.sampled_from((TOL, 0.0)))
+def test_solver_witness_is_a_set_member(seed, rule, coords, tol):
+    """A witness find_proximity_point returns at epsilon belongs to the
+    strict set at the same epsilon and tol, also at an epsilon equal to a
+    point's own residual, where the two comparisons meet."""
+    inst = build_case(seed, rule, "single", coords)
+    f = inst.cyclic_map
+    residuals = [inst.space.distance(x, f(x)) - inst.d_ab for x in inst.points]
+    for eps in sorted({0.05, 0.3, *(r for r in residuals if r > 0)}):
+        cfg = gp.SolveConfig(eps, 20, tol)
+        members = set(gp.enumerate_proximity_set(inst, eps, tol=tol).members)
+        for x0 in inst.points:
+            res = gp.find_proximity_point(inst, x0, cfg)
+            if res.found:
+                assert res.witness in members, (eps, x0, res.witness)
+
+
+LIBRARY_PASS = """
+import sys
+import gproximity as gp
+single = gp.random_instance(3, 6, 6, graph_rule="random:0.5")
+pair = gp.identity_pair_instance(4, n=8)
+before = set(sys.modules)
+gp.is_edge_nonexpansive(single)
+ps = gp.enumerate_proximity_set(single, 1.0)
+gp.proximity_diameter(single, ps)
+gp.minimizer_report(single)
+gp.pair_preserves_edges(pair)
+gp.pair_diameter(pair, gp.enumerate_pair_set(pair, 1.0))
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_library_pass_imports_nothing():
+    """Scans of listed graphs, set enumeration and diameters import no module
+    on first use (``np.unique`` would import numpy.ma): in a long-running
+    process such an import is a few hundred long-lived allocations made in
+    the middle of whatever the heap holds at that moment."""
+    out = subprocess.run([sys.executable, "-c", LIBRARY_PASS], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.split() == []

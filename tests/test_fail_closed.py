@@ -23,14 +23,15 @@ BASES = (gp.dumps(gp.random_instance(1, 3, 3)),
 TOKENS = ("-1", "nan", "inf", "1e309", "n", "")
 VALUES = ("nan", "inf", "-1", "0")
 
-#: argv builders (single-map file, pair file, value): one per float option
-#: and --start.
+#: argv builders (single-map file, pair file, value): one per float option,
+#: --max-iter and --start.
 ARG_CASES = (
     lambda f, p, v: [f"--tol={v}", "validate", f],
     lambda f, p, v: [f"--tol={v}", "classify", f],
     lambda f, p, v: ["classify", f, f"--alpha={v}"],
     lambda f, p, v: ["classify", f, f"--crr-grid={v}"],
     lambda f, p, v: ["solve", f, f"--epsilon={v}"],
+    lambda f, p, v: ["solve", f, f"--max-iter={v}"],
     lambda f, p, v: ["enumerate", f, f"--epsilon={v}"],
     lambda f, p, v: ["solve", p, "--mode=alternating", "--alpha=0.5", f"--gamma={v}"],
     lambda f, p, v: ["solve", p, "--mode=alternating", f"--alpha={v}", "--gamma=0.5"],
@@ -135,6 +136,8 @@ def test_non_finite_float_option_is_usage_error(files, option, argv, value):
     ("--epsilon", ["solve", "{single}", "--epsilon=-1"]),
     ("--epsilon", ["solve", "{single}", "--epsilon=0"]),
     ("--epsilon", ["enumerate", "{single}", "--epsilon=-1"]),
+    ("--max-iter", ["solve", "{single}", "--max-iter=0"]),
+    ("--max-iter", ["solve", "{single}", "--max-iter=-3"]),
     ("--tol", ["--tol=-1", "validate", "{single}"]),
     ("--tol", ["--tol=-1", "classify", "{single}"]),
 ])
@@ -149,6 +152,7 @@ def test_out_of_domain_option_is_usage_error(files, option, argv):
 
 @pytest.mark.parametrize("argv", [
     ["enumerate", "{single}", "--epsilon=0"],
+    ["solve", "{single}", "--max-iter=1"],
     ["--tol=0", "classify", "{single}", "--alpha=0.5"],
     ["solve", "{pair}", "--mode=alternating", "--alpha=0", "--gamma=1"],
 ])

@@ -4,6 +4,7 @@ from gproximity import (complete_graph, contains_edge, custom_graph,
                         diagonal_graph, explicit_graph, iter_edges,
                         preserves_edges, validate_graph)
 from gproximity.graph import edge_index
+from gproximity.metric import point_positions
 from gproximity.errors import DomainError
 
 PTS = (0, 1, 2, 3)
@@ -95,7 +96,7 @@ class TestPreservesEdges:
 
 class TestEdgeIndex:
     def pairs(self, g, rows=None, cols=None):
-        index = edge_index(g, PTS, rows, cols)
+        index = edge_index(g, point_positions(PTS), rows, cols)
         return None if index is None else list(zip(index[0].tolist(), index[1].tolist()))
 
     def test_complete_is_all_pairs(self):

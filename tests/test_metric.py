@@ -280,6 +280,22 @@ def test_distance_kernel_bitwise_equal_to_reference(dim, n, m, seed, chunk):
     same_bits(gproximity._scan.elem_dists(table, rows, cols), table.dist[rows, cols])
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+def test_scalar_distance_bitwise_equal_to_kernel(dim, seed):
+    """CoordinateSpace.distance, which the solver reads, against the kernel
+    that the scans, d(A,B) and enumerate read."""
+    import gproximity._scan
+
+    rng = np.random.default_rng(seed)
+    p, q = rng.normal(size=(2, 200, dim)) * 10.0 ** rng.integers(-3, 4, size=(2, 200, 1))
+    space = CoordinateSpace(dim)
+    scalar = [space.distance(tuple(x), tuple(y)) for x, y in zip(p.tolist(), q.tolist())]
+    same_bits(np.array(scalar), gproximity._scan.elem_dists(space, p, q))
+    with pytest.raises(ValueError):
+        space.distance((0.0,) * dim, (0.0,) * (dim + 1))
+
+
 def test_table_kernel_rejects_foreign_indices():
     import gproximity._scan
 
