@@ -320,10 +320,8 @@ def dumps(inst: Instance) -> str:
     if g.rule in (COMPLETE, DIAGONAL):
         lines.append(f"graph: {g.rule}")
     elif g.rule == EXPLICIT:
-        edges = sorted(g.edges)
-        lines.append(f"graph: edges {len(edges)}")
-        for x, y in edges:
-            lines.append(f"edge: {x} {y}")
+        lines.append(f"graph: edges {len(g.edges)}")
+        lines.extend(f"edge: {x} {y}" for x, y in sorted(g.edges))
     else:
         raise SpecError("custom graphs do not serialize")
     if inst.map_pair is not None:
@@ -336,9 +334,8 @@ def dumps(inst: Instance) -> str:
     else:
         lines.append("map: none")
     lines.append("dist:")
-    for i in range(1, n):
-        row = " ".join(repr(float(inst.space.dist[i, j])) for j in range(i))
-        lines.append(f"row: {row}")
+    d = inst.space.dist
+    lines.extend("row: " + " ".join(map(repr, d[i, :i].tolist())) for i in range(1, n))
     return "\n".join(lines) + "\n"
 
 
@@ -367,6 +364,43 @@ class _Reader:
 
     def error(self, message: str):
         raise ParseError(message, line=self.pos)
+
+    def columns(self, key: str, count: int, widths, parse):
+        """The next ``count`` lines' values in one pass, or None (``pos``
+        unmoved) for the caller to read them line by line instead.  Each line
+        must start with ``key: `` and hold ``widths`` values (one number, or
+        one per line); ``parse`` converts all tokens but the line-start keys
+        at once and raises KeyError or ValueError on any it rejects, a key
+        included, so a token moved across a line break fails it."""
+        text = "\n".join(self.lines[self.pos:self.pos + count])
+        if ("\n" + text).count(f"\n{key}: ") != count:
+            return None
+        toks = np.array(text.split(), dtype=object)
+        spans = np.broadcast_to(np.asarray(widths) + 1, count)
+        keys = np.zeros(spans.sum(), dtype=bool)
+        keys[np.cumsum(spans) - spans] = True
+        if len(toks) != len(keys):
+            return None
+        try:
+            values = parse(toks[~keys].tolist())
+        except (KeyError, ValueError):
+            return None
+        self.pos += count
+        return values
+
+
+def _indices_below(n: int, toks) -> list:
+    """int of each token, once per distinct one: ValueError for a token that
+    is no int, KeyError for an index outside 0..n-1."""
+    index = {tok: i for tok in set(toks) if 0 <= (i := int(tok)) < n}
+    return list(map(index.__getitem__, toks))
+
+
+def _finite_floats(toks) -> np.ndarray:
+    values = np.array(list(map(float, toks)))
+    if not np.isfinite(values).all():
+        raise ValueError("non-finite distance")
+    return values
 
 
 def _parse_value(text: str):
@@ -450,13 +484,17 @@ def loads(text: str) -> Instance:
             count = int(gspec.split()[1])
         except (IndexError, ValueError):
             r.error(f"malformed edge count in {gspec!r}")
-        edges = set()
-        for _ in range(count):
-            body = r.next("edge")
-            pair = ints(body, "edge")
-            if len(pair) != 2:
-                r.error(f"malformed edge {body!r}")
-            edges.add(in_range(pair, "edge"))
+        ends = r.columns("edge", count, 2, lambda toks: _indices_below(n, toks))
+        if ends is not None:
+            edges = zip(ends[::2], ends[1::2])
+        else:
+            edges = set()
+            for _ in range(count):
+                body = r.next("edge")
+                pair = ints(body, "edge")
+                if len(pair) != 2:
+                    r.error(f"malformed edge {body!r}")
+                edges.add(in_range(pair, "edge"))
         graph = explicit_graph(edges)
     else:
         r.error(f"unknown graph spec {gspec!r}")
@@ -473,18 +511,24 @@ def loads(text: str) -> Instance:
     if r.next() != "dist:":
         r.error("expected 'dist:' section")
     dist = np.zeros((n, n))
-    for i in range(1, n):
-        row = r.next("row").split()
-        if len(row) != i:
-            r.error(f"row {i} must carry {i} entries, got {len(row)}")
-        try:
-            values = [float(tok) for tok in row]
-        except ValueError:
-            r.error(f"malformed distance in row {i}")
-        if not all(math.isfinite(v) for v in values):
-            r.error(f"non-finite distance in row {i}")
-        dist[i, :i] = values
-        dist[:i, i] = values
+    lower = r.columns("row", n - 1, np.arange(1, n), _finite_floats)
+    if lower is not None:
+        below = np.tril_indices(n, -1)
+        dist[below] = lower
+        dist[below[::-1]] = lower
+    else:
+        for i in range(1, n):
+            row = r.next("row").split()
+            if len(row) != i:
+                r.error(f"row {i} must carry {i} entries, got {len(row)}")
+            try:
+                values = [float(tok) for tok in row]
+            except ValueError:
+                r.error(f"malformed distance in row {i}")
+            if not all(math.isfinite(v) for v in values):
+                r.error(f"non-finite distance in row {i}")
+            dist[i, :i] = values
+            dist[:i, i] = values
     return Instance(name, TabulatedSpace(dist), SubsetPair(a, b), graph,
                     cyclic_map=fmap, map_pair=pair)
 

@@ -255,6 +255,8 @@ def validate_metric(space, tol: float = DEFAULT_TOL) -> ValidationReport:
     for i0 in range(0, n, step):
         excess = d[i0:i0 + step, :, None] + d[None, :, :]  # [i, k, j]
         np.subtract(d[i0:i0 + step, None, :], excess, out=excess)
+        if not excess.max() > tol:
+            continue
         for i, k, j in np.argwhere(excess > tol):
             i += i0
             out.append(Violation("triangle", (int(i), int(k), int(j)),
@@ -286,8 +288,19 @@ def validate_sets(space, sets: SubsetPair) -> ValidationReport:
 
 
 def pair_distance(space, sets: SubsetPair) -> float:
-    """min over a in A, b in B of d(a, b), evaluated on the stored samples."""
-    return _fold_cross(space, point_array(space, sets.a), point_array(space, sets.b), np.min)
+    """min over a in A, b in B of d(a, b), evaluated on the stored samples;
+    0.0 with no fold at a shared point p when nothing lies below d(p, p) =
+    +0.0 (in a table: d(p, p) = 0 and no entry with its sign bit set)."""
+    shared = not sets._a_set.isdisjoint(sets.b)
+    if shared and isinstance(space, CoordinateSpace):
+        return 0.0
+    xs, ys = point_array(space, sets.a), point_array(space, sets.b)
+    if shared:
+        DistanceKernel(space).cols(np.concatenate([xs, ys]))  # foreign indices raise
+        d, both = space.dist, list(sets._a_set.intersection(sets.b))
+        if not np.signbit(d).any() and (d[both, both] == 0).any():
+            return 0.0
+    return _fold_cross(space, xs, ys, np.min)
 
 
 def set_diameter(space, points) -> float:

@@ -227,7 +227,7 @@ def two_map_alternating(inst: Instance, x1, y1, alpha: float, gamma: float,
         bound = decay * d0 + (1.0 - decay) * dab
         bounds.append(bound)
         res.append(gap - dab)
-        if gap <= dab + cfg.epsilon + cfg.tol:
+        if res[-1] <= cfg.epsilon + cfg.tol:
             return SolveResult(FOUND, (x, y), n, IterationTrace(tuple(pts), tuple(res)),
                                bounds=tuple(bounds))
         if n == cfg.max_iter:

@@ -1,5 +1,6 @@
 """Builders and the text serialization format."""
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gproximity as gp
+from gproximity import instances
 from gproximity.errors import ParseError, SpecError
 
 
@@ -236,3 +238,155 @@ def test_random_instance_roundtrip_property(seed, n_a, n_b):
     assert np.array_equal(back.space.dist, inst.space.dist)
     assert back.cyclic_map.table == inst.cyclic_map.table
     assert back.sets.a == inst.sets.a and back.sets.b == inst.sets.b
+
+
+def test_dumps_rows_repr_each_entry():
+    inst = gp.random_instance(3, 4, 5)
+    d = inst.space.dist
+    rows = [ln for ln in gp.dumps(inst).splitlines() if ln.startswith("row:")]
+    assert rows == ["row: " + " ".join(repr(float(d[i, j])) for j in range(i))
+                    for i in range(1, inst.space.n)]
+
+
+# ------------------------------------------------ columnar edge:/row: sections
+
+#: Tabulated files: explicit edges with one map and with a map pair, a
+#: complete graph, and a table with negative zeros in it.
+LOADER_BASES = (
+    gp.dumps(gp.random_instance(5, 3, 4, graph_rule="random:0.5")),
+    gp.dumps(gp.random_instance(6, 2, 2, graph_rule="random:0.3")),
+    gp.dumps(gp.contraction_instance(7, rays=2, depth=1)),
+    gp.dumps(gp.identity_pair_instance(8, n=3)).replace("graph: complete",
+                                                          "graph: edges 2\nedge: 0 1\nedge: 2 2"),
+    "gproximity-instance v1\nname: zeros\nkind: tabulated\nn: 3\nA: 0 1\nB: 2\n"
+    "graph: edges 1\nedge: 2 0\nmap: none\ndist:\nrow: -0.0\nrow: 1.5 -0.0\n",
+)
+VALUE_TOKENS = ("nan", "inf", "-inf", "-1", "3", "99", "1e309", "-0.0", "+1", "1_0",
+                "007", "0x1", "1.0", "edge:", "row:", "")
+
+
+def line_reader_only():
+    """The section fast path switched off: every line goes through _Reader."""
+    return mock.patch.object(instances._Reader, "columns", lambda *args: None)
+
+
+def load_outcome(text):
+    try:
+        inst = gp.loads(text)
+    except ParseError as exc:
+        return ("error", str(exc), exc.line)
+    tables = [m.table for m in (inst.cyclic_map, inst.map_pair and inst.map_pair.t,
+                                inst.map_pair and inst.map_pair.s) if m]
+    edges = inst.graph.edges
+    return ("ok", inst.name, inst.space.dist.tobytes(), inst.space.dist.shape,
+            inst.graph.rule, edges, edges and {type(v) for e in edges for v in e},
+            inst.sets.a, inst.sets.b, tables)
+
+
+@st.composite
+def mutated_sections(draw):
+    """A tabulated dumps text with one to three edits, mostly inside its
+    edge: and row: sections."""
+    lines = draw(st.sampled_from(LOADER_BASES)).splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        body = [k for k, ln in enumerate(lines) if ln.startswith(("edge:", "row:"))]
+        k = draw(st.sampled_from(body or [len(lines) - 1]))
+        how = draw(st.sampled_from(("blank", "extra", "missing", "nospace", "value",
+                                    "duplicate", "truncate", "indent")))
+        toks = lines[k].split(" ")
+        if how == "blank":
+            lines.insert(k, draw(st.sampled_from(("", "   "))))
+        elif how == "extra":
+            lines[k] += " " + draw(st.sampled_from(VALUE_TOKENS))
+        elif how == "missing":
+            lines[k] = " ".join(toks[:-1])
+        elif how == "nospace":
+            lines[k] = lines[k].replace(": ", ":", 1)
+        elif how == "value":
+            toks[draw(st.integers(0, len(toks) - 1))] = draw(st.sampled_from(VALUE_TOKENS))
+            lines[k] = " ".join(toks)
+        elif how == "duplicate":
+            lines.insert(k, lines[k])
+            head = next((i for i, ln in enumerate(lines) if ln.startswith("graph: edges ")), None)
+            if lines[k].startswith("edge:") and head is not None and draw(st.booleans()):
+                count = int(lines[head].split()[2])
+                lines[head] = f"graph: edges {count + 1}"
+        elif how == "truncate":
+            del lines[k:]
+        else:
+            lines[k] = "  " + lines[k]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_sections())
+def test_columnar_sections_match_the_line_reader(text):
+    """Every file loads to the instance the line reader builds (distances
+    bitwise, edges, tables, sets) or fails with its error text and line."""
+    fast = load_outcome(text)
+    with line_reader_only():
+        assert fast == load_outcome(text)
+
+
+@pytest.mark.parametrize("base", LOADER_BASES)
+def test_canonical_sections_load_as_the_line_reader_does(base):
+    fast = load_outcome(base)
+    with line_reader_only():
+        assert fast == load_outcome(base)
+    assert fast[0] == "ok"
+
+
+SHAPES_HEAD = ("gproximity-instance v1\nname: shapes\nkind: tabulated\nn: 3\nA: 0 1\nB: 2\n"
+               "graph: edges 3\n")
+SHAPES_ROWS = "map: none\ndist:\nrow: 1.0\nrow: 2.0 1.5\n"
+
+
+@pytest.mark.parametrize("text", [
+    SHAPES_HEAD + "edge: 0 1\nedge: 1 2\nedge: 2 0\n" + SHAPES_ROWS,
+    # a token moved across a line break: a key among the values
+    SHAPES_HEAD + "edge: 0 1 1\nedge: 2\nedge: 2 0\n" + SHAPES_ROWS,
+    SHAPES_HEAD + "edge: 0 1\nedge: 1 2\nedge: 2 0\n" + SHAPES_ROWS.replace("1.0\n", "1.0 2.0\n"),
+    # the right token count, but a line that does not start with its key
+    SHAPES_HEAD + "edge: 0\n1 edge: 1 2\nedge: 2 0\n" + SHAPES_ROWS,
+    SHAPES_HEAD + "edge: 0 1\nedge: 1 2\nedge: 2 0\n" + SHAPES_ROWS.replace("1.0\nrow:", "1.0 row:\n"),
+    SHAPES_HEAD + "edge: 0 1 edge: 1 2\nedge: \nedge: 2\n" + SHAPES_ROWS,
+    # empty, negative and unmet edge counts; a one-point file has no rows
+    SHAPES_HEAD.replace("edges 3", "edges 0") + SHAPES_ROWS,
+    SHAPES_HEAD.replace("edges 3", "edges -2") + SHAPES_ROWS,
+    SHAPES_HEAD.replace("edges 3", "edges 99") + "edge: 0 1\n" + SHAPES_ROWS,
+    "gproximity-instance v1\nname: one\nkind: tabulated\nn: 1\nA: 0\nB: 0\n"
+    "graph: edges 1\nedge: 0 0\nmap: none\ndist:\n",
+])
+def test_hand_made_sections_match_the_line_reader(text):
+    fast = load_outcome(text)
+    with line_reader_only():
+        assert fast == load_outcome(text)
+
+
+def test_duplicate_edge_lines_collapse():
+    text = LOADER_BASES[4].replace("graph: edges 1\nedge: 2 0", "graph: edges 3\nedge: 2 0\n"
+                                   "edge: 1 1\nedge: 2 0")
+    assert gp.loads(text).graph.edges == {(2, 0), (1, 1)}
+
+
+def test_canonical_sections_skip_the_line_walk():
+    """A canonical file reads its edge: and row: sections in one pass each:
+    the number of _Reader.next calls does not grow with the line count."""
+    calls = []
+    real_next = instances._Reader.next
+
+    def counting_next(self, *args):
+        calls.append(self.pos)
+        return real_next(self, *args)
+
+    big = gp.random_instance(9, 100, 100, graph_rule="random:0.9")
+    small = gp.random_instance(9, 2, 2, graph_rule="random:0.9")
+    texts = [gp.dumps(big), gp.dumps(small)]
+    assert len(big.graph.edges) > 35_000 and texts[0].count("\n") > 35_000
+    counts = []
+    with mock.patch.object(instances._Reader, "next", counting_next):
+        for text in texts:
+            calls.clear()
+            gp.loads(text)
+            counts.append(len(calls))
+    assert counts[0] == counts[1] <= 12

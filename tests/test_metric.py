@@ -78,6 +78,20 @@ class TestValidateMetric:
                     if d[i, j] - (d[i, k] + d[k, j]) > 1e-9]
         assert found == expected and expected
 
+    def test_triangle_blocks_without_violations_are_skipped_exactly(self, monkeypatch):
+        """One violation barely above tol in one block of four: the other
+        blocks skip ``argwhere``, and the list is the triple loop's."""
+        import gproximity._scan
+
+        monkeypatch.setattr(gproximity._scan, "_BLOCK_ELEMS", 100)
+        d = np.abs(np.subtract.outer(np.arange(7.0), np.arange(7.0)))  # points on a line
+        d[2, 4] = d[4, 2] = 2.0 + 1.5e-9
+        report = validate_metric(TabulatedSpace(d))
+        found = [v.where for v in report.violations]
+        expected = [(i, k, j) for i in range(7) for k in range(7) for j in range(7)
+                    if d[i, j] - (d[i, k] + d[k, j]) > 1e-9]
+        assert found == expected == [(2, 3, 4), (4, 3, 2)]
+
     def test_triangle_check_memory_stays_below_one_cube(self):
         import tracemalloc
 
@@ -166,6 +180,82 @@ class TestPairDistance:
     def test_tabulated(self):
         space = TabulatedSpace(euclidean_table([(0, 0), (5, 0), (9, 0)]))
         assert pair_distance(space, SubsetPair(a=(0,), b=(1, 2))) == 5.0
+
+
+def same_float(x, y) -> bool:
+    return np.float64(x).tobytes() == np.float64(y).tobytes()
+
+
+class TestPairDistanceShortcut:
+    """Shared points give d(A, B) = 0.0 without a fold, bit for bit the
+    fold's value; tables with sign bits or a non-zero diagonal keep the fold."""
+
+    @staticmethod
+    def fold(space, sets):
+        from gproximity.metric import _fold_cross, point_array
+
+        return _fold_cross(space, point_array(space, sets.a), point_array(space, sets.b), np.min)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 7), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from(("plain", "negative-zero", "negative", "diagonal")))
+    def test_tables_bitwise_equal_to_fold(self, n, seed, kind):
+        rng = np.random.default_rng(seed)
+        d = np.round(rng.uniform(0, 2, size=(n, n)), 1)
+        d = np.minimum(d, d.T)
+        np.fill_diagonal(d, 0.0)
+        i, j = rng.integers(n, size=2)
+        if kind == "negative-zero":
+            d[i, j] = d[j, i] = -0.0
+        elif kind == "negative":
+            d[i, j] = d[j, i] = -0.5
+        elif kind == "diagonal":
+            d[i, i] = 0.5
+        space = TabulatedSpace(d)
+        a = tuple(sorted(set(rng.integers(n, size=rng.integers(1, n + 1)).tolist())))
+        b = tuple(sorted(set(rng.integers(n, size=rng.integers(1, n + 1)).tolist())))
+        sets = SubsetPair(a, b)
+        assert same_float(pair_distance(space, sets), self.fold(space, sets))
+
+    @pytest.mark.parametrize("entry, value", [(0.0, 0.0), (-0.0, -0.0), (-1.0, -1.0)])
+    def test_overlapping_table_with_sign_bits(self, entry, value):
+        d = np.array([[0.0, 1.0, entry], [1.0, 0.0, 2.0], [entry, 2.0, 0.0]])
+        sets = SubsetPair((0, 1), (1, 2))
+        got = pair_distance(TabulatedSpace(d), sets)
+        assert got == value and same_float(got, self.fold(TabulatedSpace(d), sets))
+
+    def test_shared_point_with_non_zero_self_distance_folds(self):
+        d = np.array([[0.5, 1.0], [1.0, 0.25]])
+        assert pair_distance(TabulatedSpace(d), SubsetPair((0, 1), (0,))) == 0.5
+
+    def test_shared_point_still_rejects_foreign_indices(self):
+        d = np.array([[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(DomainError):
+            pair_distance(TabulatedSpace(d), SubsetPair((0, 5), (0,)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 3), st.integers(0, 2 ** 32 - 1), st.booleans())
+    def test_coordinates_bitwise_equal_to_fold(self, dim, seed, overlap):
+        rng = np.random.default_rng(seed)
+        a = [tuple(p) for p in rng.integers(-3, 4, size=(6, dim)).astype(float).tolist()]
+        b = [tuple(p) for p in rng.integers(-3, 4, size=(5, dim)).astype(float).tolist()]
+        if overlap:
+            b.append(a[int(rng.integers(6))])
+        a.append(a[0])  # a repeated point: the overlap test reads sets, not counts
+        space, sets = CoordinateSpace(dim), SubsetPair(tuple(a), tuple(b))
+        assert same_float(pair_distance(space, sets), self.fold(space, sets))
+
+    def test_overlap_skips_the_fold(self, monkeypatch):
+        import gproximity.metric
+
+        def no_fold(*args):
+            raise AssertionError("folded")
+
+        monkeypatch.setattr(gproximity.metric, "_fold_cross", no_fold)
+        inst_sets = SubsetPair(((0.0, 0.5), (1.0, 0.0)), ((0.0, 0.5),))
+        assert pair_distance(CoordinateSpace(2), inst_sets) == 0.0
+        table = TabulatedSpace(euclidean_table([(0, 0), (1, 0)]))
+        assert pair_distance(table, SubsetPair((0, 1), (1,))) == 0.0
 
 
 class TestBlockedFolds:

@@ -1,7 +1,10 @@
 """Iteration schemes on closed-form instances with known orbits."""
 import math
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import gproximity as gp
 from gproximity import (CoordinateSpace, CyclicMap, Instance, MapPair,
@@ -215,3 +218,43 @@ def test_negative_index_is_outside_a_table_map():
         gp.find_proximity_point(inst, -1, SolveConfig(0.05))
     with pytest.raises(OrbitError):
         gp.picard_orbit(inst, -1, 3)
+
+
+def affine_lines(factor, shift, height):
+    """``affine_segments_pair`` at grid 0.05 with B at the given height, so
+    that d(A,B) = height."""
+    xs = [k / 20 for k in range(21)]
+    sets = SubsetPair(a=tuple((x, 0.0) for x in xs), b=tuple((x, height) for x in xs))
+    t = CyclicMap("t", fn=lambda p: (factor * p[0] + shift, height))
+    s = CyclicMap("s", fn=lambda p: (factor * p[0] + shift, 0.0))
+    return Instance("lines", CoordinateSpace(2), sets, complete_graph(), map_pair=MapPair(t, s))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from((0.0, 0.25, 0.5, 0.75)), st.sampled_from((0.0, 0.1, 0.25)),
+       st.sampled_from((0.1, 0.3, 0.7, 1.0)), st.integers(0, 20), st.integers(0, 20),
+       st.integers(0, 4), st.sampled_from((None, 0.0, 0.5, 1.5)), st.sampled_from((1e-9, 1e-4)))
+def test_alternating_stops_on_its_recorded_residual(factor, shift, height, i, j, k, frac, tol):
+    """The alternating scheme stops at its first step whose recorded residual
+    d(x, y) - d(A,B) is within epsilon + tol, with epsilon put on, just
+    inside and just outside a residual of the orbit (``frac=None``: the
+    largest epsilon whose epsilon + tol does not pass it)."""
+    inst = affine_lines(factor, min(shift, 1.0 - factor), height)
+
+    def run(epsilon):
+        return gp.two_map_alternating(inst, inst.sets.a[i], inst.sets.b[j], factor,
+                                      1.0 - factor, SolveConfig(epsilon, 40, tol=tol))
+
+    orbit = run(1e-300).trace.residuals
+    r = orbit[min(k, len(orbit) - 1)]
+    epsilon = r - (1.0 if frac is None else frac) * tol
+    while frac is None and np.nextafter(epsilon, np.inf) + tol <= r:
+        epsilon = np.nextafter(epsilon, np.inf)
+    while frac is None and epsilon + tol > r:
+        epsilon = np.nextafter(epsilon, -np.inf)
+    assume(epsilon > 0)
+    res = run(epsilon)
+    stop = next(n for n, q in enumerate(orbit) if q <= epsilon + tol)
+    assert res.found and res.iterations == stop
+    assert res.trace.residuals == orbit[:stop + 1]
+    assert res.trace.residuals[-1] <= epsilon + tol
