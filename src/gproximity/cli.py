@@ -272,24 +272,23 @@ def cmd_enumerate(args) -> int:
     return rep.finish(EXIT_NEGATIVE if (args.require_nonempty and size == 0) else EXIT_OK)
 
 
-_DEMOS = {"interval": (instances.interval_example, 0.01),
-          "ellipse": (instances.ellipse_example, 0.1),
-          "segments": (instances.segments_example, 0.01)}
+_DEMOS = {"interval": instances.interval_example,
+          "ellipse": instances.ellipse_example,
+          "segments": instances.segments_example}
 
 
 def cmd_demo(args) -> int:
     if args.name not in _DEMOS:
         print(f"error: unknown demo {args.name!r}", file=sys.stderr)
         return EXIT_USAGE
-    builder, step = _DEMOS[args.name]
-    step = args.grid_step if args.grid_step is not None else step
+    builder = _DEMOS[args.name]
     try:
-        inst = builder(step)
+        inst = builder() if args.grid_step is None else builder(args.grid_step)
     except GproximityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     rep = _report(inst, args)
-    rep.add("grid-step", _fmt(step))
+    rep.add("grid-step", _fmt(inst.grid_step))
     rep.section("validate")
     ok = _validation_block(rep, inst, args.tol)
     rep.section("classify")
@@ -330,12 +329,27 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"error: {message}\n")
 
 
+def _number(kind, test=None, domain=None):
+    """An argparse ``type=`` for a finite ``kind`` value inside ``domain``
+    (checked by ``test``); a rejected value is one usage error naming the
+    option."""
+    def convert(text):
+        value = kind(text)
+        if not -math.inf < value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be a finite number, got {value!r}")
+        if test is not None and not test(value):
+            raise argparse.ArgumentTypeError(f"must be {domain}, got {value!r}")
+        return value
+    convert.__name__ = kind.__name__  # argparse's "invalid float value" names it
+    return convert
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="gproximity",
         description="Approximate best proximity pairs on graph-endowed metric spaces")
-    parser.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                        help="absolute comparison slack (default 1e-9)")
+    parser.add_argument("--tol", type=_number(float, lambda v: v >= 0, "nonnegative"),
+                        default=DEFAULT_TOL, help="absolute comparison slack (default 1e-9)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="check metric, graph and cyclicity axioms")
@@ -344,10 +358,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="classify the map against the operator classes")
     p.add_argument("instance")
-    p.add_argument("--alpha", type=float, default=None,
-                   help="also test the contraction condition at this factor")
-    p.add_argument("--crr-grid", type=float, default=0.05,
-                   help="grid resolution for the constants search")
+    p.add_argument("--alpha", type=_number(float, lambda v: 0 < v < 1, "in (0, 1)"),
+                   default=None, help="also test the contraction condition at this factor")
+    p.add_argument("--crr-grid", type=_number(float, lambda v: v > 0, "positive"),
+                   default=0.05, help="grid resolution for the constants search")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("solve", help="run an iteration scheme")
@@ -357,15 +371,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", default=None,
                    help="start point: index, or comma-separated coordinates")
     p.add_argument("--start-b", default=None, help="second start point for pair modes")
-    p.add_argument("--epsilon", type=float, default=0.1)
-    p.add_argument("--max-iter", type=int, default=1000)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--gamma", type=float, default=None)
+    p.add_argument("--epsilon", type=_number(float, lambda v: v > 0, "positive"),
+                   default=0.1)
+    p.add_argument("--max-iter", type=_number(int, lambda v: v >= 1, "at least 1"),
+                   default=1000)
+    p.add_argument("--alpha", type=_number(float), default=None)
+    p.add_argument("--gamma", type=_number(float), default=None)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("enumerate", help="brute-force the approximate proximity set")
     p.add_argument("instance")
-    p.add_argument("--epsilon", type=float, default=0.1)
+    p.add_argument("--epsilon", type=_number(float, lambda v: v >= 0, "nonnegative"),
+                   default=0.1)
     p.add_argument("--mode", choices=[analysis.STRICT, analysis.VACUOUS],
                    default=analysis.STRICT)
     p.add_argument("--require-nonempty", action="store_true")
@@ -373,46 +390,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("demo", help="reproduce a worked example end to end")
     p.add_argument("name")
-    p.add_argument("--grid-step", type=float, default=None)
+    p.add_argument("--grid-step", type=_number(float), default=None)  # builders check the rest
     p.set_defaults(func=cmd_demo)
     return parser
 
 
-_FLOAT_OPTIONS = ("tol", "alpha", "crr_grid", "epsilon", "gamma", "grid_step")
-
-#: (option, commands it applies to or None for all, test, domain) of the
-#: options whose out-of-domain values are usage errors; --grid-step is left
-#: to the demo builders, which also check that the step divides the sets.
-_OPTION_DOMAINS = (
-    ("tol", None, lambda v: v >= 0, "nonnegative"),
-    ("max_iter", ("solve",), lambda v: v >= 1, "at least 1"),
-    ("alpha", ("classify",), lambda v: 0 < v < 1, "in (0, 1)"),
-    ("crr_grid", None, lambda v: v > 0, "positive"),
-    ("epsilon", ("solve",), lambda v: v > 0, "positive"),
-    ("epsilon", ("enumerate",), lambda v: v >= 0, "nonnegative"),
-)
-
-
-def _option_error(args):
-    """The usage error of the first non-finite or out-of-domain float option."""
-    for name in _FLOAT_OPTIONS:
-        value = getattr(args, name, None)
-        if value is not None and not math.isfinite(value):
-            return f"--{name.replace('_', '-')} must be a finite number, got {value!r}"
-    for name, commands, test, domain in _OPTION_DOMAINS:
-        value = getattr(args, name, None)
-        if value is not None and (commands is None or args.command in commands) \
-                and not test(value):
-            return f"--{name.replace('_', '-')} must be {domain}, got {value!r}"
-    return None
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    problem = _option_error(args)
-    if problem is not None:
-        print(f"error: {problem}", file=sys.stderr)
-        return EXIT_USAGE
     started = time.perf_counter()
     try:
         code = args.func(args)

@@ -365,28 +365,22 @@ class _Reader:
     def error(self, message: str):
         raise ParseError(message, line=self.pos)
 
-    def columns(self, key: str, count: int, widths, parse):
-        """The next ``count`` lines' values in one pass, or None (``pos``
-        unmoved) for the caller to read them line by line instead.  Each line
-        must start with ``key: `` and hold ``widths`` values (one number, or
-        one per line); ``parse`` converts all tokens but the line-start keys
-        at once and raises KeyError or ValueError on any it rejects, a key
-        included, so a token moved across a line break fails it."""
+    def columns(self, count: int, n: int):
+        """The next ``count`` lines as ``edge: <i> <j>`` pairs with both ends
+        in 0..n-1, read in one pass; None (``pos`` unmoved) for the caller to
+        read them line by line instead.  Every line must start with
+        ``edge: ``, and the tokens must come in threes, so a token moved
+        across a line break puts a key among the ends and fails them."""
         text = "\n".join(self.lines[self.pos:self.pos + count])
-        if ("\n" + text).count(f"\n{key}: ") != count:
-            return None
-        toks = np.array(text.split(), dtype=object)
-        spans = np.broadcast_to(np.asarray(widths) + 1, count)
-        keys = np.zeros(spans.sum(), dtype=bool)
-        keys[np.cumsum(spans) - spans] = True
-        if len(toks) != len(keys):
+        toks = text.split()
+        if ("\n" + text).count("\nedge: ") != count or len(toks) != 3 * count:
             return None
         try:
-            values = parse(toks[~keys].tolist())
+            ends = _indices_below(n, toks[1::3] + toks[2::3])
         except (KeyError, ValueError):
             return None
         self.pos += count
-        return values
+        return zip(ends[:count], ends[count:])
 
 
 def _indices_below(n: int, toks) -> list:
@@ -394,13 +388,6 @@ def _indices_below(n: int, toks) -> list:
     is no int, KeyError for an index outside 0..n-1."""
     index = {tok: i for tok in set(toks) if 0 <= (i := int(tok)) < n}
     return list(map(index.__getitem__, toks))
-
-
-def _finite_floats(toks) -> np.ndarray:
-    values = np.array(list(map(float, toks)))
-    if not np.isfinite(values).all():
-        raise ValueError("non-finite distance")
-    return values
 
 
 def _parse_value(text: str):
@@ -434,6 +421,8 @@ def loads(text: str) -> Instance:
             key = key.strip()
             if key not in accepted:
                 r.error(f"builder {builder!r} takes no argument {key!r}")
+            if key in kwargs:
+                r.error(f"argument {key!r} repeated")
             kwargs[key] = _parse_value(value.strip())
         try:
             return _BUILDERS[builder](**kwargs)
@@ -477,17 +466,18 @@ def loads(text: str) -> Instance:
     a = subset("A")
     b = subset("B")
     gspec = r.next("graph")
+    words = gspec.split()
     if gspec in (COMPLETE, DIAGONAL):
         graph = complete_graph() if gspec == COMPLETE else diagonal_graph()
-    elif gspec.startswith("edges"):
+    elif words[:1] == ["edges"]:
         try:
-            count = int(gspec.split()[1])
-        except (IndexError, ValueError):
+            (count,) = map(int, words[1:])
+        except ValueError:
             r.error(f"malformed edge count in {gspec!r}")
-        ends = r.columns("edge", count, 2, lambda toks: _indices_below(n, toks))
-        if ends is not None:
-            edges = zip(ends[::2], ends[1::2])
-        else:
+        if count < 0:
+            r.error(f"edge count {count} is negative")
+        edges = r.columns(count, n)
+        if edges is None:
             edges = set()
             for _ in range(count):
                 body = r.next("edge")
@@ -511,24 +501,21 @@ def loads(text: str) -> Instance:
     if r.next() != "dist:":
         r.error("expected 'dist:' section")
     dist = np.zeros((n, n))
-    lower = r.columns("row", n - 1, np.arange(1, n), _finite_floats)
-    if lower is not None:
-        below = np.tril_indices(n, -1)
-        dist[below] = lower
-        dist[below[::-1]] = lower
-    else:
-        for i in range(1, n):
-            row = r.next("row").split()
-            if len(row) != i:
-                r.error(f"row {i} must carry {i} entries, got {len(row)}")
-            try:
-                values = [float(tok) for tok in row]
-            except ValueError:
-                r.error(f"malformed distance in row {i}")
-            if not all(math.isfinite(v) for v in values):
-                r.error(f"non-finite distance in row {i}")
-            dist[i, :i] = values
-            dist[:i, i] = values
+    for i in range(1, n):
+        row = r.next("row").split()
+        if len(row) != i:
+            r.error(f"row {i} must carry {i} entries, got {len(row)}")
+        try:
+            values = [float(tok) for tok in row]
+        except ValueError:
+            r.error(f"malformed distance in row {i}")
+        if not all(math.isfinite(v) for v in values):
+            r.error(f"non-finite distance in row {i}")
+        dist[i, :i] = values
+        dist[:i, i] = values
+    if r.more():
+        extra = r.next()
+        r.error(f"unexpected line {extra!r} after the distance rows")
     return Instance(name, TabulatedSpace(dist), SubsetPair(a, b), graph,
                     cyclic_map=fmap, map_pair=pair)
 

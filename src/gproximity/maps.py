@@ -22,7 +22,6 @@ class CyclicMap:
     name: str
     table: Optional[tuple] = None
     fn: Optional[Callable] = None
-    params: tuple = ()
 
     def __post_init__(self):
         if (self.table is None) == (self.fn is None):
@@ -62,9 +61,9 @@ class CrrParams:
     gamma: float
 
     def __post_init__(self):
-        if min(self.alpha, self.beta, self.gamma) < 0:
+        if not min(self.alpha, self.beta, self.gamma) >= 0:
             raise DomainError("CRR constants must be nonnegative")
-        if self.alpha + 2 * self.beta + self.gamma >= 1:
+        if not self.alpha + 2 * self.beta + self.gamma < 1:
             raise DomainError("CRR constants must satisfy alpha + 2*beta + gamma < 1")
 
     @property

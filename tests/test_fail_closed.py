@@ -171,6 +171,8 @@ def test_domain_edges_stay_accepted(files, argv):
     lambda: gp.interval_example(NAN),
     lambda: gp.ellipse_example(NAN),
     lambda: gp.segments_example(NAN),
+    lambda: gp.CrrParams(NAN, 0.0, 0.0),
+    lambda: gp.CrrParams(0.0, 0.0, NAN),
 ])
 def test_library_guards_reject_nan(call):
     with pytest.raises(GproximityError):

@@ -149,14 +149,26 @@ class TestEpsilonFixedPoint:
                                      gp.SolveConfig(epsilon=0.5))
         assert res.found
 
+    def test_exhausts(self):
+        # d(z, Tz) runs 6, 3, 1.5, 0.75: never below epsilon in 3 steps
+        res = gp.epsilon_fixed_point(interval_like(), (-4.0,), 1,
+                                     SolveConfig(epsilon=0.1, max_iter=3))
+        assert res.status == gp.EXHAUSTED and res.witness is None
+        assert res.iterations == 3
+        assert len(res.trace.points) == len(res.trace.residuals) == 4
 
-def segments_pair():
+
+def segments_pair(graph=None):
     a = tuple((x / 4, 0.0) for x in range(5))
     b = tuple((x / 4, 1.0) for x in range(5))
     t = CyclicMap("t", fn=lambda p: (0.5, 1.0))
     s = CyclicMap("s", fn=lambda p: (0.5, 0.0))
     return Instance("segments", CoordinateSpace(2), SubsetPair(a=a, b=b),
-                    complete_graph(), map_pair=MapPair(t=t, s=s))
+                    graph or complete_graph(), map_pair=MapPair(t=t, s=s))
+
+
+#: An explicit graph on segments_pair() without the edge (0, 0) -> (1, 1).
+SPARSE = explicit_graph({((0.0, 0.0), (0.5, 1.0)), ((0.5, 1.0), (0.5, 0.0))})
 
 
 class TestTwoMapParallel:
@@ -172,6 +184,14 @@ class TestTwoMapParallel:
         with pytest.raises(DomainError):
             gp.two_map_parallel(inst, (9.0, 9.0), (1.0, 1.0),
                                 SolveConfig(epsilon=0.01))
+
+    def test_ineligible_start(self):
+        res = gp.two_map_parallel(segments_pair(SPARSE), (0.0, 0.0), (1.0, 1.0),
+                                  SolveConfig(epsilon=0.01))
+        assert res.status == gp.INELIGIBLE and res.witness is None
+        assert res.iterations == 0
+        assert res.trace.points == (((0.0, 0.0), (1.0, 1.0)),)
+        assert res.trace.residuals == ()
 
 
 class TestTwoMapAlternating:
@@ -190,6 +210,23 @@ class TestTwoMapAlternating:
         dab = inst.d_ab
         for r, b in zip(res.trace.residuals, res.bounds):
             assert r + dab <= b + 1e-9
+
+    def test_exhausts(self):
+        inst = affine_lines(0.5, 0.0, 1.0)
+        res = gp.two_map_alternating(inst, (0.0, 0.0), (1.0, 1.0), 0.5, 0.5,
+                                     SolveConfig(epsilon=1e-9, max_iter=3))
+        assert res.status == gp.EXHAUSTED and res.witness is None
+        assert res.iterations == 3
+        assert len(res.trace.points) == len(res.trace.residuals) == 4
+        assert len(res.bounds) == 3 + 1
+
+    def test_ineligible_start(self):
+        res = gp.two_map_alternating(segments_pair(SPARSE), (0.0, 0.0), (1.0, 1.0),
+                                     0.0, 1.0, SolveConfig(epsilon=0.01))
+        assert res.status == gp.INELIGIBLE and res.witness is None
+        assert res.iterations == 0
+        assert res.trace.points == (((0.0, 0.0), (1.0, 1.0)),)
+        assert res.trace.residuals == () and res.bounds is None
 
     def test_alpha_gamma_must_sum_to_one(self):
         inst = segments_pair()
