@@ -1,9 +1,12 @@
 """Internal vectorized edge scans.
 
-Per-edge checks (contraction factors, CRR inequalities, nonexpansiveness)
-reduce to folds over arrays D = d(x, y), DF = d(Fx, Gy) and
+Per-edge checks reduce to folds over arrays D = d(x, y), DF = d(Fx, Gy) and
 U = d(x, Fx) + d(y, Gy), streamed in blocks so complete graphs over large
-sample grids never materialize the full pair matrix at once.
+sample grids never materialize the full pair matrix at once.  Every check is
+DF <= a D + b U + c: (alpha, 0, 0) for a g-contraction, (1, 0, 0) for
+nonexpansiveness, (alpha, beta, gamma d(A, B)) for CRR constants.
+``fold_max`` folds its excess; the certificate pass folds the zero-length
+edges, ratio, margin and largest DF, which decide the first two classes.
 
 Half-triangle rule: a complete graph without an A x B rectangle, under one
 map on a metric that is exactly symmetric, makes D, DF and U bitwise
@@ -19,8 +22,9 @@ Buffers: an engine holds the kernel forms of its points and images (see
 ``metric.DistanceKernel``), built once.  Each pass of ``blocks()`` allocates
 D, DF, U and one kernel scratch array once, at the size of its largest
 block: at most ``_BLOCK_ELEMS`` pairs unless one row is longer, 512 KiB per
-float64 array, so that with the certificate's buffer they stay near a 2 MiB
-L2 cache.  The distance kernel writes every block into them in place.
+float64 array, so that with a fold's own buffers, also allocated once per
+pass, they stay near a 2 MiB L2 cache.  The distance kernel writes every
+block into them in place.
 
 Streaming contract: the arrays of a block are views of the pass's buffers,
 valid until the next block is requested, which overwrites them.  A consumer
@@ -35,9 +39,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .graph import contains_pairs, edge_index, first_unpreserved, image_positions
-from .metric import DEFAULT_TOL, DistanceKernel, point_array
-
-_BLOCK_ELEMS = 1 << 16
+from .metric import _BLOCK_ELEMS, DEFAULT_TOL, DistanceKernel, point_array
 
 
 def elem_dists(space, p, q):
@@ -60,15 +62,16 @@ def _gather(form, idx, buf):
 
 
 class Certificate(NamedTuple):
-    """One pass over a map's edges; each edge is the first (x, y) in scan order."""
+    """One pass over a map's edges, the diagonal among them; each edge is the
+    first (x, y) in scan order."""
 
     zero_edge: Optional[tuple]    # d(x, y) <= 0 while d(fx, fy) > DEFAULT_TOL
     ratio: float                  # max d(fx, fy) / d(x, y) over d(x, y) > 0, else 0
     ratio_edge: Optional[tuple]
-    margin: Optional[float]       # max d(fx, fy) - d(x, y), None without edges
-    margin_edge: Optional[tuple]
-    reach: Optional[float]        # max d(fx, fy), None without edges
-    reach_witness: Optional[tuple]  # (d, df, u) at the first edge reaching it
+    margin: float                 # max d(fx, fy) - d(x, y)
+    margin_edge: tuple
+    reach: float                  # max d(fx, fy)
+    reach_witness: tuple          # (d, df, u) at the first edge reaching it
 
 
 class EdgeScanner:
@@ -128,8 +131,6 @@ class EdgeScanner:
         if self.edges is not None:
             return min(_BLOCK_ELEMS, self.edges[0].size)
         layout = self._layout
-        if not layout.size:
-            return 0
         return int(((layout[:, 1] - layout[:, 0]) * (self.cols.size - layout[:, 2])).max())
 
     @cached_property
@@ -138,7 +139,7 @@ class EdgeScanner:
         first row rank, end row rank, first column rank, first scan position."""
         nr, nc = self.rows.size, self.cols.size
         out, s, pos = [], 0, 0
-        while s < nr and nc:
+        while s < nr:
             lo = s if self.symmetric else 0
             e = min(nr, s + max(1, _BLOCK_ELEMS // (nc - lo)))
             out.append((s, e, lo, pos))
@@ -210,41 +211,25 @@ class EdgeScanner:
     def certificate(self) -> Certificate:
         """Zero-edge check, largest ratio, nonexpansive margin and largest
         image distance, in one pass."""
-        zero = None
-        ratio, ratio_at = 0.0, None
-        margin = margin_at = None
-        reach = reach_witness = None
+        zero, ratio, margin, reach = _FirstMax(False), _FirstMax(0.0), _FirstMax(), _FirstMax()
         size = self._largest_block()
         values = np.empty(size)
         low, high = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
         for start, _stop, d, df, u in self.blocks():
-            m = d.size
-            if m == 0:
-                continue
-            buf, lo, hi = values[:m], low[:m], high[:m]
-            if zero is None:
+            buf, lo, hi = values[:d.size], low[:d.size], high[:d.size]
+            if not zero.value:
                 np.less_equal(d, 0.0, out=lo)
                 np.greater(df, DEFAULT_TOL, out=hi)
-                np.logical_and(lo, hi, out=lo)
-                p = int(np.argmax(lo))
-                if lo[p]:
-                    zero = start + p
+                zero.add(np.logical_and(lo, hi, out=lo), start, d, df, u)
             np.greater(d, 0.0, out=hi)
             if hi.any():
                 buf.fill(-np.inf)
-                np.divide(df, d, out=buf, where=hi)
-                p = int(np.argmax(buf))
-                if ratio_at is None or buf[p] > ratio:
-                    ratio, ratio_at = float(buf[p]), start + p
-            np.subtract(df, d, out=buf)
-            p = int(np.argmax(buf))
-            if margin is None or buf[p] > margin:
-                margin, margin_at = float(buf[p]), start + p
-            p = int(np.argmax(df))
-            if reach is None or df[p] > reach:
-                reach, reach_witness = float(df[p]), (float(d[p]), float(df[p]), float(u[p]))
-        return Certificate(self._edge(zero), ratio, self._edge(ratio_at),
-                           margin, self._edge(margin_at), reach, reach_witness)
+                ratio.add(np.divide(df, d, out=buf, where=hi), start, d, df, u)
+            margin.add(np.subtract(df, d, out=buf), start, d, df, u)
+            reach.add(df, start, d, df, u)
+        return Certificate(self._edge(zero.at if zero.value else None), ratio.value,
+                           self._edge(ratio.at), margin.value, self._edge(margin.at),
+                           reach.value, reach.witness)
 
     @cached_property
     def cuts(self) -> list:
@@ -257,26 +242,38 @@ class EdgeScanner:
         return None if k is None else tuple(self.points[i] for i in self.edge_at(k))
 
 
-def fold_max(scanner: EdgeScanner, value_fn):
-    """Max of value_fn(D, DF, U) over all edges, with the first arg-max edge.
+class _FirstMax:
+    """Running max of a fold over a scan's blocks, the first scan position
+    reaching it (a tie keeps the earlier edge, as the half-triangle rule
+    needs) and the (d, df, u) there; ``value`` is ``empty`` until a block."""
 
-    value_fn must be elementwise, so that the half-triangle scan of a
-    symmetric engine leaves the result unchanged.
+    def __init__(self, empty=None):
+        self.value, self.at, self.witness = empty, None, None
 
-    Returns (max_value, (i, j), (d, df, u)) with the winning edge's values,
-    or (None, None, None) when there are no edges.
+    def add(self, vals, start, d, df, u):
+        p = int(np.argmax(vals))
+        if self.at is None or vals[p] > self.value:
+            self.value, self.at = vals[p].item(), start + p
+            self.witness = (float(d[p]), float(df[p]), float(u[p]))
+
+
+def fold_max(scanner: EdgeScanner, a: float, b: float = 0.0, c: float = 0.0):
+    """Max over the edges of df - a*d - b*u - c, the excess of the edge
+    inequality d(fx, fy) <= a d(x, y) + b [d(x, fx) + d(y, fy)] + c, with
+    its first arg-max edge.
+
+    The terms are subtracted in that order, into two buffers allocated once
+    per pass.  Returns (max_value, (i, j), (d, df, u)) with the winning
+    edge's values, or (None, None, None) when there are no edges.
     """
-    best = best_at = best_vals = None
+    size = scanner._largest_block()
+    values, terms = np.empty(size), np.empty(size)
+    best = _FirstMax()
     for start, _stop, d, df, u in scanner.blocks():
-        if d.size == 0:
-            continue
-        vals = value_fn(d, df, u)
-        pos = int(np.argmax(vals))
-        v = float(vals[pos])
-        if best is None or v > best:
-            best = v
-            best_at = start + pos
-            best_vals = (float(d[pos]), float(df[pos]), float(u[pos]))
-    if best is None:
+        v, t = values[:d.size], terms[:d.size]
+        np.subtract(df, np.multiply(a, d, out=t), out=v)
+        np.subtract(v, np.multiply(b, u, out=t), out=v)
+        best.add(np.subtract(v, c, out=v), start, d, df, u)
+    if best.at is None:
         return None, None, None
-    return best, scanner.edge_at(best_at), best_vals
+    return best.value, scanner.edge_at(best.at), best.witness

@@ -16,16 +16,14 @@ from .errors import ParseError, SpecError
 from .graph import (COMPLETE, DIAGONAL, EXPLICIT, DirectedGraph,
                     complete_graph, diagonal_graph, explicit_graph)
 from .maps import CyclicMap, Instance, MapPair
-from .metric import CoordinateSpace, SubsetPair, TabulatedSpace, euclidean
-
-_EDGE_TOL = 1e-9
+from .metric import DEFAULT_TOL, CoordinateSpace, SubsetPair, TabulatedSpace, euclidean
 
 
 def _check_divides(step: float, length: float, what: str) -> int:
     if not step > 0:
         raise SpecError("grid step must be positive")
     k = round(length / step)
-    if k < 1 or abs(k * step - length) > _EDGE_TOL:
+    if k < 1 or abs(k * step - length) > DEFAULT_TOL:
         raise SpecError(f"grid step {step!r} does not divide {what} evenly")
     return k
 
@@ -44,8 +42,8 @@ def interval_example(grid_step: float = 0.01) -> Instance:
 
     sets = SubsetPair(
         a, b,
-        a_contains=lambda p: -3.0 - _EDGE_TOL <= p[0] <= -1.0 + _EDGE_TOL,
-        b_contains=lambda p: 1.0 - _EDGE_TOL <= p[0] <= 3.0 + _EDGE_TOL,
+        a_contains=lambda p: -3.0 - DEFAULT_TOL <= p[0] <= -1.0 + DEFAULT_TOL,
+        b_contains=lambda p: 1.0 - DEFAULT_TOL <= p[0] <= 3.0 + DEFAULT_TOL,
     )
     fmap = CyclicMap("interval-halving", fn=t)
     return Instance("interval", CoordinateSpace(1), sets, complete_graph(),
@@ -62,11 +60,11 @@ def ellipse_example(grid_step: float = 0.1) -> Instance:
 
     def in_a(p):
         x, y = p
-        return (x - y) ** 2 + y * y <= 1.0 + _EDGE_TOL
+        return (x - y) ** 2 + y * y <= 1.0 + DEFAULT_TOL
 
     def in_b(p):
         x, y = p
-        return (x + y) ** 2 + y * y <= 1.0 + _EDGE_TOL
+        return (x + y) ** 2 + y * y <= 1.0 + DEFAULT_TOL
 
     a = tuple((x, y) for x in axis for y in axis if in_a((x, y)))
     b = tuple((x, y) for x in axis for y in axis if in_b((x, y)))
@@ -91,8 +89,8 @@ def _segment_grids(grid_step: float):
     b = tuple((float(x), 1.0) for x in xs)
     sets = SubsetPair(
         a, b,
-        a_contains=lambda p: abs(p[1]) <= _EDGE_TOL,
-        b_contains=lambda p: abs(p[1] - 1.0) <= _EDGE_TOL,
+        a_contains=lambda p: abs(p[1]) <= DEFAULT_TOL,
+        b_contains=lambda p: abs(p[1] - 1.0) <= DEFAULT_TOL,
     )
     return sets
 
@@ -196,9 +194,7 @@ def random_instance(seed: int, n_a: int, n_b: int,
     fmap = CyclicMap(f"rule-{map_rule}", table=tuple(table[i] for i in range(n)))
     sets = SubsetPair(a_idx, b_idx)
     return Instance(f"random-{seed}", _tabulated_from_coords(coords), sets, graph,
-                    cyclic_map=fmap,
-                    params=(("seed", seed), ("map_rule", map_rule),
-                            ("graph_rule", graph_rule)))
+                    cyclic_map=fmap)
 
 
 def contraction_instance(seed: int, rays: int = 5, depth: int = 4,
@@ -238,9 +234,7 @@ def contraction_instance(seed: int, rays: int = 5, depth: int = 4,
     sets = SubsetPair(everything, everything)
     fmap = CyclicMap("ring-contraction", table=tuple(table))
     return Instance(f"contraction-{seed}", _tabulated_from_coords(coords), sets,
-                    complete_graph(), cyclic_map=fmap,
-                    params=(("seed", seed), ("rays", rays), ("depth", depth),
-                            ("factor", factor)))
+                    complete_graph(), cyclic_map=fmap)
 
 
 def reflection_instance(seed: int, n: int = 20, gap: float = 1.0) -> Instance:
@@ -261,8 +255,7 @@ def reflection_instance(seed: int, n: int = 20, gap: float = 1.0) -> Instance:
     sets = SubsetPair(tuple(range(n)), tuple(range(n, 2 * n)))
     fmap = CyclicMap("point-reflection", table=table)
     return Instance(f"reflection-{seed}", _tabulated_from_coords(coords), sets,
-                    complete_graph(), cyclic_map=fmap,
-                    params=(("seed", seed), ("n", n), ("gap", gap)))
+                    complete_graph(), cyclic_map=fmap)
 
 
 def identity_pair_instance(seed: int, n: int = 20) -> Instance:
@@ -280,8 +273,7 @@ def identity_pair_instance(seed: int, n: int = 20) -> Instance:
     ident = CyclicMap("identity", table=everything)
     sets = SubsetPair(everything, everything)
     return Instance(f"identity-pair-{seed}", _tabulated_from_coords(coords), sets,
-                    complete_graph(), map_pair=MapPair(ident, ident),
-                    params=(("seed", seed), ("n", n)))
+                    complete_graph(), map_pair=MapPair(ident, ident))
 
 
 _BUILDERS = {
@@ -500,22 +492,23 @@ def loads(text: str) -> Instance:
         r.error(f"unknown map spec {mspec!r}")
     if r.next() != "dist:":
         r.error("expected 'dist:' section")
-    dist = np.zeros((n, n))
+    rows = []  # every row is read and checked before the n x n matrix exists
     for i in range(1, n):
         row = r.next("row").split()
         if len(row) != i:
             r.error(f"row {i} must carry {i} entries, got {len(row)}")
         try:
-            values = [float(tok) for tok in row]
+            rows.append([float(tok) for tok in row])
         except ValueError:
             r.error(f"malformed distance in row {i}")
-        if not all(math.isfinite(v) for v in values):
+        if not all(map(math.isfinite, rows[-1])):
             r.error(f"non-finite distance in row {i}")
-        dist[i, :i] = values
-        dist[:i, i] = values
     if r.more():
         extra = r.next()
         r.error(f"unexpected line {extra!r} after the distance rows")
+    dist = np.zeros((n, n))
+    for i, values in enumerate(rows, 1):
+        dist[i, :i] = dist[:i, i] = values
     return Instance(name, TabulatedSpace(dist), SubsetPair(a, b), graph,
                     cyclic_map=fmap, map_pair=pair)
 

@@ -82,7 +82,7 @@ class Instance:
     cyclic_map: Optional[CyclicMap] = None
     map_pair: Optional[MapPair] = None
     grid_step: Optional[float] = None
-    params: tuple = ()
+    params: tuple = ()  # a coordinate builder's name and arguments, for dumps
 
     @property
     def points(self) -> tuple:

@@ -20,8 +20,9 @@ from .errors import DomainError, StructuralError
 #: double-precision round-off sits far below this.
 DEFAULT_TOL = 1e-9
 
-#: Pairs per chunk of a cross-distance matrix: bounds the kernel's temporaries.
-_KERNEL_ELEMS = 1 << 16
+#: Pairs per block of every blocked pass (edge scans, cross-distance chunks,
+#: triangle checks, set-distance folds): bounds their temporaries.
+_BLOCK_ELEMS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -97,7 +98,7 @@ def euclidean(p, q, cross: bool = False, out=None, scratch=None) -> np.ndarray:
 
     ``p`` and ``q`` have one row per coordinate (shape (dim, n)), each row
     contiguous.  Aligned points by default; ``cross=True`` gives the
-    |p| x |q| matrix, filled in row chunks of about ``_KERNEL_ELEMS`` pairs.
+    |p| x |q| matrix, filled in row chunks of about ``_BLOCK_ELEMS`` pairs.
     The first coordinate's differences are written into ``out`` and squared
     in place; each later coordinate's go into ``scratch``, are squared there
     and added into ``out``, which is then square-rooted in place.  These are
@@ -116,7 +117,7 @@ def euclidean(p, q, cross: bool = False, out=None, scratch=None) -> np.ndarray:
     n, m = p.shape[1], q.shape[1]
     if out is None:
         out = np.empty((n, m))
-    rows = max(1, _KERNEL_ELEMS // max(m, 1))
+    rows = max(1, _BLOCK_ELEMS // max(m, 1))
     if scratch is None and len(p) > 1:
         scratch = np.empty(min(rows, n) * m)
     for s in range(0, n, rows):
@@ -249,8 +250,6 @@ def validate_metric(space, tol: float = DEFAULT_TOL) -> ValidationReport:
         out.append(Violation("nonnegativity", (int(i), int(j)), f"d({i},{j}) = {d[i, j]!r} < 0"))
     # d[i,j] <= d[i,k] + d[k,j] + tol for every triple, in blocks of i so
     # that no n x n x n array is formed
-    from ._scan import _BLOCK_ELEMS
-
     step = max(1, _BLOCK_ELEMS // max(n * n, 1))
     for i0 in range(0, n, step):
         excess = d[i0:i0 + step, :, None] + d[None, :, :]  # [i, k, j]
@@ -320,8 +319,6 @@ def _fold_cross(space, xs, ys, reduce) -> float:
     """reduce (np.min or np.max) of d(x, y) over the rows of point arrays xs
     x ys, folded over row blocks of at most _BLOCK_ELEMS pairs, each computed
     into one buffer, so the full matrix never exists."""
-    from ._scan import _BLOCK_ELEMS
-
     kern = DistanceKernel(space)
     p, q = kern.rows(xs), kern.cols(ys)
     n, m = len(xs), len(ys)

@@ -67,20 +67,17 @@ def _require_preserving(eng: EdgeScanner):
         raise ClassificationError(f"map does not preserve edges; violating edge {edge!r}")
 
 
-def _fold_check(eng: EdgeScanner, value_fn, tol: float) -> CheckResult:
-    """Edge preservation, then value_fn(D, DF, U) <= tol on every edge."""
+def _fold_check(eng: EdgeScanner, tol: float, a: float, b: float = 0.0,
+                c: float = 0.0) -> CheckResult:
+    """Edge preservation, then d(fx, fy) - a d(x, y) - b [d(x, fx) + d(y, fy)]
+    - c <= tol on every edge."""
     ok, edge = eng.preserved
     if not ok:
         return CheckResult(False, worst_edge=edge, reason="edge preservation fails")
-    worst, pos, _ = fold_max(eng, value_fn)
+    worst, pos, _ = fold_max(eng, a, b, c)
     if worst is None:
         return CheckResult(True, margin=0.0)
     return CheckResult(worst <= tol, worst_edge=tuple(eng.points[i] for i in pos), margin=worst)
-
-
-def _crr_excess(params: CrrParams, dab: float):
-    a, b, c = params.alpha, params.beta, params.gamma
-    return lambda d, df, u: df - a * d - b * u - c * dab
 
 
 def min_contraction_factor(inst: Instance) -> ContractionEstimate:
@@ -102,20 +99,18 @@ def is_g_contraction(inst: Instance, alpha: float, tol: float = DEFAULT_TOL) -> 
     """Edge preservation plus d(fx, fy) <= alpha * d(x, y) on every edge."""
     if not (0.0 < alpha < 1.0):
         raise DomainError("contraction factor must lie in (0, 1)")
-    return _fold_check(inst.engine, lambda d, df, u: df - alpha * d, tol)
+    return _fold_check(inst.engine, tol, alpha)
 
 
 def is_edge_nonexpansive(inst: Instance, tol: float = DEFAULT_TOL) -> CheckResult:
     """d(fx, fy) <= d(x, y) on every edge."""
     cert = inst.engine.certificate
-    if cert.margin is None:
-        return CheckResult(True, margin=0.0)
     return CheckResult(cert.margin <= tol, worst_edge=cert.margin_edge, margin=cert.margin)
 
 
 def is_crr_moh(inst: Instance, params: CrrParams, tol: float = DEFAULT_TOL) -> CheckResult:
     """d(fx,fy) <= a d(x,y) + b [d(x,fx) + d(y,fy)] + c d(A,B) on every edge."""
-    return _fold_check(inst.engine, _crr_excess(params, inst.d_ab), tol)
+    return _fold_check(inst.engine, tol, params.alpha, params.beta, params.gamma * inst.d_ab)
 
 
 def crr_params_feasible(inst: Instance, grid_step: float,
@@ -138,7 +133,7 @@ def crr_params_feasible(inst: Instance, grid_step: float,
     eng = inst.engine
     _require_preserving(eng)
     cert = eng.certificate
-    if cert.reach is None or cert.reach <= tol:
+    if cert.reach <= tol:
         return CrrParams(0.0, 0.0, 0.0)
     dab = inst.d_ab
     steps = int(math.ceil(1.0 / grid_step))
@@ -153,8 +148,8 @@ def crr_params_feasible(inst: Instance, grid_step: float,
                     break
                 if any(df - a * d - b * u - c * dab > tol for d, df, u in cuts):
                     continue
-                worst, _, witness = fold_max(eng, lambda d, df, u: df - a * d - b * u - c * dab)
-                if worst is None or worst <= tol:
+                worst, _, witness = fold_max(eng, a, b, c * dab)
+                if worst <= tol:
                     return CrrParams(a, b, c)
                 cuts.append(witness)
     return None
@@ -168,4 +163,5 @@ def pair_preserves_edges(inst: Instance):
 def is_crr_2map(inst: Instance, params: CrrParams, tol: float = DEFAULT_TOL) -> CheckResult:
     """Two-map class: both maps preserve A x B edges and
     d(Tx, Sy) <= a d(x,y) + b [d(x,Tx) + d(y,Sy)] + c d(A,B) on them."""
-    return _fold_check(inst.pair_engine, _crr_excess(params, inst.d_ab), tol)
+    return _fold_check(inst.pair_engine, tol, params.alpha, params.beta,
+                       params.gamma * inst.d_ab)

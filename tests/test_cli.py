@@ -22,6 +22,40 @@ def contraction_file(tmp_path):
     return str(path)
 
 
+BROKEN = """gproximity-instance v1
+name: broken
+kind: tabulated
+n: 3
+A: 0
+B: 1 2
+graph: edges 1
+edge: 0 1
+map: table
+table: 1 0 1
+dist:
+row: 1.0
+row: 5.0 1.0
+"""
+
+MAPLESS = """gproximity-instance v1
+name: bare
+kind: tabulated
+n: 2
+A: 0
+B: 1
+graph: complete
+map: none
+dist:
+row: 1.0
+"""
+
+
+def write(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -38,6 +72,20 @@ class TestValidate:
         assert code == 0
         assert "metric-valid: true" in out
         assert "cyclic-valid: true" in out
+
+    def test_violations_listed(self, capsys, tmp_path):
+        # d(0,2) = 5 breaks the triangle inequality, the edge list lacks the
+        # diagonal, and the map sends B-point 2 to B-point 1
+        code, out = run(capsys, "validate", write(tmp_path, "broken.gpx", BROKEN))
+        assert code == 1
+        lines = out.splitlines()
+        assert [ln.split(": d(")[0] for ln in lines if ln.startswith("metric-violation: ")] == [
+            "metric-violation: triangle at (0, 1, 2)", "metric-violation: triangle at (2, 1, 0)"]
+        assert [ln for ln in lines if ln.startswith("graph-violation: ")] == [
+            f"graph-violation: diagonal at ({p},): diagonal incomplete at {p}" for p in range(3)]
+        assert [ln for ln in lines if ln.startswith("cyclic-violation: ")] == [
+            "cyclic-violation: cyclic at (2,): image 1 of B-point is not in A"]
+        assert "exit-status: 1" in lines
 
     def test_missing_file_is_usage_error(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as err:
@@ -56,6 +104,17 @@ class TestClassify:
     def test_alpha_probe(self, capsys, contraction_file):
         code, out = run(capsys, "classify", contraction_file, "--alpha", "0.9")
         assert "g-contraction(0.9): true" in out
+
+    def test_pair_breaking_edge_preservation(self, capsys, tmp_path):
+        # the A x B edge (0, 2) goes to (T0, T2) = (3, 0), which is no edge
+        text = ("gproximity-instance v1\nname: unpreserved\nkind: tabulated\nn: 4\n"
+                "A: 0 1\nB: 2 3\ngraph: edges 1\nedge: 0 2\nmap: pair\n"
+                "table-t: 3 2 0 1\ntable-s: 2 2 0 0\ndist:\nrow: 1.0\nrow: 2.0 1.0\n"
+                "row: 3.0 2.0 1.0\n")
+        code, out = run(capsys, "classify", write(tmp_path, "pair.gpx", text))
+        assert code == 1
+        assert out.splitlines()[-3:] == ["pair-preserves-edges: false",
+                                          "violating-edge: 0 -> 2", "exit-status: 1"]
 
 
 class TestSolve:
@@ -115,6 +174,19 @@ class TestSolve:
         assert len(errors) == 1 and errors[0].startswith("error: bad start point")
         assert captured.out == ""
 
+    def test_start_coordinates(self, capsys, tmp_path):
+        path = tmp_path / "ellipse.gpx"
+        gp.save_instance(gp.ellipse_example(0.5), path)
+        code, out = run(capsys, "solve", str(path), "--start", "0,0.5")
+        assert code in (0, 1)
+        assert "start: (0.0, 0.5)" in out.splitlines()
+        with pytest.raises(SystemExit) as err:
+            main(["solve", str(path), "--start", "0,0.5,1"])
+        captured = capsys.readouterr()
+        assert err.value.code == 2 and captured.out == ""
+        assert [ln for ln in captured.err.splitlines() if ln.startswith("error:")] == [
+            "error: bad start point '0,0.5,1': expected 2 coordinates"]
+
     def test_alternating_needs_constants(self, capsys, tmp_path):
         path = tmp_path / "seg.gpx"
         gp.save_instance(gp.segments_example(0.25), path)
@@ -144,6 +216,30 @@ class TestEnumerate:
                         "--require-nonempty")
         assert code == 1
         assert "set-size: 0" in out
+
+
+class TestMaplessFile:
+    """A ``map: none`` file validates, but every command that needs the map
+    ends in one ``error:`` line with exit 1."""
+
+    def test_validate(self, capsys, tmp_path):
+        code, out = run(capsys, "validate", write(tmp_path, "bare.gpx", MAPLESS))
+        assert code == 0
+        assert "cyclic-valid" not in out and "exit-status: 0" in out
+
+    @pytest.mark.parametrize("command", ["classify", "enumerate"])
+    def test_map_commands_fail(self, capsys, tmp_path, command):
+        code = main([command, write(tmp_path, "bare.gpx", MAPLESS)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert [ln for ln in captured.err.splitlines() if ln.startswith("error:")] == [
+            "error: instance 'bare' has no single cyclic map"]
+
+    def test_solve_reports_error(self, capsys, tmp_path):
+        code, out = run(capsys, "solve", write(tmp_path, "bare.gpx", MAPLESS))
+        assert code == 1
+        assert out.splitlines()[-2:] == ["error: instance 'bare' has no single cyclic map",
+                                         "exit-status: 1"]
 
 
 class TestDemo:

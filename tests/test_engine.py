@@ -291,7 +291,7 @@ def crr_grid_reference(d, df, u, dab):
     return None
 
 
-def check_against_square(inst, symmetric):
+def check_against_square(inst, symmetric, seed=0):
     eng = inst.engine
     assert eng.symmetric == symmetric
     pts, n = inst.points, len(inst.points)
@@ -312,11 +312,14 @@ def check_against_square(inst, symmetric):
         reach, (float(d[reach_at]), reach, float(u[reach_at])))
 
     dab = inst.d_ab
-    for fn in (lambda d, df, u: df - 0.0 * d - 0.0 * u - 0.0 * dab,
-               lambda d, df, u: df - 0.7 * d,
-               lambda d, df, u: df - 0.3 * d - 0.1 * u - 0.2 * dab):
-        value, k = first_max(fn(d, df, u))
-        assert gproximity._scan.fold_max(eng, fn) == \
+    rng = np.random.default_rng(seed)
+    drawn = rng.uniform(0.0, 1.0, size=(4, 3)) * (rng.random((4, 3)) < 0.7)  # zeros included
+    for consts, values in (((0.0, 0.0, 0.0 * dab), df - 0.0 * d - 0.0 * u - 0.0 * dab),
+                           ((0.7,), df - 0.7 * d),
+                           ((0.3, 0.1, 0.2 * dab), df - 0.3 * d - 0.1 * u - 0.2 * dab),
+                           *(((a, b, c), df - a * d - b * u - c) for a, b, c in drawn.tolist())):
+        value, k = first_max(values)
+        assert gproximity._scan.fold_max(eng, *consts) == \
             (value, divmod(k, n), (float(d[k]), float(df[k]), float(u[k])))
     assert gp.crr_params_feasible(inst, CRR_GRID) == crr_grid_reference(d, df, u, dab)
 
@@ -332,9 +335,9 @@ def test_half_scan_matches_full_square(seed, kind, block):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(gproximity._scan, "_BLOCK_ELEMS", block)
         if kind == "grid":
-            check_against_square(grid_instance(seed), True)
+            check_against_square(grid_instance(seed), True, seed)
         else:
-            check_against_square(line_instance(seed, skew=kind == "skewed"), kind == "line")
+            check_against_square(line_instance(seed, skew=kind == "skewed"), kind == "line", seed)
 
 
 @pytest.mark.parametrize("block", BLOCKS)
@@ -352,8 +355,7 @@ def test_reach_is_the_fold_of_the_zero_candidate():
     for inst in (gp.contraction_instance(2), gp.reflection_instance(5),
                  gp.random_instance(9, 6, 7, graph_rule="random:0.6"), gp.ellipse_example(0.2)):
         eng = inst.engine
-        value, _edge, witness = gproximity._scan.fold_max(
-            eng, lambda d, df, u: df - 0.0 * d - 0.0 * u - 0.0 * inst.d_ab)
+        value, _edge, witness = gproximity._scan.fold_max(eng, 0.0, 0.0, 0.0 * inst.d_ab)
         assert (eng.certificate.reach, eng.certificate.reach_witness) == (value, witness)
 
 

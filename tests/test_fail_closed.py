@@ -106,6 +106,19 @@ def test_cli_fails_closed(files, case):
         assert_fails_closed(first(single, pair, second))
 
 
+@pytest.mark.parametrize("command", ["validate", "classify", "solve", "enumerate"])
+def test_huge_point_count_is_a_short_file(tmp_path, command):
+    """A header claiming 10^9 points ends, like any short file, at its last
+    line, before any n x n matrix is built."""
+    path = tmp_path / "huge.gpx"
+    path.write_text("gproximity-instance v1\nname: huge\nkind: tabulated\nn: 1000000000\n"
+                    "A: 0\nB: 1\ngraph: complete\nmap: none\ndist:\nrow: 1.0\n",
+                    encoding="utf-8")
+    code, out, err = run_main([command, str(path)])
+    assert code == 2 and out == ""
+    assert error_lines(err) == ["error: line 11: unexpected end of file"]
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("option, argv", [
     ("--tol", ["validate", "{single}"]),

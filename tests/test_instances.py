@@ -155,6 +155,11 @@ ROUNDTRIP_BUILDERS = [
 ]
 
 
+#: A file claiming 10^9 points that ends after its first row.
+HUGE = ("gproximity-instance v1\nname: huge\nkind: tabulated\nn: 1000000000\nA: 0\nB: 1\n"
+        "graph: complete\nmap: none\ndist:\nrow: 1.0\n")
+
+
 class TestSerialization:
     @pytest.mark.parametrize("build", ROUNDTRIP_BUILDERS)
     def test_roundtrip(self, build):
@@ -224,12 +229,39 @@ class TestSerialization:
          "graph: complete\nmap: none\ndist:\nrow: 1.0\n", 10, "after the distance rows"),
         ("gproximity-instance v1\nname: x\nkind: coordinate\nbuilder: interval\n"
          "arg: grid_step=0.5\narg: grid_step=0.25\n", 6, "'grid_step' repeated"),
+        (HUGE, 11, "unexpected end of file"),
     ])
     def test_malformed_files_raise_with_line(self, text, line, words):
         with pytest.raises(ParseError) as err:
             gp.loads(text)
         assert err.value.line == line
         assert words in str(err.value)
+
+    def test_rows_are_read_before_the_matrix_is_built(self):
+        """A file claiming n = 5000 with two rows fails at its end without
+        allocating the 200 MB matrix its header announces."""
+        import tracemalloc
+
+        text = HUGE.replace("1000000000", "5000") + "row: 2.0 1.0\n"
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match="line 12: unexpected end of file"):
+                gp.loads(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_mapless_roundtrip(self):
+        inst = gp.random_instance(8, 3, 4)
+        bare = gp.Instance("bare", inst.space, inst.sets, inst.graph)
+        text = gp.dumps(bare)
+        assert "map: none\n" in text
+        back = gp.loads(text)
+        assert (back.cyclic_map, back.map_pair) == (None, None)
+        assert (back.sets, back.graph) == (bare.sets, bare.graph)
+        assert np.array_equal(back.space.dist, bare.space.dist)
+        assert gp.dumps(back) == text
 
     def test_custom_graph_does_not_serialize(self):
         inst = gp.random_instance(8, 3, 3)

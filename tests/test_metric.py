@@ -65,9 +65,9 @@ class TestValidateMetric:
         assert any(v.axiom == "triangle" for v in report.violations)
 
     def test_triangle_violations_match_triple_loop(self, monkeypatch):
-        import gproximity._scan
+        import gproximity.metric
 
-        monkeypatch.setattr(gproximity._scan, "_BLOCK_ELEMS", 100)  # 2 rows of i per block
+        monkeypatch.setattr(gproximity.metric, "_BLOCK_ELEMS", 100)  # 2 rows of i per block
         rng = np.random.default_rng(5)
         d = euclidean_table(rng.uniform(0, 1, size=(7, 2)))
         d[1, 5] = d[5, 1] = 3.0
@@ -81,9 +81,9 @@ class TestValidateMetric:
     def test_triangle_blocks_without_violations_are_skipped_exactly(self, monkeypatch):
         """One violation barely above tol in one block of four: the other
         blocks skip ``argwhere``, and the list is the triple loop's."""
-        import gproximity._scan
+        import gproximity.metric
 
-        monkeypatch.setattr(gproximity._scan, "_BLOCK_ELEMS", 100)
+        monkeypatch.setattr(gproximity.metric, "_BLOCK_ELEMS", 100)
         d = np.abs(np.subtract.outer(np.arange(7.0), np.arange(7.0)))  # points on a line
         d[2, 4] = d[4, 2] = 2.0 + 1.5e-9
         report = validate_metric(TabulatedSpace(d))
@@ -265,6 +265,7 @@ class TestBlockedFolds:
     @pytest.mark.parametrize("block", [1, 7, 100])
     def test_bitwise_equal_to_full_matrix(self, monkeypatch, block):
         import gproximity._scan
+        import gproximity.metric
 
         rng = np.random.default_rng(4)
         pa, pb = rng.uniform(0, 1, size=(23, 2)), rng.uniform(1, 2, size=(17, 2))
@@ -273,7 +274,7 @@ class TestBlockedFolds:
         space, sets = CoordinateSpace(2), SubsetPair(tuple(map(tuple, pa)), tuple(map(tuple, pb)))
         tab = TabulatedSpace(euclidean_table(np.vstack([pa, pb])))
         tab_sets = SubsetPair(tuple(range(23)), tuple(range(23, 40)))
-        monkeypatch.setattr(gproximity._scan, "_BLOCK_ELEMS", block)
+        monkeypatch.setattr(gproximity.metric, "_BLOCK_ELEMS", block)
         assert pair_distance(space, sets) == full.min()
         assert pair_distance(tab, tab_sets) == tab.dist[:23, 23:].min()
         assert set_diameter(space, sets.a) == whole.max()
@@ -281,13 +282,13 @@ class TestBlockedFolds:
     def test_memory_stays_below_one_matrix(self, monkeypatch):
         import tracemalloc
 
-        import gproximity._scan
+        import gproximity.metric
 
         n = 1000
         rng = np.random.default_rng(5)
         sets = SubsetPair(tuple(map(tuple, rng.uniform(0, 1, size=(n, 2)))),
                           tuple(map(tuple, rng.uniform(2, 3, size=(n, 2)))))
-        monkeypatch.setattr(gproximity._scan, "_BLOCK_ELEMS", 20 * n)
+        monkeypatch.setattr(gproximity.metric, "_BLOCK_ELEMS", 20 * n)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -352,7 +353,7 @@ def test_distance_kernel_bitwise_equal_to_reference(dim, n, m, seed, chunk):
     pt, qt, at = (np.ascontiguousarray(a.T) for a in (p, q, q_aligned))
     space = CoordinateSpace(dim)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(gproximity.metric, "_KERNEL_ELEMS", chunk)
+        mp.setattr(gproximity.metric, "_BLOCK_ELEMS", chunk)
         same_bits(euclidean(pt, qt, cross=True), cross)
         same_bits(euclidean(pt, at), aligned)
         chunk_rows = min(n, max(1, chunk // m))

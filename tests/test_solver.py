@@ -1,4 +1,5 @@
 """Iteration schemes on closed-form instances with known orbits."""
+import dataclasses
 import math
 
 import numpy as np
@@ -123,6 +124,13 @@ class TestGtMinimizing:
         trace = gp.picard_orbit(inst, (-4.0,), 3)
         ok, _ = gp.is_gt_minimizing(inst, trace, window=2, delta=0.01)
         assert not ok
+
+    def test_off_graph_point_named(self):
+        # only (-4, T(-4)) = (-4, 2) is an edge, so the second trace point fails
+        inst = dataclasses.replace(interval_like(),
+                                   graph=explicit_graph({((-4.0,), (2.0,))}))
+        trace = gp.picard_orbit(inst, (-4.0,), 4)
+        assert gp.is_gt_minimizing(inst, trace, window=2, delta=10.0) == (False, 1)
 
     def test_short_trace_raises(self):
         inst = interval_like()
