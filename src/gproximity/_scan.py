@@ -127,6 +127,7 @@ class EdgeScanner:
         return (k.rows(self.P[r]), k.rows(self.FL[r]), self.self_left[r],
                 k.cols(self.P[c]), k.cols(self.FR[c]), self.self_right[c])
 
+    @cached_property
     def _largest_block(self) -> int:
         if self.edges is not None:
             return min(_BLOCK_ELEMS, self.edges[0].size)
@@ -182,7 +183,7 @@ class EdgeScanner:
         allocated once per pass (module docstring)."""
         kern = self.kernel
         pr, fr, ur, pc, fc, uc = self._forms
-        size = self._largest_block()
+        size = self._largest_block
         d_buf, df_buf, u_buf = np.empty(size), np.empty(size), np.empty(size)
         scratch = np.empty(size, dtype=kern.scratch_dtype)
         if self.edges is not None:
@@ -211,23 +212,24 @@ class EdgeScanner:
     def certificate(self) -> Certificate:
         """Zero-edge check, largest ratio, nonexpansive margin and largest
         image distance, in one pass."""
-        zero, ratio, margin, reach = _FirstMax(False), _FirstMax(0.0), _FirstMax(), _FirstMax()
-        size = self._largest_block()
+        zero, ratio, margin, reach = None, _FirstMax(), _FirstMax(), _FirstMax()
+        size = self._largest_block
         values = np.empty(size)
         low, high = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
         for start, _stop, d, df, u in self.blocks():
             buf, lo, hi = values[:d.size], low[:d.size], high[:d.size]
-            if not zero.value:
+            if zero is None:
                 np.less_equal(d, 0.0, out=lo)
                 np.greater(df, DEFAULT_TOL, out=hi)
-                zero.add(np.logical_and(lo, hi, out=lo), start, d, df, u)
+                p = int(np.argmax(np.logical_and(lo, hi, out=lo)))
+                zero = start + p if lo[p] else None
             np.greater(d, 0.0, out=hi)
             if hi.any():
                 buf.fill(-np.inf)
-                ratio.add(np.divide(df, d, out=buf, where=hi), start, d, df, u)
-            margin.add(np.subtract(df, d, out=buf), start, d, df, u)
+                ratio.add(np.divide(df, d, out=buf, where=hi), start)
+            margin.add(np.subtract(df, d, out=buf), start)
             reach.add(df, start, d, df, u)
-        return Certificate(self._edge(zero.at if zero.value else None), ratio.value,
+        return Certificate(self._edge(zero), 0.0 if ratio.value is None else ratio.value,
                            self._edge(ratio.at), margin.value, self._edge(margin.at),
                            reach.value, reach.witness)
 
@@ -245,16 +247,14 @@ class EdgeScanner:
 class _FirstMax:
     """Running max of a fold over a scan's blocks, the first scan position
     reaching it (a tie keeps the earlier edge, as the half-triangle rule
-    needs) and the (d, df, u) there; ``value`` is ``empty`` until a block."""
+    needs) and the given columns' values there; ``value`` is None until a block."""
+    value = at = witness = None
 
-    def __init__(self, empty=None):
-        self.value, self.at, self.witness = empty, None, None
-
-    def add(self, vals, start, d, df, u):
+    def add(self, vals, start, *cols):
         p = int(np.argmax(vals))
         if self.at is None or vals[p] > self.value:
             self.value, self.at = vals[p].item(), start + p
-            self.witness = (float(d[p]), float(df[p]), float(u[p]))
+            self.witness = tuple(float(col[p]) for col in cols)
 
 
 def fold_max(scanner: EdgeScanner, a: float, b: float = 0.0, c: float = 0.0):
@@ -262,18 +262,20 @@ def fold_max(scanner: EdgeScanner, a: float, b: float = 0.0, c: float = 0.0):
     inequality d(fx, fy) <= a d(x, y) + b [d(x, fx) + d(y, fy)] + c, with
     its first arg-max edge.
 
-    The terms are subtracted in that order, into two buffers allocated once
-    per pass.  Returns (max_value, (i, j), (d, df, u)) with the winning
-    edge's values, or (None, None, None) when there are no edges.
+    Subtracts the terms in that order (b and c only if one is nonzero) into
+    two buffers allocated once per pass.  Returns (max, (i, j), (d, df, u))
+    at the first arg-max edge, or (None, None, None) without edges.
     """
-    size = scanner._largest_block()
+    size = scanner._largest_block
     values, terms = np.empty(size), np.empty(size)
     best = _FirstMax()
     for start, _stop, d, df, u in scanner.blocks():
         v, t = values[:d.size], terms[:d.size]
         np.subtract(df, np.multiply(a, d, out=t), out=v)
-        np.subtract(v, np.multiply(b, u, out=t), out=v)
-        best.add(np.subtract(v, c, out=v), start, d, df, u)
+        if b or c:
+            np.subtract(v, np.multiply(b, u, out=t), out=v)
+            np.subtract(v, c, out=v)
+        best.add(v, start, d, df, u)
     if best.at is None:
         return None, None, None
     return best.value, scanner.edge_at(best.at), best.witness

@@ -498,10 +498,10 @@ def loads(text: str) -> Instance:
         if len(row) != i:
             r.error(f"row {i} must carry {i} entries, got {len(row)}")
         try:
-            rows.append([float(tok) for tok in row])
+            rows.append(np.array([float(tok) for tok in row]))
         except ValueError:
             r.error(f"malformed distance in row {i}")
-        if not all(map(math.isfinite, rows[-1])):
+        if not np.isfinite(rows[-1]).all():
             r.error(f"non-finite distance in row {i}")
     if r.more():
         extra = r.next()

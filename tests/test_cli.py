@@ -178,8 +178,10 @@ class TestSolve:
         path = tmp_path / "ellipse.gpx"
         gp.save_instance(gp.ellipse_example(0.5), path)
         code, out = run(capsys, "solve", str(path), "--start", "0,0.5")
-        assert code in (0, 1)
-        assert "start: (0.0, 0.5)" in out.splitlines()
+        assert code == 0
+        lines = out.splitlines()
+        assert "start: (0.0, 0.5)" in lines
+        assert "status: found" in lines and "witness: (0.0, 0.5)" in lines
         with pytest.raises(SystemExit) as err:
             main(["solve", str(path), "--start", "0,0.5,1"])
         captured = capsys.readouterr()
