@@ -10,7 +10,7 @@ import numpy as np
 from ._scan import elem_dists
 from .errors import DomainError
 from .maps import Instance
-from .metric import DEFAULT_TOL, array_diameter
+from .metric import DEFAULT_TOL, array_diameter, within_epsilon
 from .operators import is_edge_nonexpansive
 
 STRICT = "strict"
@@ -54,7 +54,7 @@ def enumerate_proximity_set(inst: Instance, epsilon: float, mode: str = STRICT,
     if not epsilon >= 0:
         raise DomainError("epsilon must be nonnegative")
     eng = inst.engine
-    keep = eng.on_edge & (eng.self_left - inst.d_ab <= epsilon + tol)  # the solver's test
+    keep = eng.on_edge & within_epsilon(eng.self_left - inst.d_ab, epsilon, tol)
     if mode == VACUOUS:
         keep |= ~eng.on_edge
     k = np.flatnonzero(keep)
@@ -68,8 +68,8 @@ def enumerate_pair_set(inst: Instance, epsilon: float,
     if not epsilon >= 0:
         raise DomainError("epsilon must be nonnegative")
     eng = inst.pair_engine
-    dab, limit = inst.d_ab, epsilon + tol
-    hits = [start + np.flatnonzero(df - dab <= limit) for start, _stop, _d, df, _u in eng.blocks()]
+    hits = [start + np.flatnonzero(within_epsilon(df - inst.d_ab, epsilon, tol))
+            for start, _stop, _d, df, _u in eng.blocks()]
     pos = hits[0] if len(hits) == 1 else np.concatenate(hits) if hits else np.empty(0, np.intp)
     (i, j), pts = eng.edge_pairs(pos), inst.points
     members = list(zip([pts[k] for k in i.tolist()], [pts[k] for k in j.tolist()]))
@@ -125,5 +125,5 @@ def minimizer_report(inst: Instance, tol: float = DEFAULT_TOL) -> MinimizerRepor
     best_pos = eligible[np.argmin(eng.self_left[eligible])]
     residual = float(eng.self_left[best_pos]) - inst.d_ab
     nonexp = bool(is_edge_nonexpansive(inst, tol=tol))
-    in_set = best_pos in enumerate_proximity_set(inst, max(residual, 0.0) + tol, tol=tol).positions
-    return MinimizerReport(inst.points[best_pos], residual, nonexp, bool(in_set))
+    in_set = within_epsilon(residual, max(residual, 0.0) + tol, tol)
+    return MinimizerReport(inst.points[best_pos], residual, nonexp, in_set)

@@ -22,6 +22,9 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 
+_CRR_GRID = 0.05  # the constants search of classify and demo
+_BOUND_CRR_GRID = 0.1  # the constants behind the a-priori iteration bound
+
 
 def _fmt(value) -> str:
     if isinstance(value, bool):
@@ -146,14 +149,12 @@ def _classify_block(rep: Report, inst: Instance, args) -> int:
         rep.add("worst-edge", _fmt_edge(est.worst_edge))
     nonexp = operators.is_edge_nonexpansive(inst, tol=args.tol)
     rep.add("nonexpansive", _fmt(nonexp.ok))
-    alpha = getattr(args, "alpha", None)
-    if alpha is not None:
-        chk = operators.is_g_contraction(inst, alpha, tol=args.tol)
-        rep.add(f"g-contraction({_fmt(alpha)})", _fmt(chk.ok))
+    if args.alpha is not None:
+        chk = operators.is_g_contraction(inst, args.alpha, tol=args.tol)
+        rep.add(f"g-contraction({_fmt(args.alpha)})", _fmt(chk.ok))
         if not chk.ok:
             rep.add("contraction-worst-edge", _fmt_edge(chk.worst_edge))
-    params = operators.crr_params_feasible(inst, getattr(args, "crr_grid", 0.05),
-                                           tol=args.tol)
+    params = operators.crr_params_feasible(inst, args.crr_grid, tol=args.tol)
     if params is None:
         rep.add("crr-params", "none")
     else:
@@ -221,7 +222,7 @@ def _solve_report(rep: Report, inst: Instance, result: solver.SolveResult,
     _trace_report(rep, result, _fmt_point)
     # the a-priori bound needs CRR constants, which need edge preservation
     if result.found and inst.cyclic_map is not None and inst.engine.preserved[0]:
-        params = operators.crr_params_feasible(inst, 0.1, tol=cfg.tol)
+        params = operators.crr_params_feasible(inst, _BOUND_CRR_GRID, tol=cfg.tol)
         if params is not None and result.trace.residuals:
             d0 = result.trace.residuals[0] + inst.d_ab
             bound = solver.crr_iteration_bound(d0, params.k, inst.d_ab, cfg.epsilon)
@@ -361,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=_number(float, lambda v: 0 < v < 1, "in (0, 1)"),
                    default=None, help="also test the contraction condition at this factor")
     p.add_argument("--crr-grid", type=_number(float, lambda v: v > 0, "positive"),
-                   default=0.05, help="grid resolution for the constants search")
+                   default=_CRR_GRID, help="grid resolution for the constants search")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("solve", help="run an iteration scheme")
@@ -391,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("demo", help="reproduce a worked example end to end")
     p.add_argument("name")
     p.add_argument("--grid-step", type=_number(float), default=None)  # builders check the rest
-    p.set_defaults(func=cmd_demo)
+    p.set_defaults(func=cmd_demo, alpha=None, crr_grid=_CRR_GRID)
     return parser
 
 

@@ -90,7 +90,8 @@ class Instance:
 
     @property
     def kind(self) -> str:
-        return "two-map" if self.map_pair is not None else "single-map"
+        return ("two-map" if self.map_pair is not None
+                else "single-map" if self.cyclic_map is not None else "none")
 
     def require_map(self) -> CyclicMap:
         if self.cyclic_map is None:

@@ -20,6 +20,11 @@ from .errors import DomainError, StructuralError
 #: double-precision round-off sits far below this.
 DEFAULT_TOL = 1e-9
 
+
+def within_epsilon(residual, epsilon: float, tol: float = DEFAULT_TOL):
+    """The residual test of the iteration schemes and set enumerators, elementwise."""
+    return residual <= epsilon + tol
+
 #: Pairs per block of every blocked pass (edge scans, cross-distance chunks,
 #: triangle checks, set-distance folds): bounds their temporaries.
 _BLOCK_ELEMS = 1 << 16
@@ -242,12 +247,12 @@ def validate_metric(space, tol: float = DEFAULT_TOL) -> ValidationReport:
     n = space.n
     out = []
     for i in np.flatnonzero(np.abs(np.diag(d)) > tol):
-        out.append(Violation("identity", (int(i),), f"d({i},{i}) = {d[i, i]!r} != 0"))
+        out.append(Violation("identity", (int(i),), f"d({i},{i}) = {float(d[i, i])!r} != 0"))
     for i, j in np.argwhere(np.triu(np.abs(d - d.T), k=1) > tol):
         out.append(Violation("symmetry", (int(i), int(j)),
-                             f"d({i},{j}) = {d[i, j]!r} but d({j},{i}) = {d[j, i]!r}"))
+                             f"d({i},{j}) = {float(d[i, j])!r} but d({j},{i}) = {float(d[j, i])!r}"))
     for i, j in np.argwhere(d < -tol):
-        out.append(Violation("nonnegativity", (int(i), int(j)), f"d({i},{j}) = {d[i, j]!r} < 0"))
+        out.append(Violation("nonnegativity", (int(i), int(j)), f"d({i},{j}) = {float(d[i, j])!r} < 0"))
     # d[i,j] <= d[i,k] + d[k,j] + tol for every triple, in blocks of i so
     # that no n x n x n array is formed
     step = max(1, _BLOCK_ELEMS // max(n * n, 1))
@@ -259,7 +264,7 @@ def validate_metric(space, tol: float = DEFAULT_TOL) -> ValidationReport:
         for i, k, j in np.argwhere(excess > tol):
             i += i0
             out.append(Violation("triangle", (int(i), int(k), int(j)),
-                                 f"d({i},{j}) = {d[i, j]!r} > d({i},{k}) + d({k},{j}) = {d[i, k] + d[k, j]!r}"))
+                                 f"d({i},{j}) = {float(d[i, j])!r} > d({i},{k}) + d({k},{j}) = {float(d[i, k] + d[k, j])!r}"))
     return ValidationReport(tuple(out))
 
 

@@ -1,19 +1,19 @@
 """Iteration schemes: Picard orbits, stopping rules, a-priori bounds.
 
-Residuals are d(x_n, x_{n+1}) - d(A, B) for single maps and
-d(T x_n, S y_n) - d(A, B) for pairs; stopping compares them against
-epsilon with the shared absolute slack.
+One driver records each scheme's lazy orbit of (point, residual) steps up to
+the first residual the scheme's stop rule accepts, or max_iter + 1 of them.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import count, islice
 from typing import Optional
 
 from .errors import DomainError, HypothesisError
 from .graph import contains_edge
 from .maps import Instance, apply_map
-from .metric import DEFAULT_TOL
+from .metric import DEFAULT_TOL, within_epsilon
 
 FOUND = "found"
 EXHAUSTED = "exhausted"
@@ -52,21 +52,41 @@ class SolveResult:
         return self.status == FOUND
 
 
+def _picard_steps(inst: Instance, f, x, fx):
+    """Steps (x_n, d(x_n, f x_n) - d(A,B), f x_n) of f's orbit from x, given fx = f x."""
+    dist, dab = inst.space.distance, inst.d_ab
+    for n in count(1):
+        yield x, dist(x, fx) - dab, fx
+        x, fx = fx, apply_map(f, fx, last_valid=n)
+
+
 def picard_orbit(inst: Instance, x0, n: int) -> IterationTrace:
     """x0, f(x0), ..., f^n(x0) with the n residuals between neighbours."""
     f = inst.require_map()
     if n < 0:
         raise DomainError("orbit length must be nonnegative")
-    dab = inst.d_ab
-    pts = [x0]
-    res = []
-    x = x0
-    for i in range(n):
-        fx = apply_map(f, x, last_valid=i)
-        res.append(inst.space.distance(x, fx) - dab)
-        pts.append(fx)
-        x = fx
-    return IterationTrace(tuple(pts), tuple(res))
+    if n == 0:
+        return IterationTrace((x0,), ())
+    steps = _picard_steps(inst, f, x0, apply_map(f, x0, last_valid=0))
+    pts, res, images = zip(*islice(steps, n))
+    return IterationTrace(pts + images[-1:], res)
+
+
+def _run(steps, cfg: SolveConfig, bounds=None, stop=None) -> SolveResult:
+    """Record the point and residual of each step of a lazy orbit up to the
+    first step that ``stop`` (by default: residual within epsilon + tol)
+    names a status for, or up to max_iter + 1 steps; the orbit fills ``bounds``."""
+    stop = stop or (lambda step: FOUND if within_epsilon(step[1], cfg.epsilon, cfg.tol) else None)
+    pts, res = [], []
+    for step in islice(steps, cfg.max_iter + 1):
+        pts.append(step[0])
+        res.append(step[1])
+        if status := stop(step):
+            break
+    status = status or EXHAUSTED
+    return SolveResult(status, pts[-1] if status == FOUND else None, len(res) - 1,
+                       IterationTrace(tuple(pts), tuple(res)),
+                       None if bounds is None else tuple(bounds))
 
 
 def find_proximity_point(inst: Instance, x0, cfg: SolveConfig) -> SolveResult:
@@ -76,29 +96,15 @@ def find_proximity_point(inst: Instance, x0, cfg: SolveConfig) -> SolveResult:
     the witness.  Status is exhausted after max_iter applications.
     """
     f = inst.require_map()
-    dab = inst.d_ab
     fx0 = apply_map(f, x0, last_valid=0)
     if not contains_edge(inst.graph, x0, fx0):
         return SolveResult(INELIGIBLE, None, 0, IterationTrace((x0,), ()))
-    pts = [x0]
-    res = []
-    x = x0
-    fx = fx0
-    for n in range(cfg.max_iter + 1):
-        r = inst.space.distance(x, fx) - dab
-        res.append(r)
-        if r <= cfg.epsilon + cfg.tol:
-            if not contains_edge(inst.graph, x, fx):
-                return SolveResult(INELIGIBLE, None, n,
-                                   IterationTrace(tuple(pts), tuple(res)))
-            return SolveResult(FOUND, x, n, IterationTrace(tuple(pts), tuple(res)))
-        if n == cfg.max_iter:
-            break
-        pts.append(fx)
-        x = fx
-        fx = apply_map(f, x, last_valid=n + 1)
-    return SolveResult(EXHAUSTED, None, cfg.max_iter,
-                       IterationTrace(tuple(pts), tuple(res)))
+
+    def stop(step):  # found only where the step's (x, T x) is still an edge
+        if within_epsilon(step[1], cfg.epsilon, cfg.tol):
+            return FOUND if contains_edge(inst.graph, step[0], step[2]) else INELIGIBLE
+
+    return _run(_picard_steps(inst, f, x0, fx0), cfg, stop=stop)
 
 
 def crr_iteration_bound(d0: float, k: float, d_ab: float, epsilon: float,
@@ -151,52 +157,35 @@ def epsilon_fixed_point(inst: Instance, x0, power: int, cfg: SolveConfig) -> Sol
     if power < 1:
         raise DomainError("power must be at least 1")
 
-    def step(z, at):
-        for _ in range(power):
-            z = apply_map(f, z, last_valid=at)
-        return z
+    def steps():
+        z = w = x0
+        for n in count():
+            for _ in range(power):
+                w = apply_map(f, w, last_valid=n)
+            yield z, inst.space.distance(z, w)
+            z = w
 
-    pts = [x0]
-    res = []
-    z = x0
-    w = step(z, 0)
-    for n in range(cfg.max_iter + 1):
-        d = inst.space.distance(z, w)
-        res.append(d)
-        if d < cfg.epsilon:
-            return SolveResult(FOUND, z, n, IterationTrace(tuple(pts), tuple(res)))
-        if n == cfg.max_iter:
-            break
-        pts.append(w)
-        z = w
-        w = step(z, n + 1)
-    return SolveResult(EXHAUSTED, None, cfg.max_iter,
-                       IterationTrace(tuple(pts), tuple(res)))
+    return _run(steps(), cfg, stop=lambda step: FOUND if step[1] < cfg.epsilon else None)
 
 
 def two_map_parallel(inst: Instance, x0, y0, cfg: SolveConfig) -> SolveResult:
     """Iterate x_n = T^n x0, y_n = S^n y0 until d(T x_n, S y_n) <= d(A,B) + epsilon."""
     pair = inst.require_pair()
-    sets = inst.sets
-    if not sets.in_a(x0) or not sets.in_b(y0):
+    if not inst.sets.in_a(x0) or not inst.sets.in_b(y0):
         raise DomainError("parallel scheme needs a start pair in A x B")
     if not contains_edge(inst.graph, x0, y0):
         return SolveResult(INELIGIBLE, None, 0, IterationTrace(((x0, y0),), ()))
     dab = inst.d_ab
-    pts = []
-    res = []
-    x, y = x0, y0
-    for n in range(cfg.max_iter + 1):
-        tx = apply_map(pair.t, x, last_valid=n)
-        sy = apply_map(pair.s, y, last_valid=n)
-        pts.append((x, y))
-        r = inst.space.distance(tx, sy) - dab
-        res.append(r)
-        if r <= cfg.epsilon + cfg.tol:
-            return SolveResult(FOUND, (x, y), n, IterationTrace(tuple(pts), tuple(res)))
-        x, y = tx, sy
-    return SolveResult(EXHAUSTED, None, cfg.max_iter,
-                       IterationTrace(tuple(pts), tuple(res)))
+
+    def steps():
+        x, y = x0, y0
+        for n in count():
+            tx = apply_map(pair.t, x, last_valid=n)
+            sy = apply_map(pair.s, y, last_valid=n)
+            yield (x, y), inst.space.distance(tx, sy) - dab
+            x, y = tx, sy
+
+    return _run(steps(), cfg)
 
 
 def two_map_alternating(inst: Instance, x1, y1, alpha: float, gamma: float,
@@ -217,29 +206,21 @@ def two_map_alternating(inst: Instance, x1, y1, alpha: float, gamma: float,
         return SolveResult(INELIGIBLE, None, 0, IterationTrace(((x1, y1),), ()))
     dab = inst.d_ab
     d0 = inst.space.distance(x1, y1)
-    pts = [(x1, y1)]
-    res = []
     bounds = []
-    x, y = x1, y1
-    for n in range(cfg.max_iter + 1):
-        gap = inst.space.distance(x, y)
-        decay = alpha ** n
-        bound = decay * d0 + (1.0 - decay) * dab
-        bounds.append(bound)
-        res.append(gap - dab)
-        if res[-1] <= cfg.epsilon + cfg.tol:
-            return SolveResult(FOUND, (x, y), n, IterationTrace(tuple(pts), tuple(res)),
-                               bounds=tuple(bounds))
-        if n == cfg.max_iter:
-            break
-        tx = apply_map(pair.t, x, last_valid=n)
-        sy = apply_map(pair.s, y, last_valid=n)
-        if inst.space.distance(tx, sy) > alpha * gap + gamma * dab + cfg.tol:
-            raise HypothesisError(
-                f"per-step inequality fails at step {n}: "
-                f"d(Tx,Sy) = {inst.space.distance(tx, sy)!r} > "
-                f"alpha*d(x,y) + gamma*d(A,B) = {alpha * gap + gamma * dab!r}", n)
-        x, y = sy, tx
-        pts.append((x, y))
-    return SolveResult(EXHAUSTED, None, cfg.max_iter,
-                       IterationTrace(tuple(pts), tuple(res)), bounds=tuple(bounds))
+
+    def steps():
+        x, y = x1, y1
+        for n in count():
+            gap = inst.space.distance(x, y)
+            decay = alpha ** n
+            bounds.append(decay * d0 + (1.0 - decay) * dab)
+            yield (x, y), gap - dab
+            tx = apply_map(pair.t, x, last_valid=n)
+            sy = apply_map(pair.s, y, last_valid=n)
+            d, limit = inst.space.distance(tx, sy), alpha * gap + gamma * dab
+            if d > limit + cfg.tol:
+                raise HypothesisError(f"per-step inequality fails at step {n}: d(Tx,Sy) = "
+                                      f"{d!r} > alpha*d(x,y) + gamma*d(A,B) = {limit!r}", n)
+            x, y = sy, tx
+
+    return _run(steps(), cfg, bounds)

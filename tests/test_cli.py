@@ -79,8 +79,9 @@ class TestValidate:
         code, out = run(capsys, "validate", write(tmp_path, "broken.gpx", BROKEN))
         assert code == 1
         lines = out.splitlines()
-        assert [ln.split(": d(")[0] for ln in lines if ln.startswith("metric-violation: ")] == [
-            "metric-violation: triangle at (0, 1, 2)", "metric-violation: triangle at (2, 1, 0)"]
+        assert [ln for ln in lines if ln.startswith("metric-violation: ")] == [
+            "metric-violation: triangle at (0, 1, 2): d(0,2) = 5.0 > d(0,1) + d(1,2) = 2.0",
+            "metric-violation: triangle at (2, 1, 0): d(2,0) = 5.0 > d(2,1) + d(1,0) = 2.0"]
         assert [ln for ln in lines if ln.startswith("graph-violation: ")] == [
             f"graph-violation: diagonal at ({p},): diagonal incomplete at {p}" for p in range(3)]
         assert [ln for ln in lines if ln.startswith("cyclic-violation: ")] == [
@@ -227,6 +228,7 @@ class TestMaplessFile:
     def test_validate(self, capsys, tmp_path):
         code, out = run(capsys, "validate", write(tmp_path, "bare.gpx", MAPLESS))
         assert code == 0
+        assert out.splitlines()[:3] == ["command: validate", "instance: bare", "kind: none"]
         assert "cyclic-valid" not in out and "exit-status: 0" in out
 
     @pytest.mark.parametrize("command", ["classify", "enumerate"])

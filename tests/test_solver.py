@@ -303,3 +303,82 @@ def test_alternating_stops_on_its_recorded_residual(factor, shift, height, i, j,
     assert res.found and res.iterations == stop
     assert res.trace.residuals == orbit[:stop + 1]
     assert res.trace.residuals[-1] <= epsilon + tol
+
+
+def counting(cmap, calls):
+    """``cmap`` as a ``fn`` map that adds each application to ``calls[0]``."""
+    def fn(x):
+        calls[0] += 1
+        return cmap(x)
+    return CyclicMap(cmap.name, fn=fn)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(("find", "fixed", "parallel", "alternating")), st.integers(0, 10**6),
+       st.sampled_from(("nearest", "affine:0.5")),
+       st.sampled_from(("complete", "diagonal", "random:0.5", "random:0.9")),
+       st.integers(0, 9), st.integers(0, 9), st.integers(1, 6), st.integers(0, 7),
+       st.sampled_from((None, 0.0, 0.5, 1.5)), st.sampled_from((1e-9, 1e-2)),
+       st.integers(1, 3), st.sampled_from((None, 0.0, 0.5, 0.9)))
+def test_scheme_contract(scheme, seed, map_rule, graph_rule, i, j, max_iter, k, frac, tol,
+                         power, factor):
+    """Every scheme records equally many points and residuals, stops at the
+    first residual its rule accepts or after max_iter + 1 residuals, and
+    applies its maps a fixed number of times per recorded step.  Tabulated
+    instances take ``fn`` maps that count their applications; ``factor``
+    swaps in ``affine_segments_pair`` for the pair schemes.  epsilon is put
+    just below, on or just above residual k of the orbit (``frac=None``: a
+    tiny epsilon that no positive residual passes)."""
+    calls = [0]
+    base = gp.random_instance(seed, 5, 5, map_rule=map_rule, graph_rule=graph_rule)
+    if scheme in ("find", "fixed"):
+        inst = dataclasses.replace(base, cyclic_map=counting(base.cyclic_map, calls))
+        start = inst.points[i]
+        run = (lambda cfg: gp.find_proximity_point(inst, start, cfg)) if scheme == "find" else (
+            lambda cfg: gp.epsilon_fixed_point(inst, start, power, cfg))
+    else:
+        if factor is None:
+            f = base.cyclic_map
+            inst = dataclasses.replace(base, cyclic_map=None,
+                                       map_pair=MapPair(counting(f, calls), counting(f, calls)))
+            alpha = 0.5
+        else:
+            aff = gp.affine_segments_pair(factor, 0.1 * (1.0 - factor), 0.25)
+            pair = aff.map_pair
+            inst = dataclasses.replace(aff, map_pair=MapPair(counting(pair.t, calls),
+                                                             counting(pair.s, calls)))
+            alpha = factor
+        a, b = inst.sets.a, inst.sets.b
+        start = (a[i % len(a)], b[j % len(b)])
+        run = (lambda cfg: gp.two_map_parallel(inst, *start, cfg)) if scheme == "parallel" else (
+            lambda cfg: gp.two_map_alternating(inst, *start, alpha, 1.0 - alpha, cfg))
+    try:
+        orbit = run(SolveConfig(1e-300, max_iter, tol)).trace.residuals
+        epsilon = 1e-300 if frac is None or not orbit else max(
+            orbit[min(k, len(orbit) - 1)] - frac * tol, 1e-300)
+        calls[0] = 0
+        res = run(SolveConfig(epsilon, max_iter, tol))
+    except HypothesisError as exc:  # the alternating step test failed after step n's images
+        assert scheme == "alternating" and calls[0] == 2 * (exc.step + 1)
+        return
+    rule = (lambda r: r < epsilon) if scheme == "fixed" else (lambda r: r <= epsilon + tol)
+    pts, rs, n = res.trace.points, res.trace.residuals, res.iterations
+    if res.status == gp.INELIGIBLE and not rs:  # the start is no edge
+        assert scheme != "fixed" and pts == (start,) and n == 0 and res.bounds is None
+        assert calls[0] == (1 if scheme == "find" else 0)
+        return
+    assert len(pts) == len(rs) == n + 1
+    assert not any(rule(r) for r in rs[:n])
+    if res.status == gp.EXHAUSTED:
+        assert n == max_iter and not rule(rs[n]) and res.witness is None
+    else:
+        assert rule(rs[n])
+        assert res.witness == (pts[n] if res.status == gp.FOUND else None)
+        if res.status == gp.INELIGIBLE:  # the witness's step is no edge
+            assert scheme == "find"
+            assert not gp.contains_edge(inst.graph, pts[n], base.cyclic_map(pts[n]))
+    expected = {"find": n + 1, "fixed": power * (n + 1), "parallel": 2 * (n + 1),
+                "alternating": 2 * n}
+    assert calls[0] == expected[scheme]
+    assert (res.bounds is None) == (scheme != "alternating")
+    assert res.bounds is None or len(res.bounds) == len(rs)
