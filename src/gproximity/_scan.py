@@ -212,26 +212,24 @@ class EdgeScanner:
     def certificate(self) -> Certificate:
         """Zero-edge check, largest ratio, nonexpansive margin and largest
         image distance, in one pass."""
-        zero, ratio, margin, reach = None, _FirstMax(), _FirstMax(), _FirstMax()
+        zero, ratio, margin, reach = _FirstMax(), _FirstMax(), _FirstMax(), _FirstMax()
         size = self._largest_block
         values = np.empty(size)
         low, high = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
         for start, _stop, d, df, u in self.blocks():
             buf, lo, hi = values[:d.size], low[:d.size], high[:d.size]
-            if zero is None:
-                np.less_equal(d, 0.0, out=lo)
-                np.greater(df, DEFAULT_TOL, out=hi)
-                p = int(np.argmax(np.logical_and(lo, hi, out=lo)))
-                zero = start + p if lo[p] else None
+            np.less_equal(d, 0.0, out=lo)
+            np.greater(df, DEFAULT_TOL, out=hi)
+            zero.add(np.logical_and(lo, hi, out=lo), start)  # first max: first True
             np.greater(d, 0.0, out=hi)
             if hi.any():
                 buf.fill(-np.inf)
                 ratio.add(np.divide(df, d, out=buf, where=hi), start)
             margin.add(np.subtract(df, d, out=buf), start)
             reach.add(df, start, d, df, u)
-        return Certificate(self._edge(zero), 0.0 if ratio.value is None else ratio.value,
-                           self._edge(ratio.at), margin.value, self._edge(margin.at),
-                           reach.value, reach.witness)
+        return Certificate(self._edge(zero.at) if zero.value else None,
+                           0.0 if ratio.value is None else ratio.value, self._edge(ratio.at),
+                           margin.value, self._edge(margin.at), reach.value, reach.witness)
 
     @cached_property
     def cuts(self) -> list:

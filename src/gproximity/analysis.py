@@ -68,12 +68,12 @@ def enumerate_pair_set(inst: Instance, epsilon: float,
     if not epsilon >= 0:
         raise DomainError("epsilon must be nonnegative")
     eng = inst.pair_engine
-    hits = [start + np.flatnonzero(within_epsilon(df - inst.d_ab, epsilon, tol))
-            for start, _stop, _d, df, _u in eng.blocks()]
-    pos = hits[0] if len(hits) == 1 else np.concatenate(hits) if hits else np.empty(0, np.intp)
+    pos = np.concatenate([np.empty(0, np.intp)] + [
+        start + np.flatnonzero(within_epsilon(df - inst.d_ab, epsilon, tol))
+        for start, _stop, _d, df, _u in eng.blocks()])
     (i, j), pts = eng.edge_pairs(pos), inst.points
     members = list(zip([pts[k] for k in i.tolist()], [pts[k] for k in j.tolist()]))
-    return PairProximitySet(epsilon, tuple(members), pos.astype(np.int32 if pos.max(initial=0) < 2**31 else np.intp))
+    return PairProximitySet(epsilon, tuple(members), pos)
 
 
 def _positions(s, what: str):
@@ -114,9 +114,10 @@ def two_map_diam_bound(k: float, epsilon: float, d_ab: float) -> float:
 def minimizer_report(inst: Instance, tol: float = DEFAULT_TOL) -> MinimizerReport:
     """Exact minimizer of d(z, f z) over points with (z, f z) an edge.
 
-    Ties break toward the lowest scan position.  When the map is
-    nonexpansive on edges, the strict set at epsilon = residual + tol must
-    contain the minimizer; the report carries that re-check.
+    Ties break toward the lowest scan position.  ``minimizer_in_set`` says
+    the strict set at epsilon = max(residual, 0) + tol holds the minimizer,
+    which is true by construction for tol >= 0: the minimizer lies on an
+    edge and its residual is within that epsilon, nonexpansive map or not.
     """
     eng = inst.engine
     eligible = np.flatnonzero(eng.on_edge)

@@ -29,9 +29,7 @@ _BOUND_CRR_GRID = 0.1  # the constants behind the a-priori iteration bound
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return repr(value)
 
 
 def _fmt_point(p) -> str:
@@ -45,8 +43,6 @@ def _fmt_pair(pair) -> str:
 
 
 def _fmt_edge(edge) -> str:
-    if edge is None:
-        return "none"
     return _fmt_point(edge[0]) + " -> " + _fmt_point(edge[1])
 
 
@@ -221,9 +217,9 @@ def _solve_report(rep: Report, inst: Instance, result: solver.SolveResult,
                   cfg: solver.SolveConfig):
     _trace_report(rep, result, _fmt_point)
     # the a-priori bound needs CRR constants, which need edge preservation
-    if result.found and inst.cyclic_map is not None and inst.engine.preserved[0]:
+    if result.found and inst.engine.preserved[0]:
         params = operators.crr_params_feasible(inst, _BOUND_CRR_GRID, tol=cfg.tol)
-        if params is not None and result.trace.residuals:
+        if params is not None:
             d0 = result.trace.residuals[0] + inst.d_ab
             bound = solver.crr_iteration_bound(d0, params.k, inst.d_ab, cfg.epsilon)
             rep.add("crr-iteration-bound", bound)
@@ -260,7 +256,7 @@ def _enumerate_block(rep: Report, inst: Instance, epsilon: float, mode: str,
             est = operators.min_contraction_factor(inst)
         except ClassificationError:
             est = None
-        if est is not None and est.contractive and est.alpha_min < 1.0:
+        if est is not None and est.contractive:
             bound = analysis.contraction_diam_bound(est.alpha_min, epsilon, dab)
             rep.add("contraction-diam-bound", _fmt(bound))
     return len(ps.members)

@@ -19,10 +19,25 @@ from .maps import CyclicMap, Instance, MapPair
 from .metric import DEFAULT_TOL, CoordinateSpace, SubsetPair, TabulatedSpace, euclidean
 
 
-def _check_divides(step: float, length: float, what: str) -> int:
+#: Most samples a coordinate builder lays out along its grid: far above
+#: every grid in use (the largest, ellipse_example(0.002), has 1,501 x 1,501
+#: candidates), so that a tiny step fails before anything is allocated.
+_MAX_SAMPLES = 10 ** 7
+
+
+def _grid_steps(step: float, length: float, axes: int = 1) -> float:
+    """length / step, once step > 0 and a grid of length / step + 1 samples
+    along each of ``axes`` axes holds at most _MAX_SAMPLES of them."""
     if not step > 0:
         raise SpecError("grid step must be positive")
-    k = round(length / step)
+    steps = length / step
+    if not steps + 1 <= _MAX_SAMPLES ** (1 / axes):
+        raise SpecError(f"grid step {step!r} lays out more than {_MAX_SAMPLES} samples")
+    return steps
+
+
+def _check_divides(step: float, length: float, what: str) -> int:
+    k = round(_grid_steps(step, length))
     if k < 1 or abs(k * step - length) > DEFAULT_TOL:
         raise SpecError(f"grid step {step!r} does not divide {what} evenly")
     return k
@@ -53,9 +68,7 @@ def interval_example(grid_step: float = 0.01) -> Instance:
 
 def ellipse_example(grid_step: float = 0.1) -> Instance:
     """Two overlapping elliptical discs in the plane, mirrored by x -> -x."""
-    if not grid_step > 0:
-        raise SpecError("grid step must be positive")
-    k = int(math.ceil(1.5 / grid_step))
+    k = int(math.ceil(_grid_steps(grid_step, 3.0, axes=2) / 2))  # = ceil(1.5 / grid_step)
     axis = [i * grid_step for i in range(-k, k + 1)]
 
     def in_a(p):

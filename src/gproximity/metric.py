@@ -293,18 +293,11 @@ def validate_sets(space, sets: SubsetPair) -> ValidationReport:
 
 def pair_distance(space, sets: SubsetPair) -> float:
     """min over a in A, b in B of d(a, b), evaluated on the stored samples;
-    0.0 with no fold at a shared point p when nothing lies below d(p, p) =
-    +0.0 (in a table: d(p, p) = 0 and no entry with its sign bit set)."""
-    shared = not sets._a_set.isdisjoint(sets.b)
-    if shared and isinstance(space, CoordinateSpace):
+    0.0 with no fold when coordinate sets share a point, whose distance to
+    itself is +0.0 and nothing lies below it.  Tables always fold."""
+    if isinstance(space, CoordinateSpace) and not sets._a_set.isdisjoint(sets.b):
         return 0.0
-    xs, ys = point_array(space, sets.a), point_array(space, sets.b)
-    if shared:
-        DistanceKernel(space).cols(np.concatenate([xs, ys]))  # foreign indices raise
-        d, both = space.dist, list(sets._a_set.intersection(sets.b))
-        if not np.signbit(d).any() and (d[both, both] == 0).any():
-            return 0.0
-    return _fold_cross(space, xs, ys, np.min)
+    return _fold_cross(space, point_array(space, sets.a), point_array(space, sets.b), np.min)
 
 
 def set_diameter(space, points) -> float:

@@ -122,19 +122,16 @@ def crr_params_feasible(inst: Instance, grid_step: float,
     Each refuted candidate leaves its worst edge's (d, df, u) behind as a
     cut, so most candidates die on a handful of cuts instead of a full scan.
     The first candidate, (0, 0, 0), has excess d(fx, fy) on every edge, so
-    the certificate pass's largest image distance decides it and gives the
-    first cut.  The cuts stay on the engine for every later search (another
-    grid or tolerance); a cut tests the fold's own expression, so it refutes
-    exactly the candidates a full pass would, and no result depends on which
-    search found it.
+    the certificate pass's largest image distance, the first cut, refutes
+    it unless every image distance is within tol.  The cuts stay on the
+    engine for every later search (another grid or tolerance); a cut tests
+    the fold's own expression, so it refutes exactly the candidates a full
+    pass would, and no result depends on which search found it.
     """
     if not grid_step > 0:
         raise DomainError("grid step must be positive")
     eng = inst.engine
     _require_preserving(eng)
-    cert = eng.certificate
-    if cert.reach <= tol:
-        return CrrParams(0.0, 0.0, 0.0)
     dab = inst.d_ab
     steps = int(math.ceil(1.0 / grid_step))
     values = [i * grid_step for i in range(steps + 1)]

@@ -135,6 +135,16 @@ class TestSolve:
         assert code == 1
         assert "status: exhausted" in out
 
+    def test_long_trace_is_truncated(self, capsys, tmp_path):
+        path = tmp_path / "interval.gpx"
+        gp.save_instance(gp.interval_example(0.5), path)
+        code, out = run(capsys, "solve", str(path), "--start=-3", "--epsilon", "1e-6",
+                        "--max-iter", "20")
+        lines = out.splitlines()
+        assert code == 1 and "status: exhausted" in lines
+        assert [ln for ln in lines if ln.startswith("step: ")][-1].startswith("step: 11 ")
+        assert "steps-truncated: 9" in lines  # 21 residuals, 12 shown
+
     def test_witness_kept_when_edges_are_not_preserved(self, capsys, tmp_path):
         # the map breaks edge preservation, so there is no CRR bound, but the
         # found witness is still reported

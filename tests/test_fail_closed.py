@@ -119,6 +119,14 @@ def test_huge_point_count_is_a_short_file(tmp_path, command):
     assert error_lines(err) == ["error: line 11: unexpected end of file"]
 
 
+@pytest.mark.parametrize("name", ["interval", "ellipse", "segments"])
+def test_tiny_grid_step_is_one_error_line(name):
+    """The builder refuses a grid too fine to lay out before allocating it."""
+    code, out, err = run_main(["demo", name, "--grid-step", "1e-300"])
+    assert code == 2 and out == ""
+    assert error_lines(err) == ["error: grid step 1e-300 lays out more than 10000000 samples"]
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("option, argv", [
     ("--tol", ["validate", "{single}"]),

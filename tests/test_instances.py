@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import gproximity as gp
 from gproximity import instances
+from gproximity.cli import main
 from gproximity.errors import ParseError, SpecError
 
 
@@ -72,6 +73,21 @@ class TestAffineSegmentsPair:
     def test_factor_range(self):
         with pytest.raises(SpecError):
             gp.affine_segments_pair(1.0)
+
+
+class TestGridLimit:
+    """A builder counts its grid's samples before it lays any out (tiny
+    steps: ``MALFORMED_FILES``)."""
+
+    def test_limit_counts_samples_per_axis(self):
+        limit = instances._MAX_SAMPLES
+        assert instances._grid_steps(2.0 / (limit - 2), 2.0) + 1 <= limit
+        with pytest.raises(SpecError):
+            instances._grid_steps(2.0 / limit, 2.0)
+        side = math.isqrt(limit)  # 3162: an ellipse axis of 3.0 / step + 1 samples
+        assert instances._grid_steps(3.0 / (side - 1), 3.0, axes=2) == pytest.approx(side - 1)
+        with pytest.raises(SpecError):
+            gp.ellipse_example(3.0 / side)
 
 
 class TestRandomInstance:
@@ -160,6 +176,75 @@ HUGE = ("gproximity-instance v1\nname: huge\nkind: tabulated\nn: 1000000000\nA: 
         "graph: complete\nmap: none\ndist:\nrow: 1.0\n")
 
 
+#: Malformed files: (text, line of the error, words of its message).
+MALFORMED_FILES = [
+    ("gproximity-instance v1\nname: x\nkind: coordinate\nbuilder: interval\n"
+     "arg: bogus=1\n", 5, "bogus"),
+    ("gproximity-instance v1\nname: x\nkind: coordinate\nbuilder: interval\n"
+     "arg: grid_step=0.3\n", 4, "does not divide"),
+    ("gproximity-instance v1\nname: x\nkind: tabulated\nn: 2\nA: 0\nB: 5\n"
+     "graph: complete\nmap: table\ntable: 1 0\ndist:\nrow: 1.0\n", 6, "outside 0..1"),
+    ("gproximity-instance v1\nname: x\nkind: tabulated\nn: 2\nA: 0\nB: 1\n"
+     "graph: complete\nmap: table\ntable: 1 0\ndist:\nrow: nan\n", 11, "non-finite"),
+    ("gproximity-instance v1\nname: x\nkind: tabulated\nn: 2\nA: 0\nB: 1\n"
+     "graph: custom even\nmap: table\ntable: 1 0\ndist:\nrow: 1.0\n", 7, "graph spec"),
+    ("gproximity-instance v1\nname: x\nkind: tabulated\nn: 3\nA: 0 0 1\nB: 2\n"
+     "graph: complete\nmap: table\ntable: 2 2 0\ndist:\nrow: 1.0\nrow: 2.0 1.0\n",
+     5, "index 0 repeated"),
+    ("gproximity-instance v1\nname: x\nkind: tabulated\nn: 3\nA: 0 1\nB: 2 1 2\n"
+     "graph: complete\nmap: table\ntable: 2 2 0\ndist:\nrow: 1.0\nrow: 2.0 1.0\n",
+     6, "index 2 repeated"),
+    ("gproximity-instance v1\nname: x\nkind: tabulated\nn: 2\nA: 0\nB: 1\n"
+     "graph: edges 2\nedge: 0 1\nedge: -1 1\nmap: table\ntable: 1 0\ndist:\nrow: 1.0\n",
+     9, "edge index -1 outside 0..1"),
+    ("gproximity-instance v1\nname: x\nkind: tabulated\nn: 2\nA: 0\nB: 1\n"
+     "graph: edges 1\nedge: 0 2\nmap: table\ntable: 1 0\ndist:\nrow: 1.0\n",
+     8, "edge index 2 outside 0..1"),
+    ("gproximity-instance v1\nname: x\nkind: tabulated\nn: 2\nA: 0\nB: 1\n"
+     "graph: edges -2\nmap: table\ntable: 1 0\ndist:\nrow: 1.0\n", 7, "edge count -2"),
+    ("gproximity-instance v1\nname: x\nkind: tabulated\nn: 2\nA: 0\nB: 1\n"
+     "graph: edges 1 junk\nedge: 0 1\nmap: table\ntable: 1 0\ndist:\nrow: 1.0\n",
+     7, "malformed edge count"),
+    ("gproximity-instance v1\nname: x\nkind: tabulated\nn: 2\nA: 0\nB: 1\n"
+     "graph: edgesXYZ 1\nedge: 0 1\nmap: table\ntable: 1 0\ndist:\nrow: 1.0\n",
+     7, "unknown graph spec 'edgesXYZ 1'"),
+    ("gproximity-instance v1\nname: x\nkind: tabulated\nn: 2\nA: 0\nB: 1\n"
+     "graph:\nmap: table\ntable: 1 0\ndist:\nrow: 1.0\n", 7, "unknown graph spec ''"),
+    ("gproximity-instance v1\nname: x\nkind: tabulated\nn: 2\nA: 0\nB: 1\n"
+     "graph: complete\nmap: table\ntable: 1 0\ndist:\nrow: 1.0\n\nrow: 2.0 1.0\n",
+     13, "after the distance rows"),
+    ("gproximity-instance v1\nname: x\nkind: tabulated\nn: 1\nA: 0\nB: 0\n"
+     "graph: complete\nmap: none\ndist:\nrow: 1.0\n", 10, "after the distance rows"),
+    ("gproximity-instance v1\nname: x\nkind: coordinate\nbuilder: interval\n"
+     "arg: grid_step=0.5\narg: grid_step=0.25\n", 6, "'grid_step' repeated"),
+    (HUGE, 11, "unexpected end of file"),
+    # one case for each remaining error of the loader
+    ("gproximity-instance v1\nname: x\nkind: coordinate\nbuilder: circle\n"
+     "arg: grid_step=0.5\n", 4, "unknown builder 'circle'"),
+    ("gproximity-instance v1\nname: x\nkind: coordinate\nbuilder: interval\n"
+     "arg: grid_step\n", 5, "malformed arg 'grid_step'"),
+    ("gproximity-instance v1\nname: x\nkind: coordinate\nbuilder: interval\n"
+     "arg: grid_step=fine\n", 4, "builder 'interval' rejects its arguments"),
+    ("gproximity-instance v1\nname: x\nkind: tabulated\nn: two\nA: 0\nB: 1\n"
+     "graph: complete\nmap: table\ntable: 1 0\ndist:\nrow: 1.0\n", 4, "malformed point count"),
+    ("gproximity-instance v1\nname: x\nkind: tabulated\nn: 0\nA: 0\nB: 1\n"
+     "graph: complete\nmap: table\ntable: 1 0\ndist:\nrow: 1.0\n", 4,
+     "point count 0 is not positive"),
+    ("gproximity-instance v1\nname: x\nkind: tabulated\nn: 2\nA: 0\nB: 1\n"
+     "graph: complete\nmap: tabel\ntable: 1 0\ndist:\nrow: 1.0\n", 8, "unknown map spec 'tabel'"),
+    ("gproximity-instance v1\nname: x\nkind: tabulated\nn: 2\nA: 0\nB: 1\n"
+     "graph: complete\nmap: table\ntable: 1 0\ndist:\nrow: one\n", 11,
+     "malformed distance in row 1"),
+] + [
+    # a grid step so fine that the builder's grid would not fit in memory
+    (f"gproximity-instance v1\nname: x\nkind: coordinate\nbuilder: {builder}\n"
+     f"{args}arg: grid_step={step}\n", 4, f"grid step {step} lays out more than 10000000 samples")
+    for builder, args in (("interval", ""), ("ellipse", ""), ("segments", ""),
+                          ("affine-segments", "arg: factor=0.5\n"))
+    for step in ("1e-300", "5e-324")  # 2 / 5e-324 overflows to inf
+]
+
+
 class TestSerialization:
     @pytest.mark.parametrize("build", ROUNDTRIP_BUILDERS)
     def test_roundtrip(self, build):
@@ -189,53 +274,24 @@ class TestSerialization:
         with pytest.raises(ParseError):
             gp.loads("not an instance file\n")
 
-    @pytest.mark.parametrize("text, line, words", [
-        ("gproximity-instance v1\nname: x\nkind: coordinate\nbuilder: interval\n"
-         "arg: bogus=1\n", 5, "bogus"),
-        ("gproximity-instance v1\nname: x\nkind: coordinate\nbuilder: interval\n"
-         "arg: grid_step=0.3\n", 4, "does not divide"),
-        ("gproximity-instance v1\nname: x\nkind: tabulated\nn: 2\nA: 0\nB: 5\n"
-         "graph: complete\nmap: table\ntable: 1 0\ndist:\nrow: 1.0\n", 6, "outside 0..1"),
-        ("gproximity-instance v1\nname: x\nkind: tabulated\nn: 2\nA: 0\nB: 1\n"
-         "graph: complete\nmap: table\ntable: 1 0\ndist:\nrow: nan\n", 11, "non-finite"),
-        ("gproximity-instance v1\nname: x\nkind: tabulated\nn: 2\nA: 0\nB: 1\n"
-         "graph: custom even\nmap: table\ntable: 1 0\ndist:\nrow: 1.0\n", 7, "graph spec"),
-        ("gproximity-instance v1\nname: x\nkind: tabulated\nn: 3\nA: 0 0 1\nB: 2\n"
-         "graph: complete\nmap: table\ntable: 2 2 0\ndist:\nrow: 1.0\nrow: 2.0 1.0\n",
-         5, "index 0 repeated"),
-        ("gproximity-instance v1\nname: x\nkind: tabulated\nn: 3\nA: 0 1\nB: 2 1 2\n"
-         "graph: complete\nmap: table\ntable: 2 2 0\ndist:\nrow: 1.0\nrow: 2.0 1.0\n",
-         6, "index 2 repeated"),
-        ("gproximity-instance v1\nname: x\nkind: tabulated\nn: 2\nA: 0\nB: 1\n"
-         "graph: edges 2\nedge: 0 1\nedge: -1 1\nmap: table\ntable: 1 0\ndist:\nrow: 1.0\n",
-         9, "edge index -1 outside 0..1"),
-        ("gproximity-instance v1\nname: x\nkind: tabulated\nn: 2\nA: 0\nB: 1\n"
-         "graph: edges 1\nedge: 0 2\nmap: table\ntable: 1 0\ndist:\nrow: 1.0\n",
-         8, "edge index 2 outside 0..1"),
-        ("gproximity-instance v1\nname: x\nkind: tabulated\nn: 2\nA: 0\nB: 1\n"
-         "graph: edges -2\nmap: table\ntable: 1 0\ndist:\nrow: 1.0\n", 7, "edge count -2"),
-        ("gproximity-instance v1\nname: x\nkind: tabulated\nn: 2\nA: 0\nB: 1\n"
-         "graph: edges 1 junk\nedge: 0 1\nmap: table\ntable: 1 0\ndist:\nrow: 1.0\n",
-         7, "malformed edge count"),
-        ("gproximity-instance v1\nname: x\nkind: tabulated\nn: 2\nA: 0\nB: 1\n"
-         "graph: edgesXYZ 1\nedge: 0 1\nmap: table\ntable: 1 0\ndist:\nrow: 1.0\n",
-         7, "unknown graph spec 'edgesXYZ 1'"),
-        ("gproximity-instance v1\nname: x\nkind: tabulated\nn: 2\nA: 0\nB: 1\n"
-         "graph:\nmap: table\ntable: 1 0\ndist:\nrow: 1.0\n", 7, "unknown graph spec ''"),
-        ("gproximity-instance v1\nname: x\nkind: tabulated\nn: 2\nA: 0\nB: 1\n"
-         "graph: complete\nmap: table\ntable: 1 0\ndist:\nrow: 1.0\n\nrow: 2.0 1.0\n",
-         13, "after the distance rows"),
-        ("gproximity-instance v1\nname: x\nkind: tabulated\nn: 1\nA: 0\nB: 0\n"
-         "graph: complete\nmap: none\ndist:\nrow: 1.0\n", 10, "after the distance rows"),
-        ("gproximity-instance v1\nname: x\nkind: coordinate\nbuilder: interval\n"
-         "arg: grid_step=0.5\narg: grid_step=0.25\n", 6, "'grid_step' repeated"),
-        (HUGE, 11, "unexpected end of file"),
-    ])
+    @pytest.mark.parametrize("text, line, words", MALFORMED_FILES)
     def test_malformed_files_raise_with_line(self, text, line, words):
         with pytest.raises(ParseError) as err:
             gp.loads(text)
         assert err.value.line == line
         assert words in str(err.value)
+
+    @pytest.mark.parametrize("text, line, words", MALFORMED_FILES)
+    def test_malformed_files_are_one_cli_error_line(self, tmp_path, capsys, text, line, words):
+        path = tmp_path / "bad.gpx"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", str(path)])
+        out, err = capsys.readouterr()
+        errors = [ln for ln in err.splitlines() if ln.startswith("error:")]
+        assert exc.value.code == 2 and out == ""
+        assert len(errors) == 1 and errors[0].startswith(f"error: line {line}: ")
+        assert words in errors[0]
 
     def test_rows_are_read_before_the_matrix_is_built(self):
         """A file claiming n = 5000 with two rows fails at its end without

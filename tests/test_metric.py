@@ -187,8 +187,9 @@ def same_float(x, y) -> bool:
 
 
 class TestPairDistanceShortcut:
-    """Shared points give d(A, B) = 0.0 without a fold, bit for bit the
-    fold's value; tables with sign bits or a non-zero diagonal keep the fold."""
+    """Coordinate sets sharing a point give d(A, B) = 0.0 without a fold, bit
+    for bit the fold's value; tables always fold, sign bits and non-zero
+    diagonals included."""
 
     @staticmethod
     def fold(space, sets):
@@ -254,8 +255,6 @@ class TestPairDistanceShortcut:
         monkeypatch.setattr(gproximity.metric, "_fold_cross", no_fold)
         inst_sets = SubsetPair(((0.0, 0.5), (1.0, 0.0)), ((0.0, 0.5),))
         assert pair_distance(CoordinateSpace(2), inst_sets) == 0.0
-        table = TabulatedSpace(euclidean_table([(0, 0), (1, 0)]))
-        assert pair_distance(table, SubsetPair((0, 1), (1,))) == 0.0
 
 
 class TestBlockedFolds:
