@@ -38,7 +38,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .graph import contains_pairs, edge_index, first_unpreserved, image_positions
+from .graph import adjacency, contains_pairs, first_unpreserved, image_positions
 from .metric import _BLOCK_ELEMS, DEFAULT_TOL, DistanceKernel, point_array
 
 
@@ -78,18 +78,21 @@ class EdgeScanner:
     """The edge engine of one map, or a map pair, on the points of a
     ``SubsetPair``.
 
-    Holds the images, point arrays, self-distances and edge index, and streams
-    (start, stop, D, DF, U) blocks over the edges at scan positions
-    start..stop-1.  DF takes ``images_left`` on the I side and ``images_right``
-    (default: the same) on the J side; a map pair, given ``images_right``,
-    scans the edges of A x B only (rows ``rows``, columns ``cols``).
+    Holds the images, point arrays, self-distances and the graph's
+    ``adjacency`` over the points, and streams (start, stop, D, DF, U) blocks
+    over the edges at scan positions start..stop-1.  DF takes ``images_left``
+    on the I side and ``images_right`` (default: the same) on the J side; a
+    map pair, given ``images_right``, scans the edges of A x B only (rows
+    ``rows``, columns ``cols``).
 
-    Listed edges (every graph but the complete one) are scanned in edge-index
-    order, ``_BLOCK_ELEMS`` at a time.  A complete graph is scanned in row
-    blocks of about ``_BLOCK_ELEMS`` pairs; when ``symmetric`` (one map, an
-    exactly symmetric metric) the block starting at row s covers columns
-    s..n-1 only, which changes no fold result (see the module docstring),
-    else every column.  Scan positions count the visited edges.
+    Listed edges (every graph but the complete one) are the set entries of
+    the adjacency's ``rows`` x ``cols`` cut in row-major order, scanned
+    ``_BLOCK_ELEMS`` at a time; a point that A or B repeats is scanned at
+    each of its places, as in a complete graph.  A complete graph is scanned
+    in row blocks of about ``_BLOCK_ELEMS`` pairs; when ``symmetric`` (one
+    map, an exactly symmetric metric) the block starting at row s covers
+    columns s..n-1 only, which changes no fold result (see the module
+    docstring), else every column.  Scan positions count the visited edges.
     """
 
     def __init__(self, space, sets, graph, images_left, images_right=None):
@@ -107,8 +110,11 @@ class EdgeScanner:
         pair, pos = images_right is not None, sets.position
         self.rows = np.array([pos[p] for p in sets.a], dtype=np.intp) if pair else np.arange(n)
         self.cols = np.array([pos[p] for p in sets.b], dtype=np.intp) if pair else np.arange(n)
-        self.index = edge_index(graph, pos)
-        self.edges = edge_index(graph, pos, self.rows, self.cols) if pair else self.index
+        self.adj = adjacency(graph, pos)
+        self.edges = None
+        if self.adj is not None:
+            r, c = np.nonzero(self.adj[np.ix_(self.rows, self.cols)])
+            self.edges = self.rows[r], self.cols[c]
         images = (self.images_left, self.images_right) if pair else (self.images_left,)
         self.maps = [(m, image_positions(pos, m)) for m in images]  # I side, then a pair's J side
         # one map on a complete graph, with d(x, y) == d(y, x) bitwise
@@ -167,15 +173,14 @@ class EdgeScanner:
     @cached_property
     def on_edge(self):
         """Per point p: whether (p, Fp) is an edge, F the map of the I side."""
-        n = len(self.points)
-        k = np.arange(n)
-        return contains_pairs(self.graph, self.index, n, (self.points, k), self.maps[0], k, k)
+        k = np.arange(len(self.points))
+        return contains_pairs(self.graph, self.adj, (self.points, k), self.maps[0], k, k)
 
     @cached_property
     def preserved(self):
         """(ok, first violating edge): each scanned edge (x, y) keeps (Fx, Fy)
         and, for a pair, (Gx, Gy) an edge of the graph."""
-        k = first_unpreserved(self.graph, self.index, len(self.points), self.edges, *self.maps)
+        k = first_unpreserved(self.graph, self.adj, self.edges, *self.maps)
         return (True, None) if k is None else (False, self._edge(k))
 
     def blocks(self):

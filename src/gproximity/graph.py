@@ -2,7 +2,7 @@
 
 A graph is either a named rule (complete, diagonal, custom predicate) or an
 explicit set of ordered point pairs.  Every rule contains the diagonal: each
-query, and the edge index every scan reads, treats (x, x) as an edge whether
+query, and the adjacency every scan reads, treats (x, x) as an edge whether
 listed or not; `validate_graph` still flags explicit edge sets that omit
 diagonal pairs, since such a file is incomplete.
 """
@@ -101,44 +101,31 @@ def _edge_key(edge):
     return tuple((1, p) if isinstance(p, tuple) else (0, (p,)) for p in edge)
 
 
-def edge_index(g: DirectedGraph, position, rows=None, cols=None):
-    """E(G) among the points of ``position`` (a ``SubsetPair.position``) as
-    sorted index arrays (I, J), the diagonal included for every rule: explicit
-    graphs their listed edges plus (i, i), diagonal graphs (i, i), custom
-    graphs the predicate's edges plus the diagonal; None for complete graphs
-    (every pair).  Position arrays ``rows`` and ``cols`` (given together)
-    limit the edges to that rectangle, ordered by (rank in rows, rank in
-    cols); a repeated position counts at its first rank.
+def adjacency(g: DirectedGraph, position):
+    """E(G) among the n points of ``position`` (a ``SubsetPair.position``) as
+    an n x n boolean matrix over their positions, the diagonal set for every
+    rule: explicit graphs their listed edges among the points, diagonal
+    graphs the diagonal alone, custom graphs the predicate's mask; None for
+    complete graphs (every pair).
+
+    The matrix holds n^2 bytes.  For a tabulated instance that is 1/8 of its
+    float64 distance matrix, and a custom graph asks its predicate for every
+    pair anyway; only an explicit graph on a large coordinate point set
+    costs more here than its edge list.
     """
     n = len(position)
     if g.rule == COMPLETE:
         return None
-    if g.rule == DIAGONAL:
-        i = j = np.arange(n)
-    elif g.rule == EXPLICIT:
+    if g.rule == CUSTOM:
+        pts = tuple(position)
+        mask = [[contains_edge(g, x, y) for y in pts] for x in pts]
+        return np.array(mask, dtype=bool).reshape(n, n)
+    adj = np.eye(n, dtype=bool)
+    if g.rule == EXPLICIT:
         keys = [position[x] * n + position[y] for x, y in g.edges
                 if x in position and y in position]
-        keys.extend(range(0, n * n, n + 1))
-        keys = np.sort(np.asarray(keys, dtype=np.intp))  # np.unique imports numpy.ma mid-run
-        i, j = np.divmod(keys[np.diff(keys, prepend=-1) > 0], n)
-    else:
-        pts = tuple(position)
-        mask = np.array([[contains_edge(g, x, y) for y in pts] for x in pts], dtype=bool)
-        i, j = np.nonzero(mask.reshape(n, n))
-    if rows is None:
-        return i, j
-    ri, cj = _first_ranks(rows, n)[i], _first_ranks(cols, n)[j]
-    keep = np.flatnonzero((ri >= 0) & (cj >= 0))
-    keep = keep[np.lexsort((cj[keep], ri[keep]))]
-    return i[keep], j[keep]
-
-
-def _first_ranks(sel, n):
-    """rank[p] = first position of p in sel, or -1."""
-    values, first = np.unique(np.asarray(sel, dtype=np.intp), return_index=True)
-    rank = np.full(n, -1)
-    rank[values] = first
-    return rank
+        adj.ravel()[keys] = True
+    return adj
 
 
 def image_positions(position, images):
@@ -146,29 +133,29 @@ def image_positions(position, images):
     return np.array([position.get(q, -1) for q in images], dtype=np.intp)
 
 
-def contains_pairs(g: DirectedGraph, index, n, left, right, i, j):
+def contains_pairs(g: DirectedGraph, adj, left, right, i, j):
     """contains_edge(g, left[0][i[k]], right[0][j[k]]) for every k; ``left`` and
-    ``right`` are (points, ``image_positions``) among the n points of the full
-    edge_index ``index``, and contains_edge is asked only for pairs leaving them."""
-    if index is None:
+    ``right`` are (points, ``image_positions``) among the points of the
+    ``adjacency`` ``adj``, and contains_edge is asked only for pairs leaving them."""
+    if adj is None:
         return np.ones(len(i), dtype=bool)
     li, rj = left[1][i], right[1][j]
-    ok = np.isin(li * n + rj, index[0] * n + index[1])
+    ok = adj[li, rj]
     for k in np.flatnonzero((li < 0) | (rj < 0)):
         ok[k] = contains_edge(g, left[0][i[k]], right[0][j[k]])
     return ok
 
 
-def first_unpreserved(g: DirectedGraph, index, n, edges, *maps):
+def first_unpreserved(g: DirectedGraph, adj, edges, *maps):
     """Position in ``edges`` (I, J) of the first edge that a map, given as
-    (images, positions) of the n points, sends off the graph with full
-    edge_index ``index``; None when every edge is kept."""
-    if index is None:
+    (images, positions) of the points of the ``adjacency`` ``adj``, sends
+    off the graph; None when every edge is kept."""
+    if adj is None:
         return None
     ei, ej = edges
     bad = np.zeros(ei.size, dtype=bool)
     for m in maps:
-        bad |= ~contains_pairs(g, index, n, m, m, ei, ej)
+        bad |= ~contains_pairs(g, adj, m, m, ei, ej)
     hits = np.flatnonzero(bad)
     return int(hits[0]) if hits.size else None
 
@@ -177,10 +164,10 @@ def iter_edges(g: DirectedGraph, points):
     """All edges among the given (distinct) points, in lexicographic scan order."""
     position = point_positions(points)
     pts = tuple(position)
-    index = edge_index(g, position)
-    if index is None:
+    adj = adjacency(g, position)
+    if adj is None:
         return product(pts, pts)
-    return ((pts[i], pts[j]) for i, j in zip(*index))
+    return ((pts[i], pts[j]) for i, j in zip(*np.nonzero(adj)))
 
 
 def preserves_edges(g: DirectedGraph, f, points):
@@ -194,7 +181,8 @@ def preserves_edges(g: DirectedGraph, f, points):
         return True, None
     position = point_positions(points)
     pts = tuple(position)
-    index = edge_index(g, position)
+    adj = adjacency(g, position)
+    edges = np.nonzero(adj)
     images = [f(p) for p in pts]
-    k = first_unpreserved(g, index, len(pts), index, (images, image_positions(position, images)))
-    return (True, None) if k is None else (False, (pts[index[0][k]], pts[index[1][k]]))
+    k = first_unpreserved(g, adj, edges, (images, image_positions(position, images)))
+    return (True, None) if k is None else (False, (pts[edges[0][k]], pts[edges[1][k]]))

@@ -26,11 +26,14 @@ _MAX_SAMPLES = 10 ** 7
 
 
 def _grid_steps(step: float, length: float, axes: int = 1) -> float:
-    """length / step, once step > 0 and a grid of length / step + 1 samples
-    along each of ``axes`` axes holds at most _MAX_SAMPLES of them."""
+    """length / step, once step > 0, the length holds at least one step and
+    a grid of length / step + 1 samples along each of ``axes`` axes holds at
+    most _MAX_SAMPLES of them."""
     if not step > 0:
         raise SpecError("grid step must be positive")
     steps = length / step
+    if not steps >= 1:
+        raise SpecError(f"grid step {step!r} exceeds the length {length!r}")
     if not steps + 1 <= _MAX_SAMPLES ** (1 / axes):
         raise SpecError(f"grid step {step!r} lays out more than {_MAX_SAMPLES} samples")
     return steps
@@ -94,18 +97,19 @@ def ellipse_example(grid_step: float = 0.1) -> Instance:
 
 
 def _segment_grids(grid_step: float):
+    """A and B: the unit segments [0, 1] x {0} and [0, 1] x {1}."""
     m = _check_divides(grid_step, 1.0, "the unit interval")
     if m % 2 != 0:
         raise SpecError(f"grid step {grid_step!r} must place x = 1/2 on the grid")
     xs = np.linspace(0.0, 1.0, m + 1)
     a = tuple((float(x), 0.0) for x in xs)
     b = tuple((float(x), 1.0) for x in xs)
-    sets = SubsetPair(
-        a, b,
-        a_contains=lambda p: abs(p[1]) <= DEFAULT_TOL,
-        b_contains=lambda p: abs(p[1] - 1.0) <= DEFAULT_TOL,
-    )
-    return sets
+
+    def on_segment(height):
+        return lambda p: (abs(p[1] - height) <= DEFAULT_TOL
+                          and -DEFAULT_TOL <= p[0] <= 1.0 + DEFAULT_TOL)
+
+    return SubsetPair(a, b, a_contains=on_segment(0.0), b_contains=on_segment(1.0))
 
 
 def segments_example(grid_step: float = 0.01) -> Instance:
@@ -128,6 +132,8 @@ def affine_segments_pair(factor: float, shift: float = 0.0,
     """
     if not (0.0 <= factor < 1.0):
         raise SpecError("factor must lie in [0, 1)")
+    if not math.isfinite(shift):
+        raise SpecError(f"shift must be finite, got {shift!r}")
     sets = _segment_grids(grid_step)
     t = CyclicMap("affine-up", fn=lambda p: (factor * p[0] + shift, 1.0))
     s = CyclicMap("affine-down", fn=lambda p: (factor * p[0] + shift, 0.0))

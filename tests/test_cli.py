@@ -5,6 +5,7 @@ import sys
 import pytest
 
 import gproximity as gp
+from gproximity import cli
 from gproximity.cli import main
 
 
@@ -254,6 +255,98 @@ class TestMaplessFile:
         assert code == 1
         assert out.splitlines()[-2:] == ["error: instance 'bare' has no single cyclic map",
                                          "exit-status: 1"]
+
+
+#: T sends (1.0, 0.0) to (1.4, 1.0), beyond the end of B = [0, 1] x {1}.
+SHIFTED = ("gproximity-instance v1\nname: shifted\nkind: coordinate\n"
+           "builder: affine-segments\narg: factor=0.5\narg: shift=0.9\narg: grid_step=0.25\n")
+
+
+def sections(out):
+    """Report lines as {section: {key: first value}}; "" before any section."""
+    found, current = {"": {}}, ""
+    for line in out.splitlines():
+        if line.startswith("["):
+            current = line.strip("[]")
+            found[current] = {}
+        else:
+            key, value = line.split(": ", 1)
+            found[current].setdefault(key, value)
+    return found
+
+
+def members(out):
+    return [line for line in out.splitlines() if line.startswith("member: ")]
+
+
+class TestTwoMapFile:
+    """Pair files and the segments demo against the library's own results."""
+
+    @pytest.fixture()
+    def pair_file(self, tmp_path):
+        path = tmp_path / "pair.gpx"
+        gp.save_instance(gp.identity_pair_instance(5, n=6), path)
+        return gp.load_instance(path), str(path)
+
+    def test_validate(self, capsys, pair_file):
+        inst, path = pair_file
+        code, out = run(capsys, "validate", path)
+        head = sections(out)[""]
+        assert code == 0 and head["kind"] == "two-map"
+        assert head["cyclic-valid"] == cli._fmt(gp.validate_pair(inst).ok) == "true"
+
+    def test_segment_images_beyond_the_end_are_flagged(self, capsys, tmp_path):
+        inst = gp.loads(SHIFTED)
+        code, out = run(capsys, "validate", write(tmp_path, "shifted.gpx", SHIFTED))
+        flagged = [ln for ln in out.splitlines() if ln.startswith("cyclic-violation: ")]
+        assert code == 1 and sections(out)[""]["cyclic-valid"] == "false"
+        assert len(flagged) == len(gp.validate_pair(inst).violations) == 8
+        assert ("cyclic-violation: cyclic at ((1.0, 0.0),): T-image (1.4, 1.0) "
+                "of A-point is not in B") in flagged
+
+    def test_enumerate(self, capsys, pair_file):
+        inst, path = pair_file
+        code, out = run(capsys, "enumerate", path, "--epsilon", "0.2")
+        pset = gp.enumerate_pair_set(inst, 0.2)
+        head = sections(out)[""]
+        assert code == 0 and 0 < len(pset.members) < 36
+        assert head["set-size"] == str(len(pset.members))
+        assert members(out) == [f"member: {cli._fmt_pair(m)}" for m in pset.members[:20]]
+        assert head["pair-diameter"] == cli._fmt(gp.pair_diameter(inst, pset))
+        assert "mode" not in head
+
+    def test_enumerate_without_edge_preservation(self, capsys, tmp_path):
+        """No contraction factor exists, so no diameter bound is reported."""
+        path = write(tmp_path, "broken.gpx", BROKEN)
+        inst = gp.load_instance(path)
+        with pytest.raises(gp.ClassificationError):
+            gp.min_contraction_factor(inst)
+        code, out = run(capsys, "enumerate", path)
+        ps = gp.enumerate_proximity_set(inst, 0.1)
+        head = sections(out)[""]
+        assert code == 0 and members(out) == ["member: 0"] == \
+            [f"member: {m}" for m in ps.members]
+        assert head["set-diameter"] == cli._fmt(gp.proximity_diameter(inst, ps))
+        assert "contraction-diam-bound" not in head
+
+    def test_demo_segments(self, capsys):
+        code, out = run(capsys, "demo", "segments", "--grid-step", "0.25")
+        inst = gp.segments_example(0.25)
+        cfg = gp.SolveConfig(0.01, 50)
+        found = sections(out)
+        assert code == 0 and found["validate"]["cyclic-valid"] == "true"
+        assert found["classify"]["pair-preserves-edges"] == "true"
+        for name, result in (
+                ("solve-parallel",
+                 gp.two_map_parallel(inst, inst.sets.a[0], inst.sets.b[-1], cfg)),
+                ("solve-alternating",
+                 gp.two_map_alternating(inst, (0.0, 0.0), (1.0, 1.0), 0.0, 1.0, cfg))):
+            assert found[name]["status"] == result.status == gp.FOUND
+            assert found[name]["iterations"] == str(result.iterations)
+            assert found[name]["witness"] == cli._fmt_pair(result.witness)
+        pset = gp.enumerate_pair_set(inst, 0.01)
+        assert found["enumerate"]["set-size"] == str(len(pset.members)) == "25"
+        assert found["enumerate"]["pair-diameter"] == cli._fmt(gp.pair_diameter(inst, pset))
 
 
 class TestDemo:

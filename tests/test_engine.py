@@ -212,6 +212,31 @@ def test_unlisted_self_loop_is_an_edge_of_every_scan():
             [(0, 0), (0, 2), (1, 1), (2, 2)]
 
 
+def line_space(n):
+    return gp.TabulatedSpace(np.abs(np.subtract.outer(np.arange(float(n)), np.arange(float(n)))))
+
+
+def test_pair_engine_scans_rows_then_cols_order():
+    g = gp.explicit_graph({(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)})
+    pair = gp.MapPair(gp.CyclicMap("t", table=(2, 3, 0, 1)), gp.CyclicMap("s", table=(0, 1, 2, 3)))
+    inst = gp.Instance("order", line_space(4), gp.SubsetPair((1, 0), (3, 2)), g, map_pair=pair)
+    eng = inst.pair_engine
+    pts = [(eng.points[i], eng.points[j]) for i, j in zip(*eng.edge_pairs(np.arange(4)))]
+    assert pts == [(1, 3), (1, 2), (0, 3), (0, 2)]
+
+
+def test_repeated_entry_scans_as_in_the_complete_graph():
+    """A library-built A that repeats point 0: a graph listing every pair
+    scans it like the complete graph, each entry at its own place."""
+    pair = gp.MapPair(gp.CyclicMap("t", table=(2, 3, 2, 3)), gp.CyclicMap("s", table=(0, 1, 0, 1)))
+    every = gp.explicit_graph({(x, y) for x in range(4) for y in range(4)})
+    insts = [gp.Instance("repeat", line_space(4), gp.SubsetPair((0, 0, 1), (2, 3)), g,
+                         map_pair=pair) for g in (gp.complete_graph(), every)]
+    members = [gp.enumerate_pair_set(inst, 10.0).members for inst in insts]
+    assert members[0] == members[1] and len(members[1]) == 6
+    assert gp.is_crr_2map(insts[0], PARAMS) == gp.is_crr_2map(insts[1], PARAMS)
+
+
 # Half-triangle scans: the engine's folds against row-major folds over the
 # full n x n square of pairs.
 

@@ -2,7 +2,10 @@
 or 2 with no exception escaping, and exit 2 carries exactly one ``error:``
 line."""
 import contextlib
+import dataclasses
 import io
+import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +13,7 @@ from hypothesis import strategies as st
 
 import gproximity as gp
 from gproximity.cli import main
-from gproximity.errors import GproximityError
+from gproximity.errors import DomainError, GproximityError, ParseError, SpecError
 
 NAN = float("nan")
 
@@ -198,3 +201,104 @@ def test_domain_edges_stay_accepted(files, argv):
 def test_library_guards_reject_nan(call):
     with pytest.raises(GproximityError):
         call()
+
+
+def coordinate_file(builder, args):
+    return (f"gproximity-instance v1\nname: x\nkind: coordinate\nbuilder: {builder}\n"
+            + "".join(f"arg: {a}\n" for a in args))
+
+
+#: Builder arguments at the extremes: (builder, file args, the builder's
+#: message, demo argv and its message, or None).  A step longer than the
+#: grid's length leaves no step to lay out; the demo refuses a non-finite
+#: step before any builder runs, and has no affine-segments example.
+EXTREME_ARGS = [
+    ("ellipse", ["grid_step=inf"], "grid step inf exceeds the length 3.0",
+     (["demo", "ellipse", "--grid-step=inf"],
+      "argument --grid-step: must be a finite number, got inf")),
+    ("ellipse", ["grid_step=1e200"], "grid step 1e+200 exceeds the length 3.0",
+     (["demo", "ellipse", "--grid-step=1e200"], "grid step 1e+200 exceeds the length 3.0")),
+    ("interval", ["grid_step=1e200"], "grid step 1e+200 exceeds the length 2.0",
+     (["demo", "interval", "--grid-step=1e200"], "grid step 1e+200 exceeds the length 2.0")),
+    ("segments", ["grid_step=1e200"], "grid step 1e+200 exceeds the length 1.0",
+     (["demo", "segments", "--grid-step=1e200"], "grid step 1e+200 exceeds the length 1.0")),
+    ("affine-segments", ["factor=0.5", "shift=inf"], "shift must be finite, got inf", None),
+    ("affine-segments", ["factor=0.5", "shift=nan"], "shift must be finite, got nan", None),
+]
+
+
+def usage_errors(argv):
+    """The ``error:`` lines of a CLI call that must end in exit 2, without
+    a report or a traceback, within a second."""
+    started = time.perf_counter()
+    code, out, err = run_main(argv)
+    assert time.perf_counter() - started < 1.0
+    assert code == 2 and out == "" and "Traceback" not in err
+    return error_lines(err)
+
+
+@pytest.mark.parametrize("builder, args, message, demo", EXTREME_ARGS)
+def test_extreme_builder_argument_is_one_error_line(tmp_path, builder, args, message, demo):
+    path = tmp_path / "extreme.gpx"
+    path.write_text(coordinate_file(builder, args), encoding="utf-8")
+    assert usage_errors(["validate", str(path)]) == [
+        f"error: line 4: builder {builder!r} rejects its arguments: {message}"]
+    if demo is not None:
+        argv, demo_message = demo
+        assert usage_errors(argv) == [f"error: {demo_message}"]
+
+
+def test_extreme_shift_is_refused_by_the_library():
+    for shift in (math.inf, -math.inf, NAN):
+        with pytest.raises(SpecError, match="shift must be finite"):
+            gp.affine_segments_pair(0.5, shift)
+
+
+#: A file whose table is one entry short (n = 2).
+SHORT_TABLE = ("gproximity-instance v1\nname: x\nkind: tabulated\nn: 2\nA: 0\nB: 1\n"
+               "graph: complete\nmap: table\ntable: 1\ndist:\nrow: 1.0\n")
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: gp.enumerate_proximity_set(gp.contraction_instance(3), 0.1, mode="loose"),
+     DomainError, "unknown mode 'loose'"),
+    (lambda: gp.DirectedGraph("ring"), DomainError, "unknown graph rule 'ring'"),
+    (lambda: gp.DirectedGraph(gp.EXPLICIT), DomainError, "explicit graph needs an edge set"),
+    (lambda: gp.DirectedGraph(gp.CUSTOM), DomainError, "custom graph needs a predicate"),
+    (lambda: gp.random_instance(1, 0, 3), SpecError, "both subsets need at least one point"),
+    (lambda: gp.contraction_instance(1, rays=1), SpecError,
+     "need at least two rays and one level"),
+    (lambda: gp.reflection_instance(1, gap=-1.0), SpecError,
+     "need n >= 1 and a nonnegative gap"),
+    (lambda: gp.identity_pair_instance(1, n=1), SpecError, "need at least two points"),
+    (lambda: gp.dumps(dataclasses.replace(gp.interval_example(0.5), params=())), SpecError,
+     "coordinate instance 'interval' has no registered builder"),
+    (lambda: gp.loads(SHORT_TABLE), ParseError, "line 9: table needs 2 entries, got 1"),
+    (lambda: gp.CyclicMap("t"), DomainError, "a map needs exactly one of table / fn"),
+    (lambda: gp.contraction_instance(3).require_pair(), DomainError,
+     "instance 'contraction-3' has no map pair"),
+    (lambda: gp.SubsetPair((), (1,)), DomainError, "subsets A and B must be nonempty"),
+    (lambda: gp.crr_iteration_bound(1.0, 0.5, 0.0, 0.0), DomainError,
+     "epsilon must be positive"),
+    (lambda: gp.crr_iteration_bound(0.5, 0.5, 1.0, 0.1), DomainError,
+     "starting displacement below d(A,B)"),
+    (lambda: gp.is_gt_minimizing(gp.contraction_instance(3), None, 0, 0.1), DomainError,
+     "window must be at least 1"),
+    (lambda: gp.epsilon_fixed_point(gp.contraction_instance(3), 0, 0, gp.SolveConfig(0.1)),
+     DomainError, "power must be at least 1"),
+    (lambda: gp.two_map_alternating(gp.identity_pair_instance(4, n=3), 0, 0, 1.5, -0.5,
+                                    gp.SolveConfig(0.1)),
+     DomainError, "alpha must lie in [0, 1)"),
+])
+def test_library_raise_names_its_cause(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_short_table_is_one_error_line(tmp_path):
+    path = tmp_path / "short.gpx"
+    path.write_text(SHORT_TABLE, encoding="utf-8")
+    code, out, err = run_main(["validate", str(path)])
+    assert code == 2 and out == ""
+    assert error_lines(err) == ["error: line 9: table needs 2 entries, got 1"]

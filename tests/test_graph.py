@@ -1,9 +1,10 @@
+import numpy as np
 import pytest
 
 from gproximity import (complete_graph, contains_edge, custom_graph,
                         diagonal_graph, explicit_graph, iter_edges,
                         preserves_edges, validate_graph)
-from gproximity.graph import edge_index
+from gproximity.graph import adjacency
 from gproximity.metric import point_positions
 from gproximity.errors import DomainError
 
@@ -94,10 +95,10 @@ class TestPreservesEdges:
         assert edge == (0, 1)
 
 
-class TestEdgeIndex:
-    def pairs(self, g, rows=None, cols=None):
-        index = edge_index(g, point_positions(PTS), rows, cols)
-        return None if index is None else list(zip(index[0].tolist(), index[1].tolist()))
+class TestAdjacency:
+    def pairs(self, g):
+        adj = adjacency(g, point_positions(PTS))
+        return None if adj is None else list(zip(*(a.tolist() for a in np.nonzero(adj))))
 
     def test_complete_is_all_pairs(self):
         assert self.pairs(complete_graph()) is None
@@ -113,6 +114,7 @@ class TestEdgeIndex:
     def test_diagonal(self):
         assert self.pairs(diagonal_graph()) == [(i, i) for i in PTS]
 
-    def test_rectangle_follows_rows_then_cols_order(self):
-        g = explicit_graph({(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)})
-        assert self.pairs(g, rows=[1, 0], cols=[3, 2]) == [(1, 3), (1, 2), (0, 3), (0, 2)]
+    def test_positions_follow_the_point_order(self):
+        g = explicit_graph({(3, 1), (9, 3)})
+        adj = adjacency(g, point_positions((3, 1)))
+        assert adj.tolist() == [[True, True], [False, True]]
