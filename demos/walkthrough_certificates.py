@@ -5,6 +5,8 @@ finds a certificate and the a-priori iteration bound dominates the observed
 stopping time.  Reflection instances are isometric: nonexpansive, never
 contractive, and their minimizer pins down the tightest nonempty epsilon.
 """
+import dataclasses
+
 import gproximity as gp
 
 
@@ -15,7 +17,8 @@ def main():
     est = gp.min_contraction_factor(inst)
     print(f"uniform contraction factor: {est.alpha_min:.6f}")
 
-    params = gp.crr_params_feasible(inst, grid_step=0.05, tol=0.0)
+    exact = dataclasses.replace(inst, tol=0.0)  # no slack on the certified inequality
+    params = gp.crr_params_feasible(exact, grid_step=0.05)
     print(f"certified constants: alpha={params.alpha} beta={params.beta} "
           f"gamma={params.gamma}, rate k = {params.k:.4f}")
 

@@ -39,7 +39,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .graph import adjacency, contains_pairs, first_unpreserved, image_positions
-from .metric import _BLOCK_ELEMS, DEFAULT_TOL, DistanceKernel, point_array
+from .metric import _BLOCK_ELEMS, DistanceKernel, point_array
 
 
 def elem_dists(space, p, q):
@@ -65,7 +65,7 @@ class Certificate(NamedTuple):
     """One pass over a map's edges, the diagonal among them; each edge is the
     first (x, y) in scan order."""
 
-    zero_edge: Optional[tuple]    # d(x, y) <= 0 while d(fx, fy) > DEFAULT_TOL
+    zero_edge: Optional[tuple]    # d(x, y) <= 0 while d(fx, fy) > the engine's tol
     ratio: float                  # max d(fx, fy) / d(x, y) over d(x, y) > 0, else 0
     ratio_edge: Optional[tuple]
     margin: float                 # max d(fx, fy) - d(x, y)
@@ -78,12 +78,12 @@ class EdgeScanner:
     """The edge engine of one map, or a map pair, on the points of a
     ``SubsetPair``.
 
-    Holds the images, point arrays, self-distances and the graph's
-    ``adjacency`` over the points, and streams (start, stop, D, DF, U) blocks
-    over the edges at scan positions start..stop-1.  DF takes ``images_left``
-    on the I side and ``images_right`` (default: the same) on the J side; a
-    map pair, given ``images_right``, scans the edges of A x B only (rows
-    ``rows``, columns ``cols``).
+    Holds the instance's ``tol``, images, point arrays, self-distances and
+    the graph's ``adjacency`` over the points, and streams (start, stop, D,
+    DF, U) blocks over the edges at scan positions start..stop-1.  DF takes
+    ``images_left`` on the I side and ``images_right`` (default: the same)
+    on the J side; a map pair, given ``images_right``, scans the edges of
+    A x B only (rows ``rows``, columns ``cols``).
 
     Listed edges (every graph but the complete one) are the set entries of
     the adjacency's ``rows`` x ``cols`` cut in row-major order, scanned
@@ -95,8 +95,9 @@ class EdgeScanner:
     docstring), else every column.  Scan positions count the visited edges.
     """
 
-    def __init__(self, space, sets, graph, images_left, images_right=None):
+    def __init__(self, space, sets, graph, tol, images_left, images_right=None):
         self.kernel = DistanceKernel(space)
+        self.tol = tol
         self.points = sets.points
         self.graph = graph
         n = len(self.points)
@@ -224,7 +225,7 @@ class EdgeScanner:
         for start, _stop, d, df, u in self.blocks():
             buf, lo, hi = values[:d.size], low[:d.size], high[:d.size]
             np.less_equal(d, 0.0, out=lo)
-            np.greater(df, DEFAULT_TOL, out=hi)
+            np.greater(df, self.tol, out=hi)
             zero.add(np.logical_and(lo, hi, out=lo), start)  # first max: first True
             np.greater(d, 0.0, out=hi)
             if hi.any():

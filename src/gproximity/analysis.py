@@ -10,7 +10,7 @@ import numpy as np
 from ._scan import elem_dists
 from .errors import DomainError
 from .maps import Instance
-from .metric import DEFAULT_TOL, array_diameter, within_epsilon
+from .metric import array_diameter, within_epsilon
 from .operators import is_edge_nonexpansive
 
 STRICT = "strict"
@@ -40,8 +40,7 @@ class MinimizerReport:
     minimizer_in_set: bool
 
 
-def enumerate_proximity_set(inst: Instance, epsilon: float, mode: str = STRICT,
-                            tol: float = DEFAULT_TOL) -> ProximitySet:
+def enumerate_proximity_set(inst: Instance, epsilon: float, mode: str = STRICT) -> ProximitySet:
     """Exact scan of the stored points against the membership definition.
 
     Strict mode takes the conjunction (edge holds and the displacement is
@@ -54,22 +53,21 @@ def enumerate_proximity_set(inst: Instance, epsilon: float, mode: str = STRICT,
     if not epsilon >= 0:
         raise DomainError("epsilon must be nonnegative")
     eng = inst.engine
-    keep = eng.on_edge & within_epsilon(eng.self_left - inst.d_ab, epsilon, tol)
+    keep = eng.on_edge & within_epsilon(eng.self_left - inst.d_ab, epsilon, inst.tol)
     if mode == VACUOUS:
         keep |= ~eng.on_edge
     k = np.flatnonzero(keep)
     return ProximitySet(epsilon, tuple(inst.points[p] for p in k.tolist()), mode, k)
 
 
-def enumerate_pair_set(inst: Instance, epsilon: float,
-                       tol: float = DEFAULT_TOL) -> PairProximitySet:
+def enumerate_pair_set(inst: Instance, epsilon: float) -> PairProximitySet:
     """Scan E(G) restricted to A x B for pairs with d(Tx, Sy) - d(A,B) <= epsilon,
     in scan order (A order, then B order)."""
     if not epsilon >= 0:
         raise DomainError("epsilon must be nonnegative")
     eng = inst.pair_engine
     pos = np.concatenate([np.empty(0, np.intp)] + [
-        start + np.flatnonzero(within_epsilon(df - inst.d_ab, epsilon, tol))
+        start + np.flatnonzero(within_epsilon(df - inst.d_ab, epsilon, inst.tol))
         for start, _stop, _d, df, _u in eng.blocks()])
     (i, j), pts = eng.edge_pairs(pos), inst.points
     members = list(zip([pts[k] for k in i.tolist()], [pts[k] for k in j.tolist()]))
@@ -111,12 +109,12 @@ def two_map_diam_bound(k: float, epsilon: float, d_ab: float) -> float:
     return (epsilon + d_ab) / (1.0 - k)
 
 
-def minimizer_report(inst: Instance, tol: float = DEFAULT_TOL) -> MinimizerReport:
+def minimizer_report(inst: Instance) -> MinimizerReport:
     """Exact minimizer of d(z, f z) over points with (z, f z) an edge.
 
     Ties break toward the lowest scan position.  ``minimizer_in_set`` says
-    the strict set at epsilon = max(residual, 0) + tol holds the minimizer,
-    which is true by construction for tol >= 0: the minimizer lies on an
+    the strict set at epsilon = max(residual, 0) + ``inst.tol`` holds the
+    minimizer, true by construction as tol >= 0: the minimizer lies on an
     edge and its residual is within that epsilon, nonexpansive map or not.
     """
     eng = inst.engine
@@ -125,6 +123,6 @@ def minimizer_report(inst: Instance, tol: float = DEFAULT_TOL) -> MinimizerRepor
         raise DomainError("no point satisfies the edge eligibility condition")
     best_pos = eligible[np.argmin(eng.self_left[eligible])]
     residual = float(eng.self_left[best_pos]) - inst.d_ab
-    nonexp = bool(is_edge_nonexpansive(inst, tol=tol))
-    in_set = within_epsilon(residual, max(residual, 0.0) + tol, tol)
+    nonexp = bool(is_edge_nonexpansive(inst))
+    in_set = within_epsilon(residual, max(residual, 0.0) + inst.tol, inst.tol)
     return MinimizerReport(inst.points[best_pos], residual, nonexp, in_set)

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 domain or negative result, 2 usage/parse errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 import time
@@ -63,9 +64,9 @@ class Report:
         return code
 
 
-def _load(path) -> Instance:
+def _load(args) -> Instance:
     try:
-        return instances.load_instance(path)
+        return dataclasses.replace(instances.load_instance(args.instance), tol=args.tol)
     except (OSError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
@@ -95,12 +96,12 @@ def _report(inst: Instance, args) -> Report:
     rep.add("instance", inst.name)
     rep.add("kind", inst.kind)
     rep.add("points", len(inst.points))
-    rep.add("tolerance", _fmt(args.tol))
+    rep.add("tolerance", _fmt(inst.tol))
     return rep
 
 
-def _validation_block(rep: Report, inst: Instance, tol: float) -> bool:
-    reports = [("metric", validate_metric(inst.space, tol)),
+def _validation_block(rep: Report, inst: Instance) -> bool:
+    reports = [("metric", validate_metric(inst.space, inst.tol)),
                ("sets", validate_sets(inst.space, inst.sets)),
                ("graph", validate_graph(inst.graph, inst.points))]
     if inst.map_pair is not None:
@@ -117,9 +118,9 @@ def _validation_block(rep: Report, inst: Instance, tol: float) -> bool:
 
 
 def cmd_validate(args) -> int:
-    inst = _load(args.instance)
+    inst = _load(args)
     rep = _report(inst, args)
-    ok = _validation_block(rep, inst, args.tol)
+    ok = _validation_block(rep, inst)
     return rep.finish(EXIT_OK if ok else EXIT_NEGATIVE)
 
 
@@ -143,14 +144,14 @@ def _classify_block(rep: Report, inst: Instance, args) -> int:
         rep.add("worst-ratio", _fmt(est.alpha_min))
     if est.worst_edge is not None:
         rep.add("worst-edge", _fmt_edge(est.worst_edge))
-    nonexp = operators.is_edge_nonexpansive(inst, tol=args.tol)
+    nonexp = operators.is_edge_nonexpansive(inst)
     rep.add("nonexpansive", _fmt(nonexp.ok))
     if args.alpha is not None:
-        chk = operators.is_g_contraction(inst, args.alpha, tol=args.tol)
+        chk = operators.is_g_contraction(inst, args.alpha)
         rep.add(f"g-contraction({_fmt(args.alpha)})", _fmt(chk.ok))
         if not chk.ok:
             rep.add("contraction-worst-edge", _fmt_edge(chk.worst_edge))
-    params = operators.crr_params_feasible(inst, args.crr_grid, tol=args.tol)
+    params = operators.crr_params_feasible(inst, args.crr_grid)
     if params is None:
         rep.add("crr-params", "none")
     else:
@@ -161,17 +162,17 @@ def _classify_block(rep: Report, inst: Instance, args) -> int:
 
 
 def cmd_classify(args) -> int:
-    inst = _load(args.instance)
+    inst = _load(args)
     rep = _report(inst, args)
     return rep.finish(_classify_block(rep, inst, args))
 
 
 def cmd_solve(args) -> int:
-    inst = _load(args.instance)
+    inst = _load(args)
     rep = _report(inst, args)
     rep.add("mode", args.mode)
     rep.add("epsilon", _fmt(args.epsilon))
-    cfg = solver.SolveConfig(args.epsilon, args.max_iter, args.tol)
+    cfg = solver.SolveConfig(args.epsilon, args.max_iter)
     try:
         x0 = _parse_start(inst, args.start) if args.start else inst.sets.a[0]
         if args.mode == "single":
@@ -218,10 +219,10 @@ def _solve_report(rep: Report, inst: Instance, result: solver.SolveResult,
     _trace_report(rep, result, _fmt_point)
     # the a-priori bound needs CRR constants, which need edge preservation
     if result.found and inst.engine.preserved[0]:
-        params = operators.crr_params_feasible(inst, _BOUND_CRR_GRID, tol=cfg.tol)
+        params = operators.crr_params_feasible(inst, _BOUND_CRR_GRID)
         if params is not None:
             d0 = result.trace.residuals[0] + inst.d_ab
-            bound = solver.crr_iteration_bound(d0, params.k, inst.d_ab, cfg.epsilon)
+            bound = solver.crr_iteration_bound(d0, params.k, inst.d_ab, cfg.epsilon, inst.tol)
             rep.add("crr-iteration-bound", bound)
 
 
@@ -236,18 +237,17 @@ def _members_report(rep: Report, members, fmt):
         rep.add("members-truncated", len(members) - _MEMBER_PREVIEW)
 
 
-def _enumerate_block(rep: Report, inst: Instance, epsilon: float, mode: str,
-                     tol: float) -> int:
+def _enumerate_block(rep: Report, inst: Instance, epsilon: float, mode: str) -> int:
     rep.add("epsilon", _fmt(epsilon))
     dab = inst.d_ab
     rep.add("d(A,B)", _fmt(dab))
     if inst.map_pair is not None:
-        pset = analysis.enumerate_pair_set(inst, epsilon, tol=tol)
+        pset = analysis.enumerate_pair_set(inst, epsilon)
         _members_report(rep, pset.members, _fmt_pair)
         if pset.members:
             rep.add("pair-diameter", _fmt(analysis.pair_diameter(inst, pset)))
         return len(pset.members)
-    ps = analysis.enumerate_proximity_set(inst, epsilon, mode=mode, tol=tol)
+    ps = analysis.enumerate_proximity_set(inst, epsilon, mode=mode)
     rep.add("mode", mode)
     _members_report(rep, ps.members, _fmt_point)
     if ps.members:
@@ -263,9 +263,9 @@ def _enumerate_block(rep: Report, inst: Instance, epsilon: float, mode: str,
 
 
 def cmd_enumerate(args) -> int:
-    inst = _load(args.instance)
+    inst = _load(args)
     rep = _report(inst, args)
-    size = _enumerate_block(rep, inst, args.epsilon, args.mode, args.tol)
+    size = _enumerate_block(rep, inst, args.epsilon, args.mode)
     return rep.finish(EXIT_NEGATIVE if (args.require_nonempty and size == 0) else EXIT_OK)
 
 
@@ -281,16 +281,17 @@ def cmd_demo(args) -> int:
     builder = _DEMOS[args.name]
     try:
         inst = builder() if args.grid_step is None else builder(args.grid_step)
+        inst = dataclasses.replace(inst, tol=args.tol)
     except GproximityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     rep = _report(inst, args)
     rep.add("grid-step", _fmt(inst.grid_step))
     rep.section("validate")
-    ok = _validation_block(rep, inst, args.tol)
+    ok = _validation_block(rep, inst)
     rep.section("classify")
     _classify_block(rep, inst, args)
-    cfg = solver.SolveConfig(0.3, 200, args.tol)
+    cfg = solver.SolveConfig(0.3, 200)
     if args.name != "segments":
         rep.section("solve")
         # ellipse: reflection across the y-axis, only minor-axis points make progress
@@ -301,23 +302,22 @@ def cmd_demo(args) -> int:
         _solve_report(rep, inst, result, cfg)
         if args.name == "interval":
             rep.section("enumerate-exact")
-            _enumerate_block(rep, inst, 0.0, analysis.STRICT, args.tol)
+            _enumerate_block(rep, inst, 0.0, analysis.STRICT)
         rep.section("enumerate")
-        _enumerate_block(rep, inst, 0.3 if args.name == "interval" else 0.01,
-                         analysis.STRICT, args.tol)
+        _enumerate_block(rep, inst, 0.3 if args.name == "interval" else 0.01, analysis.STRICT)
     else:
         rep.section("solve-parallel")
         x0, y0 = inst.sets.a[0], inst.sets.b[-1]
         rep.add("start", _fmt_point(x0))
         rep.add("start-b", _fmt_point(y0))
-        pcfg = solver.SolveConfig(0.01, 50, args.tol)
+        pcfg = solver.SolveConfig(0.01, 50)
         result = solver.two_map_parallel(inst, x0, y0, pcfg)
         _trace_report(rep, result, _fmt_pair)
         rep.section("solve-alternating")
         result = solver.two_map_alternating(inst, (0.0, 0.0), (1.0, 1.0), 0.0, 1.0, pcfg)
         _trace_report(rep, result, _fmt_pair)
         rep.section("enumerate")
-        _enumerate_block(rep, inst, 0.01, analysis.STRICT, args.tol)
+        _enumerate_block(rep, inst, 0.01, analysis.STRICT)
     return rep.finish(EXIT_OK if ok else EXIT_NEGATIVE)
 
 

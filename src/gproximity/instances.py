@@ -171,11 +171,9 @@ def _nearest_in(coords: np.ndarray, sources, targets) -> dict:
     return {s: tlist[int(p)] for s, p in zip(sources, picks)}
 
 
-def random_instance(seed: int, n_a: int, n_b: int,
-                    box=(0.0, 0.0, 1.0, 1.0), b_offset=(0.0, 0.0),
-                    map_rule: str = "nearest",
+def random_instance(seed: int, n_a: int, n_b: int, map_rule: str = "nearest",
                     graph_rule: str = "complete") -> Instance:
-    """Seeded tabulated instance from two uniform planar point clouds.
+    """Seeded tabulated instance from two uniform point clouds in the unit square.
 
     The metric is the Euclidean distance of the sampled points, so the
     metric axioms hold by construction.  Map rules: ``nearest`` (each point
@@ -186,9 +184,8 @@ def random_instance(seed: int, n_a: int, n_b: int,
     if n_a < 1 or n_b < 1:
         raise SpecError("both subsets need at least one point")
     rng = np.random.default_rng(seed)
-    x0, y0, x1, y1 = box
-    pa = rng.uniform((x0, y0), (x1, y1), size=(n_a, 2))
-    pb = rng.uniform((x0, y0), (x1, y1), size=(n_b, 2)) + np.asarray(b_offset)
+    pa = rng.uniform((0.0, 0.0), (1.0, 1.0), size=(n_a, 2))
+    pb = rng.uniform((0.0, 0.0), (1.0, 1.0), size=(n_b, 2))
     coords = np.vstack([pa, pb])
     n = n_a + n_b
     a_idx = tuple(range(n_a))

@@ -1,6 +1,7 @@
 """Cyclic maps, map pairs, operator constants, and the instance aggregate."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
@@ -8,7 +9,7 @@ from typing import Callable, Optional
 from ._scan import EdgeScanner
 from .errors import DomainError, OrbitError
 from .graph import DirectedGraph
-from .metric import SubsetPair, pair_distance
+from .metric import DEFAULT_TOL, SubsetPair, pair_distance
 
 
 @dataclass(frozen=True)
@@ -83,6 +84,11 @@ class Instance:
     map_pair: Optional[MapPair] = None
     grid_step: Optional[float] = None
     params: tuple = ()  # a coordinate builder's name and arguments, for dumps
+    tol: float = DEFAULT_TOL  # the absolute slack of every distance inequality tested on it
+
+    def __post_init__(self):
+        if not 0 <= self.tol < math.inf:
+            raise DomainError(f"tolerance must be finite and nonnegative, got {self.tol!r}")
 
     @property
     def points(self) -> tuple:
@@ -110,17 +116,17 @@ class Instance:
     @cached_property
     def engine(self):
         """The edge engine of the single map, built on first use; another
-        map is analysed as its own instance, ``dataclasses.replace(inst,
-        cyclic_map=g)``."""
-        f = self.require_map()
-        return EdgeScanner(self.space, self.sets, self.graph, [f(p) for p in self.points])
+        map or tolerance is analysed as its own instance,
+        ``dataclasses.replace(inst, cyclic_map=g)`` or ``tol=t``."""
+        f, pts = self.require_map(), self.points
+        return EdgeScanner(self.space, self.sets, self.graph, self.tol, [f(p) for p in pts])
 
     @cached_property
     def pair_engine(self):
         """The A x B edge engine of the map pair, T on the A side and S on
         the B side, built on first use."""
         pair, pts = self.require_pair(), self.points
-        return EdgeScanner(self.space, self.sets, self.graph,
+        return EdgeScanner(self.space, self.sets, self.graph, self.tol,
                            [pair.t(p) for p in pts], [pair.s(p) for p in pts])
 
 

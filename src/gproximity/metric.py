@@ -21,7 +21,7 @@ from .errors import DomainError, StructuralError
 DEFAULT_TOL = 1e-9
 
 
-def within_epsilon(residual, epsilon: float, tol: float = DEFAULT_TOL):
+def within_epsilon(residual, epsilon: float, tol: float):
     """The residual test of the iteration schemes and set enumerators, elementwise."""
     return residual <= epsilon + tol
 

@@ -1,8 +1,8 @@
 """Classification of cyclic maps against the operator classes.
 
-Every check scans the edges of the instance's graph with a shared absolute
-slack on the distance inequalities; the parameter simplex constraint
-alpha + 2*beta + gamma < 1 stays strict.
+Every check scans the edges of the instance's graph with the instance's
+absolute slack ``Instance.tol`` on the distance inequalities; the parameter
+simplex constraint alpha + 2*beta + gamma < 1 stays strict.
 """
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from typing import Optional
 from ._scan import EdgeScanner, fold_max
 from .errors import ClassificationError, DomainError
 from .maps import CrrParams, Instance
-from .metric import DEFAULT_TOL, ValidationReport, Violation
+from .metric import ValidationReport, Violation
 
 
 @dataclass(frozen=True)
@@ -67,17 +67,16 @@ def _require_preserving(eng: EdgeScanner):
         raise ClassificationError(f"map does not preserve edges; violating edge {edge!r}")
 
 
-def _fold_check(eng: EdgeScanner, tol: float, a: float, b: float = 0.0,
-                c: float = 0.0) -> CheckResult:
+def _fold_check(eng: EdgeScanner, a: float, b: float = 0.0, c: float = 0.0) -> CheckResult:
     """Edge preservation, then d(fx, fy) - a d(x, y) - b [d(x, fx) + d(y, fy)]
-    - c <= tol on every edge."""
+    - c <= the engine's tol on every edge."""
     ok, edge = eng.preserved
     if not ok:
         return CheckResult(False, worst_edge=edge, reason="edge preservation fails")
     worst, pos, _ = fold_max(eng, a, b, c)
     if worst is None:
         return CheckResult(True, margin=0.0)
-    return CheckResult(worst <= tol, worst_edge=tuple(eng.points[i] for i in pos), margin=worst)
+    return CheckResult(worst <= eng.tol, worst_edge=tuple(eng.points[i] for i in pos), margin=worst)
 
 
 def min_contraction_factor(inst: Instance) -> ContractionEstimate:
@@ -95,26 +94,25 @@ def min_contraction_factor(inst: Instance) -> ContractionEstimate:
     return ContractionEstimate(cert.ratio < 1.0, cert.ratio, cert.ratio_edge)
 
 
-def is_g_contraction(inst: Instance, alpha: float, tol: float = DEFAULT_TOL) -> CheckResult:
+def is_g_contraction(inst: Instance, alpha: float) -> CheckResult:
     """Edge preservation plus d(fx, fy) <= alpha * d(x, y) on every edge."""
     if not (0.0 < alpha < 1.0):
         raise DomainError("contraction factor must lie in (0, 1)")
-    return _fold_check(inst.engine, tol, alpha)
+    return _fold_check(inst.engine, alpha)
 
 
-def is_edge_nonexpansive(inst: Instance, tol: float = DEFAULT_TOL) -> CheckResult:
+def is_edge_nonexpansive(inst: Instance) -> CheckResult:
     """d(fx, fy) <= d(x, y) on every edge."""
     cert = inst.engine.certificate
-    return CheckResult(cert.margin <= tol, worst_edge=cert.margin_edge, margin=cert.margin)
+    return CheckResult(cert.margin <= inst.tol, worst_edge=cert.margin_edge, margin=cert.margin)
 
 
-def is_crr_moh(inst: Instance, params: CrrParams, tol: float = DEFAULT_TOL) -> CheckResult:
+def is_crr_moh(inst: Instance, params: CrrParams) -> CheckResult:
     """d(fx,fy) <= a d(x,y) + b [d(x,fx) + d(y,fy)] + c d(A,B) on every edge."""
-    return _fold_check(inst.engine, tol, params.alpha, params.beta, params.gamma * inst.d_ab)
+    return _fold_check(inst.engine, params.alpha, params.beta, params.gamma * inst.d_ab)
 
 
-def crr_params_feasible(inst: Instance, grid_step: float,
-                        tol: float = DEFAULT_TOL) -> Optional[CrrParams]:
+def crr_params_feasible(inst: Instance, grid_step: float) -> Optional[CrrParams]:
     """Deterministic grid search for feasible CRR constants.
 
     Scans the simplex alpha + 2*beta + gamma < 1 at the given resolution in
@@ -123,8 +121,8 @@ def crr_params_feasible(inst: Instance, grid_step: float,
     cut, so most candidates die on a handful of cuts instead of a full scan.
     The first candidate, (0, 0, 0), has excess d(fx, fy) on every edge, so
     the certificate pass's largest image distance, the first cut, refutes
-    it unless every image distance is within tol.  The cuts stay on the
-    engine for every later search (another grid or tolerance); a cut tests
+    it unless every image distance is within the instance's tol.  The cuts
+    stay on the engine for every later search (another grid); a cut tests
     the fold's own expression, so it refutes exactly the candidates a full
     pass would, and no result depends on which search found it.
     """
@@ -132,10 +130,8 @@ def crr_params_feasible(inst: Instance, grid_step: float,
         raise DomainError("grid step must be positive")
     eng = inst.engine
     _require_preserving(eng)
-    dab = inst.d_ab
-    steps = int(math.ceil(1.0 / grid_step))
-    values = [i * grid_step for i in range(steps + 1)]
-    cuts = eng.cuts
+    dab, tol = inst.d_ab, inst.tol
+    values = [i * grid_step for i in range(math.ceil(1.0 / grid_step) + 1)]
     for a in values:
         for b in values:
             if a + 2 * b >= 1:
@@ -143,12 +139,12 @@ def crr_params_feasible(inst: Instance, grid_step: float,
             for c in values:
                 if a + 2 * b + c >= 1:
                     break
-                if any(df - a * d - b * u - c * dab > tol for d, df, u in cuts):
+                if any(df - a * d - b * u - c * dab > tol for d, df, u in eng.cuts):
                     continue
                 worst, _, witness = fold_max(eng, a, b, c * dab)
                 if worst <= tol:
                     return CrrParams(a, b, c)
-                cuts.append(witness)
+                eng.cuts.append(witness)
     return None
 
 
@@ -157,8 +153,7 @@ def pair_preserves_edges(inst: Instance):
     return inst.pair_engine.preserved
 
 
-def is_crr_2map(inst: Instance, params: CrrParams, tol: float = DEFAULT_TOL) -> CheckResult:
+def is_crr_2map(inst: Instance, params: CrrParams) -> CheckResult:
     """Two-map class: both maps preserve A x B edges and
     d(Tx, Sy) <= a d(x,y) + b [d(x,Tx) + d(y,Sy)] + c d(A,B) on them."""
-    return _fold_check(inst.pair_engine, tol, params.alpha, params.beta,
-                       params.gamma * inst.d_ab)
+    return _fold_check(inst.pair_engine, params.alpha, params.beta, params.gamma * inst.d_ab)

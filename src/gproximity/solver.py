@@ -24,13 +24,18 @@ INELIGIBLE = "ineligible"
 class SolveConfig:
     epsilon: float
     max_iter: int = 1000
-    tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         if not self.epsilon > 0:
             raise DomainError("epsilon must be positive")
-        if self.max_iter < 1:
-            raise DomainError("max_iter must be at least 1")
+        _require_count(self.max_iter, "max_iter", 1)
+
+
+def _require_count(value, what: str, least: int):
+    if not hasattr(value, "__index__"):  # int, bool, numpy ints: what operator.index takes
+        raise DomainError(f"{what} must be an integer, got {value!r}")
+    if value < least:
+        raise DomainError(f"{what} must be at least {least}")
 
 
 @dataclass(frozen=True)
@@ -63,8 +68,7 @@ def _picard_steps(inst: Instance, f, x, fx):
 def picard_orbit(inst: Instance, x0, n: int) -> IterationTrace:
     """x0, f(x0), ..., f^n(x0) with the n residuals between neighbours."""
     f = inst.require_map()
-    if n < 0:
-        raise DomainError("orbit length must be nonnegative")
+    _require_count(n, "orbit length", 0)
     if n == 0:
         return IterationTrace((x0,), ())
     steps = _picard_steps(inst, f, x0, apply_map(f, x0, last_valid=0))
@@ -72,11 +76,11 @@ def picard_orbit(inst: Instance, x0, n: int) -> IterationTrace:
     return IterationTrace(pts + images[-1:], res)
 
 
-def _run(steps, cfg: SolveConfig, bounds=None, stop=None) -> SolveResult:
+def _run(inst: Instance, steps, cfg: SolveConfig, bounds=None, stop=None) -> SolveResult:
     """Record the point and residual of each step of a lazy orbit up to the
-    first step that ``stop`` (by default: residual within epsilon + tol)
+    first step that ``stop`` (by default: residual within epsilon + inst.tol)
     names a status for, or up to max_iter + 1 steps; the orbit fills ``bounds``."""
-    stop = stop or (lambda step: FOUND if within_epsilon(step[1], cfg.epsilon, cfg.tol) else None)
+    stop = stop or (lambda step: FOUND if within_epsilon(step[1], cfg.epsilon, inst.tol) else None)
     pts, res = [], []
     for step in islice(steps, cfg.max_iter + 1):
         pts.append(step[0])
@@ -101,10 +105,10 @@ def find_proximity_point(inst: Instance, x0, cfg: SolveConfig) -> SolveResult:
         return SolveResult(INELIGIBLE, None, 0, IterationTrace((x0,), ()))
 
     def stop(step):  # found only where the step's (x, T x) is still an edge
-        if within_epsilon(step[1], cfg.epsilon, cfg.tol):
+        if within_epsilon(step[1], cfg.epsilon, inst.tol):
             return FOUND if contains_edge(inst.graph, step[0], step[2]) else INELIGIBLE
 
-    return _run(_picard_steps(inst, f, x0, fx0), cfg, stop=stop)
+    return _run(inst, _picard_steps(inst, f, x0, fx0), cfg, stop=stop)
 
 
 def crr_iteration_bound(d0: float, k: float, d_ab: float, epsilon: float,
@@ -116,8 +120,10 @@ def crr_iteration_bound(d0: float, k: float, d_ab: float, epsilon: float,
     """
     if not (0.0 <= k < 1.0):
         raise DomainError("decay rate k must lie in [0, 1)")
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise DomainError("epsilon must be positive")
+    if not (math.isfinite(d0) and math.isfinite(d_ab) and 0 <= tol < math.inf):
+        raise DomainError("d0 and d(A,B) must be finite, tol finite and nonnegative")
     if d0 < d_ab - tol:
         raise DomainError("starting displacement below d(A,B)")
     gap = max(d0 - d_ab, 0.0)
@@ -125,8 +131,7 @@ def crr_iteration_bound(d0: float, k: float, d_ab: float, epsilon: float,
         return 0
     if k == 0.0:
         return 1
-    n = math.ceil(math.log(epsilon / gap) / math.log(k))
-    n = max(int(n), 1)
+    n = max(math.ceil(math.log(epsilon / gap) / math.log(k)), 1)
     while k ** n * gap > epsilon:  # guard against round-off in the logs
         n += 1
     return n
@@ -140,8 +145,7 @@ def is_gt_minimizing(inst: Instance, trace: IterationTrace, window: int, delta: 
     point when the precondition fails, else None.
     """
     f = inst.require_map()
-    if window < 1:
-        raise DomainError("window must be at least 1")
+    _require_count(window, "window", 1)
     if len(trace.residuals) < window:
         raise DomainError("trace shorter than the residual window")
     for idx, z in enumerate(trace.points):
@@ -154,8 +158,7 @@ def is_gt_minimizing(inst: Instance, trace: IterationTrace, window: int, delta: 
 def epsilon_fixed_point(inst: Instance, x0, power: int, cfg: SolveConfig) -> SolveResult:
     """Search the orbit of f^power for a point z with d(z, f^power z) < epsilon."""
     f = inst.require_map()
-    if power < 1:
-        raise DomainError("power must be at least 1")
+    _require_count(power, "power", 1)
 
     def steps():
         z = w = x0
@@ -165,7 +168,7 @@ def epsilon_fixed_point(inst: Instance, x0, power: int, cfg: SolveConfig) -> Sol
             yield z, inst.space.distance(z, w)
             z = w
 
-    return _run(steps(), cfg, stop=lambda step: FOUND if step[1] < cfg.epsilon else None)
+    return _run(inst, steps(), cfg, stop=lambda step: FOUND if step[1] < cfg.epsilon else None)
 
 
 def two_map_parallel(inst: Instance, x0, y0, cfg: SolveConfig) -> SolveResult:
@@ -185,7 +188,7 @@ def two_map_parallel(inst: Instance, x0, y0, cfg: SolveConfig) -> SolveResult:
             yield (x, y), inst.space.distance(tx, sy) - dab
             x, y = tx, sy
 
-    return _run(steps(), cfg)
+    return _run(inst, steps(), cfg)
 
 
 def two_map_alternating(inst: Instance, x1, y1, alpha: float, gamma: float,
@@ -198,14 +201,13 @@ def two_map_alternating(inst: Instance, x1, y1, alpha: float, gamma: float,
     bound alpha^n d(x1, y1) + (1 - alpha^n) d(A,B) alongside the gap.
     """
     pair = inst.require_pair()
-    if abs(alpha + gamma - 1.0) > cfg.tol:
+    if abs(alpha + gamma - 1.0) > inst.tol:
         raise DomainError("alternating scheme needs alpha + gamma = 1")
     if not (0.0 <= alpha < 1.0):
         raise DomainError("alpha must lie in [0, 1)")
     if not contains_edge(inst.graph, x1, y1):
         return SolveResult(INELIGIBLE, None, 0, IterationTrace(((x1, y1),), ()))
-    dab = inst.d_ab
-    d0 = inst.space.distance(x1, y1)
+    dab, d0 = inst.d_ab, inst.space.distance(x1, y1)
     bounds = []
 
     def steps():
@@ -218,9 +220,9 @@ def two_map_alternating(inst: Instance, x1, y1, alpha: float, gamma: float,
             tx = apply_map(pair.t, x, last_valid=n)
             sy = apply_map(pair.s, y, last_valid=n)
             d, limit = inst.space.distance(tx, sy), alpha * gap + gamma * dab
-            if d > limit + cfg.tol:
+            if d > limit + inst.tol:
                 raise HypothesisError(f"per-step inequality fails at step {n}: d(Tx,Sy) = "
                                       f"{d!r} > alpha*d(x,y) + gamma*d(A,B) = {limit!r}", n)
             x, y = sy, tx
 
-    return _run(steps(), cfg, bounds)
+    return _run(inst, steps(), cfg, bounds)

@@ -4,6 +4,7 @@ Each test prints exactly one ``criterion NN <name>: PASS`` or ``FAIL`` line
 (run pytest with -s to see them).  Tolerances are pinned: absolute slack
 1e-9 on distance inequalities, one grid step on grid-derived quantities.
 """
+import dataclasses
 import math
 import subprocess
 import sys
@@ -30,7 +31,7 @@ def run_cli(argv):
 
 @pytest.fixture(scope="module")
 def fine_interval():
-    return gp.interval_example(1e-3)
+    return dataclasses.replace(gp.interval_example(1e-3), tol=TAU)
 
 
 @pytest.fixture(scope="module")
@@ -41,15 +42,16 @@ def contraction_suite():
         depth = 2 + seed % 3
         factor = 0.2 + 0.025 * (seed % 10)
         inst = gp.contraction_instance(seed, rays=rays, depth=depth, factor=factor)
-        params = gp.crr_params_feasible(inst, 0.05, tol=0.0)
-        out.append((inst, params))
+        exact = dataclasses.replace(inst, tol=0.0)
+        params = gp.crr_params_feasible(exact, 0.05)
+        out.append((dataclasses.replace(inst, tol=TAU), exact, params))
     return out
 
 
 def test_criterion_01_interval_exact_set(fine_interval):
     bad = []
     inst = fine_interval
-    ps = gp.enumerate_proximity_set(inst, 0.0, tol=TAU)
+    ps = gp.enumerate_proximity_set(inst, 0.0)
     if ps.members != ((-1.0,), (1.0,)):
         bad.append(("members", ps.members[:4]))
     if abs(inst.d_ab - 2.0) > TAU:
@@ -69,7 +71,7 @@ def test_criterion_01_interval_exact_set(fine_interval):
 def test_criterion_02_interval_epsilon_030(fine_interval):
     inst = fine_interval
     step = inst.grid_step
-    members = set(gp.enumerate_proximity_set(inst, 0.3, tol=TAU).members)
+    members = set(gp.enumerate_proximity_set(inst, 0.3).members)
 
     def in_band(x, slack):
         # closed form: displacement (1 - 3x)/2 <= 2.3 on the A side and
@@ -88,11 +90,11 @@ def test_criterion_02_interval_epsilon_030(fine_interval):
 
 
 def test_criterion_03_segments_pair_set():
-    inst = gp.segments_example(0.01)
+    inst = dataclasses.replace(gp.segments_example(0.01), tol=TAU)
     n = len(inst.sets.a)
     bad = []
     for eps in (1e-6, 0.01, 0.5):
-        pps = gp.enumerate_pair_set(inst, eps, tol=TAU)
+        pps = gp.enumerate_pair_set(inst, eps)
         if len(pps.members) != n * n:
             bad.append(("coverage", eps, len(pps.members)))
         diam = gp.pair_diameter(inst, pps)
@@ -104,17 +106,17 @@ def test_criterion_03_segments_pair_set():
 def test_criterion_04_crr_residual_decay(contraction_suite):
     bad = []
     certified = 0
-    for inst, params in contraction_suite:
-        if params is None or not gp.is_crr_moh(inst, params, tol=0.0):
+    for _inst, exact, params in contraction_suite:
+        if params is None or not gp.is_crr_moh(exact, params):
             continue
         certified += 1
         k = params.k
-        for x0 in inst.points:
-            trace = gp.picard_orbit(inst, x0, 12)
+        for x0 in exact.points:
+            trace = gp.picard_orbit(exact, x0, 12)
             r0 = trace.residuals[0]
             for n, r in enumerate(trace.residuals):
                 if r > k ** n * r0 + TAU:
-                    bad.append((inst.name, x0, n, r))
+                    bad.append((exact.name, x0, n, r))
     if certified < 100:
         bad.append(("too-few-certified", certified))
     report(4, "geometric residual decay", bad, f"{certified} certified")
@@ -122,15 +124,14 @@ def test_criterion_04_crr_residual_decay(contraction_suite):
 
 def test_criterion_05_apriori_bound_dominates(contraction_suite):
     bad = []
-    for inst, params in contraction_suite:
+    for inst, _exact, params in contraction_suite:
         if params is None:
             continue
         k = params.k
         for x0 in inst.points[1:6]:
             d0 = inst.space.distance(x0, inst.cyclic_map(x0))
             for eps in (0.01, 0.1):
-                res = gp.find_proximity_point(inst, x0,
-                                              gp.SolveConfig(eps, 500, TAU))
+                res = gp.find_proximity_point(inst, x0, gp.SolveConfig(eps, 500))
                 if not res.found:
                     bad.append((inst.name, x0, eps, res.status))
                     continue
@@ -142,14 +143,14 @@ def test_criterion_05_apriori_bound_dominates(contraction_suite):
 
 def test_criterion_06_one_map_diameter_bound(contraction_suite):
     bad = []
-    for inst, _params in contraction_suite:
+    for inst, _exact, _params in contraction_suite:
         est = gp.min_contraction_factor(inst)
         if not est.contractive:
             bad.append((inst.name, "not contractive"))
             continue
         alpha = est.alpha_min
         for eps in (0.01, 0.1, 1.0):
-            ps = gp.enumerate_proximity_set(inst, eps, tol=TAU)
+            ps = gp.enumerate_proximity_set(inst, eps)
             if not ps.members:
                 bad.append((inst.name, eps, "empty"))
                 continue
@@ -164,7 +165,7 @@ def test_criterion_07_two_map_diameter_bound():
     bad = []
     k = 0.5
     for seed in range(100):
-        inst = gp.identity_pair_instance(seed, n=12 + seed % 9)
+        inst = dataclasses.replace(gp.identity_pair_instance(seed, n=12 + seed % 9), tol=TAU)
         t, s = inst.map_pair.t, inst.map_pair.s
         hypothesis_ok = all(
             inst.space.distance(x, t(x)) + inst.space.distance(s(y), y)
@@ -173,7 +174,7 @@ def test_criterion_07_two_map_diameter_bound():
         if not hypothesis_ok:
             continue
         for eps in (0.01, 0.1, 1.0):
-            pps = gp.enumerate_pair_set(inst, eps, tol=TAU)
+            pps = gp.enumerate_pair_set(inst, eps)
             if not pps.members:
                 continue
             diam = gp.pair_diameter(inst, pps)
@@ -219,16 +220,16 @@ def test_criterion_08_oracle_equivalence():
         n_a = 5 + seed % 16
         n_b = 5 + (seed * 7) % 16
         rule = graph_rules[seed % 3]
-        inst = gp.random_instance(seed, n_a, n_b, graph_rule=rule)
+        inst = dataclasses.replace(gp.random_instance(seed, n_a, n_b, graph_rule=rule), tol=TAU)
         eps = 0.25 + 0.005 * seed
-        res = gp.find_proximity_point(inst, 0, gp.SolveConfig(eps, 200, TAU))
+        res = gp.find_proximity_point(inst, 0, gp.SolveConfig(eps, 200))
         if res.found and res.witness not in _oracle_single_set(inst, eps):
             bad.append((seed, "witness", res.witness))
         # pair variant: both maps use the same cyclic table
         pair_inst = gp.Instance(inst.name, inst.space, inst.sets, inst.graph,
                                 map_pair=gp.MapPair(inst.cyclic_map,
-                                                    inst.cyclic_map))
-        got = list(gp.enumerate_pair_set(pair_inst, eps, tol=TAU).members)
+                                                    inst.cyclic_map), tol=TAU)
+        got = list(gp.enumerate_pair_set(pair_inst, eps).members)
         if got != _oracle_pair_set(pair_inst, eps):
             bad.append((seed, "pair-set"))
     report(8, "solver and enumeration match brute-force oracles", bad)
@@ -242,15 +243,17 @@ def test_criterion_09_monotonicity():
     suite += [gp.random_instance(s, 10, 10) for s in range(5)]
     pair_suite = [gp.segments_example(0.05)]
     pair_suite += [gp.identity_pair_instance(s) for s in range(5)]
+    suite = [dataclasses.replace(inst, tol=TAU) for inst in suite]
+    pair_suite = [dataclasses.replace(inst, tol=TAU) for inst in pair_suite]
     bad = []
     for inst in suite:
-        sets = [set(gp.enumerate_proximity_set(inst, e, tol=TAU).members)
+        sets = [set(gp.enumerate_proximity_set(inst, e).members)
                 for e in ladder]
         for small, large, e in zip(sets, sets[1:], ladder):
             if not small <= large:
                 bad.append((inst.name, e))
     for inst in pair_suite:
-        sets = [set(gp.enumerate_pair_set(inst, e, tol=TAU).members)
+        sets = [set(gp.enumerate_pair_set(inst, e).members)
                 for e in ladder]
         for small, large, e in zip(sets, sets[1:], ladder):
             if not small <= large:
@@ -261,15 +264,14 @@ def test_criterion_09_monotonicity():
 def test_criterion_10_minimizer_nonexpansive():
     bad = []
     for seed in range(50):
-        inst = gp.reflection_instance(seed, n=10 + seed % 15)
-        if not gp.is_edge_nonexpansive(inst, tol=TAU):
+        inst = dataclasses.replace(gp.reflection_instance(seed, n=10 + seed % 15), tol=TAU)
+        if not gp.is_edge_nonexpansive(inst):
             bad.append((seed, "not nonexpansive"))
             continue
-        rep = gp.minimizer_report(inst, tol=TAU)
+        rep = gp.minimizer_report(inst)
         if rep.residual < -TAU:
             bad.append((seed, "negative residual", rep.residual))
-        members = gp.enumerate_proximity_set(
-            inst, max(rep.residual, 0.0) + TAU, tol=TAU).members
+        members = gp.enumerate_proximity_set(inst, max(rep.residual, 0.0) + TAU).members
         if not members:
             bad.append((seed, "empty set at minimizer level"))
     report(10, "minimizer residual and nonempty level set", bad)
@@ -278,19 +280,19 @@ def test_criterion_10_minimizer_nonexpansive():
 def test_criterion_11_alternating_bound():
     bad = []
     runs = []
-    seg = gp.segments_example(0.01)
+    seg = dataclasses.replace(gp.segments_example(0.01), tol=TAU)
     runs.append((seg, (0.0, 0.0), (1.0, 1.0), 0.0))
     for i in range(20):
         factor = 0.05 + 0.04 * i
         shift = 0.02 * i
         if shift > 1.0 - factor:
             shift = 1.0 - factor
-        inst = gp.affine_segments_pair(factor, shift, 0.02)
+        inst = dataclasses.replace(gp.affine_segments_pair(factor, shift, 0.02), tol=TAU)
         x1 = (round(0.02 * (i % 40), 10), 0.0)
         y1 = (round(1.0 - 0.02 * (i % 40), 10), 1.0)
         runs.append((inst, x1, y1, factor))
     for inst, x1, y1, alpha in runs:
-        cfg = gp.SolveConfig(1e-3, 400, TAU)
+        cfg = gp.SolveConfig(1e-3, 400)
         res = gp.two_map_alternating(inst, x1, y1, alpha, 1.0 - alpha, cfg)
         if not res.found:
             bad.append((inst.name, alpha, res.status))

@@ -447,14 +447,17 @@ def test_demo_crr_searches_share_cuts(monkeypatch):
 @given(st.integers(0, 10 ** 6), st.sampled_from(("complete", "explicit", "grid", "line")),
        st.sampled_from(((0.05, 0.1), (0.1, 0.05), (0.1, 0.25))), st.sampled_from((TOL, 0.0)))
 def test_crr_search_after_another_equals_a_fresh_search(seed, kind, grids, tol):
-    build = {"grid": lambda: grid_instance(seed), "line": lambda: line_instance(seed)}.get(
+    make = {"grid": lambda: grid_instance(seed), "line": lambda: line_instance(seed)}.get(
         kind, lambda: single_instance(seed, kind))
+
+    def build():
+        return dataclasses.replace(make(), tol=tol)
+
     inst = build()
     if not inst.engine.preserved[0]:
         return
-    gp.crr_params_feasible(inst, grids[0], tol=tol)
-    assert gp.crr_params_feasible(inst, grids[1], tol=tol) == \
-        gp.crr_params_feasible(build(), grids[1], tol=tol)
+    gp.crr_params_feasible(inst, grids[0])
+    assert gp.crr_params_feasible(inst, grids[1]) == gp.crr_params_feasible(build(), grids[1])
 
 
 def listed_grid_instance(seed):
@@ -603,12 +606,12 @@ def test_solver_witness_is_a_set_member(seed, rule, coords, tol):
     """A witness find_proximity_point returns at epsilon belongs to the
     strict set at the same epsilon and tol, also at an epsilon equal to a
     point's own residual, where the two comparisons meet."""
-    inst = build_case(seed, rule, "single", coords)
+    inst = dataclasses.replace(build_case(seed, rule, "single", coords), tol=tol)
     f = inst.cyclic_map
     residuals = [inst.space.distance(x, f(x)) - inst.d_ab for x in inst.points]
     for eps in sorted({0.05, 0.3, *(r for r in residuals if r > 0)}):
-        cfg = gp.SolveConfig(eps, 20, tol)
-        members = set(gp.enumerate_proximity_set(inst, eps, tol=tol).members)
+        cfg = gp.SolveConfig(eps, 20)
+        members = set(gp.enumerate_proximity_set(inst, eps).members)
         for x0 in inst.points:
             res = gp.find_proximity_point(inst, x0, cfg)
             if res.found:

@@ -289,11 +289,32 @@ SHORT_TABLE = ("gproximity-instance v1\nname: x\nkind: tabulated\nn: 2\nA: 0\nB:
     (lambda: gp.two_map_alternating(gp.identity_pair_instance(4, n=3), 0, 0, 1.5, -0.5,
                                     gp.SolveConfig(0.1)),
      DomainError, "alpha must lie in [0, 1)"),
+    (lambda: gp.SolveConfig(0.1, max_iter=NAN), DomainError, "max_iter must be an integer, got nan"),
+    (lambda: gp.SolveConfig(0.1, max_iter=2.5), DomainError, "max_iter must be an integer, got 2.5"),
+    (lambda: gp.picard_orbit(gp.contraction_instance(3), 0, NAN), DomainError,
+     "orbit length must be an integer, got nan"),
+    (lambda: gp.picard_orbit(gp.contraction_instance(3), 0, 2.5), DomainError,
+     "orbit length must be an integer, got 2.5"),
+    (lambda: gp.epsilon_fixed_point(gp.contraction_instance(3), 0, NAN, gp.SolveConfig(0.1)),
+     DomainError, "power must be an integer, got nan"),
+    (lambda: gp.is_gt_minimizing(gp.contraction_instance(3), None, NAN, 0.1), DomainError,
+     "window must be an integer, got nan"),
 ])
 def test_library_raise_names_its_cause(call, error, message):
     with pytest.raises(error) as info:
         call()
     assert type(info.value) is error and str(info.value) == message
+
+
+@pytest.mark.parametrize("args", [
+    (NAN, 0.5, 0.0, 0.1), (1.0, 0.5, NAN, 0.1), (1.0, 0.5, 0.0, NAN),
+    (math.inf, 0.5, 0.0, 0.1), (1.0, 0.5, 0.0, 0.1, NAN), (1.0, 0.5, 0.0, 0.1, -1.0),
+])
+def test_crr_iteration_bound_rejects_non_finite(args):
+    """d0, d(A,B), epsilon and tol: a NaN or an infinity, or a negative tol,
+    is a DomainError, not a ValueError from the logarithms or a bound."""
+    with pytest.raises(DomainError):
+        gp.crr_iteration_bound(*args)
 
 
 def test_short_table_is_one_error_line(tmp_path):

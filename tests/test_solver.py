@@ -284,11 +284,11 @@ def test_alternating_stops_on_its_recorded_residual(factor, shift, height, i, j,
     d(x, y) - d(A,B) is within epsilon + tol, with epsilon put on, just
     inside and just outside a residual of the orbit (``frac=None``: the
     largest epsilon whose epsilon + tol does not pass it)."""
-    inst = affine_lines(factor, min(shift, 1.0 - factor), height)
+    inst = dataclasses.replace(affine_lines(factor, min(shift, 1.0 - factor), height), tol=tol)
 
     def run(epsilon):
         return gp.two_map_alternating(inst, inst.sets.a[i], inst.sets.b[j], factor,
-                                      1.0 - factor, SolveConfig(epsilon, 40, tol=tol))
+                                      1.0 - factor, SolveConfig(epsilon, 40))
 
     orbit = run(1e-300).trace.residuals
     r = orbit[min(k, len(orbit) - 1)]
@@ -330,7 +330,8 @@ def test_scheme_contract(scheme, seed, map_rule, graph_rule, i, j, max_iter, k, 
     just below, on or just above residual k of the orbit (``frac=None``: a
     tiny epsilon that no positive residual passes)."""
     calls = [0]
-    base = gp.random_instance(seed, 5, 5, map_rule=map_rule, graph_rule=graph_rule)
+    base = dataclasses.replace(
+        gp.random_instance(seed, 5, 5, map_rule=map_rule, graph_rule=graph_rule), tol=tol)
     if scheme in ("find", "fixed"):
         inst = dataclasses.replace(base, cyclic_map=counting(base.cyclic_map, calls))
         start = inst.points[i]
@@ -346,18 +347,18 @@ def test_scheme_contract(scheme, seed, map_rule, graph_rule, i, j, max_iter, k, 
             aff = gp.affine_segments_pair(factor, 0.1 * (1.0 - factor), 0.25)
             pair = aff.map_pair
             inst = dataclasses.replace(aff, map_pair=MapPair(counting(pair.t, calls),
-                                                             counting(pair.s, calls)))
+                                                             counting(pair.s, calls)), tol=tol)
             alpha = factor
         a, b = inst.sets.a, inst.sets.b
         start = (a[i % len(a)], b[j % len(b)])
         run = (lambda cfg: gp.two_map_parallel(inst, *start, cfg)) if scheme == "parallel" else (
             lambda cfg: gp.two_map_alternating(inst, *start, alpha, 1.0 - alpha, cfg))
     try:
-        orbit = run(SolveConfig(1e-300, max_iter, tol)).trace.residuals
+        orbit = run(SolveConfig(1e-300, max_iter)).trace.residuals
         epsilon = 1e-300 if frac is None or not orbit else max(
             orbit[min(k, len(orbit) - 1)] - frac * tol, 1e-300)
         calls[0] = 0
-        res = run(SolveConfig(epsilon, max_iter, tol))
+        res = run(SolveConfig(epsilon, max_iter))
     except HypothesisError as exc:  # the alternating step test failed after step n's images
         assert scheme == "alternating" and calls[0] == 2 * (exc.step + 1)
         return
