@@ -357,7 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--alpha", type=_number(float, lambda v: 0 < v < 1, "in (0, 1)"),
                    default=None, help="also test the contraction condition at this factor")
-    p.add_argument("--crr-grid", type=_number(float, lambda v: v > 0, "positive"),
+    grid_domain = f"positive, with at most {operators.MAX_CRR_CANDIDATES} grid candidates"
+    p.add_argument("--crr-grid", type=_number(float, operators.crr_grid_fits, grid_domain),
                    default=_CRR_GRID, help="grid resolution for the constants search")
     p.set_defaults(func=cmd_classify)
 

@@ -6,9 +6,12 @@ simplex constraint alpha + 2*beta + gamma < 1 stays strict.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
+
+import numpy as np
 
 from ._scan import EdgeScanner, fold_max
 from .errors import ClassificationError, DomainError
@@ -112,39 +115,85 @@ def is_crr_moh(inst: Instance, params: CrrParams) -> CheckResult:
     return _fold_check(inst.engine, params.alpha, params.beta, params.gamma * inst.d_ab)
 
 
+#: Most candidates a CRR constants grid may lay out: 24 bytes each in the
+#: cached arrays, so 24 MB at the cap.  Grid 0.01 holds 87,176 of them.
+MAX_CRR_CANDIDATES = 10 ** 6
+
+
+def crr_grid_fits(grid_step: float) -> bool:
+    """Whether 0 < grid_step < inf and the constants grid at that step lays
+    out at most MAX_CRR_CANDIDATES candidates, tested before anything is
+    built.  A candidate (i, j, k) * grid_step has i + 2j + k <= K =
+    ceil(1 / grid_step) up to rounding; the unit cubes at those integer
+    triples fill x + 2y + z < K + 4, of volume (K + 4)^3 / 12."""
+    if not 0.0 < grid_step < math.inf:
+        return False
+    n = 1.0 / grid_step + 5.0  # >= K + 4; inf when 1 / grid_step overflows
+    return n * n * n / 12.0 <= MAX_CRR_CANDIDATES
+
+
+@functools.lru_cache(maxsize=4)
+def _crr_grid(grid_step: float):
+    """Read-only arrays (A, B, C) of the candidates (a, b, c) of the simplex
+    alpha + 2*beta + gamma < 1 at ``grid_step``, in lexicographic order:
+    each coordinate runs over i * grid_step, i = 0..ceil(1 / grid_step), and
+    a pair (a, b) with a + 2*b >= 1, or a triple with a + 2*b + c >= 1, is
+    left out, with the sums rounded in that order."""
+    values = np.arange(math.ceil(1.0 / grid_step) + 1) * grid_step
+    a, b = (x.ravel() for x in np.meshgrid(values, values, indexing="ij"))
+    pair = a + 2 * b < 1
+    a, b = a[pair], b[pair]
+    p, k = np.nonzero((a + 2 * b)[:, None] + values < 1)
+    grid = a[p], b[p], values[k]
+    for x in grid:
+        x.flags.writeable = False
+    return grid
+
+
 def crr_params_feasible(inst: Instance, grid_step: float) -> Optional[CrrParams]:
     """Deterministic grid search for feasible CRR constants.
 
     Scans the simplex alpha + 2*beta + gamma < 1 at the given resolution in
     lexicographic order and returns the first feasible triple, or None.
-    Each refuted candidate leaves its worst edge's (d, df, u) behind as a
-    cut, so most candidates die on a handful of cuts instead of a full scan.
-    The first candidate, (0, 0, 0), has excess d(fx, fy) on every edge, so
-    the certificate pass's largest image distance, the first cut, refutes
-    it unless every image distance is within the instance's tol.  The cuts
-    stay on the engine for every later search (another grid); a cut tests
-    the fold's own expression, so it refutes exactly the candidates a full
-    pass would, and no result depends on which search found it.
+    Every candidate of the grid (``_crr_grid``) starts alive in one mask, and
+    each cut, an edge's (d, df, u), kills those whose excess there,
+    df - a*d - b*u - c*d(A, B), exceeds the instance's tol: the fold's own
+    expression and order, so a cut refutes exactly the candidates a full
+    pass would.  The first survivor gets one full ``fold_max`` pass; when it
+    fails, its worst edge becomes a new cut, applied to the candidates after
+    it, and the next survivor is tried.  The first candidate, (0, 0, 0), has
+    excess d(fx, fy) on every edge, so the certificate pass's largest image
+    distance, the first cut, refutes it unless every image distance is
+    within the instance's tol.  The cuts stay on the engine for every later
+    search (another grid), and no result depends on which search found them.
+    A grid step outside (0, inf), or one whose grid would lay out more than
+    MAX_CRR_CANDIDATES candidates (``crr_grid_fits``), raises DomainError.
     """
-    if not grid_step > 0:
-        raise DomainError("grid step must be positive")
+    if not crr_grid_fits(grid_step):
+        raise DomainError(f"grid step {grid_step!r} must be positive, with at most "
+                          f"{MAX_CRR_CANDIDATES} grid candidates")
     eng = inst.engine
     _require_preserving(eng)
     dab, tol = inst.d_ab, inst.tol
-    values = [i * grid_step for i in range(math.ceil(1.0 / grid_step) + 1)]
-    for a in values:
-        for b in values:
-            if a + 2 * b >= 1:
-                break
-            for c in values:
-                if a + 2 * b + c >= 1:
-                    break
-                if any(df - a * d - b * u - c * dab > tol for d, df, u in eng.cuts):
-                    continue
-                worst, _, witness = fold_max(eng, a, b, c * dab)
-                if worst <= tol:
-                    return CrrParams(a, b, c)
-                eng.cuts.append(witness)
+    a, b, c = _crr_grid(float(grid_step))
+    alive = np.ones(a.size, dtype=bool)
+
+    def cut(witness, k=0):
+        d, df, u = witness
+        alive[k:] &= ~(df - a[k:] * d - b[k:] * u - c[k:] * dab > tol)
+
+    for witness in eng.cuts:
+        cut(witness)
+    k = int(np.argmax(alive))
+    while alive[k]:
+        x, y, z = float(a[k]), float(b[k]), float(c[k])
+        worst, _, witness = fold_max(eng, x, y, z * dab)
+        if worst <= tol:
+            return CrrParams(x, y, z)
+        eng.cuts.append(witness)
+        alive[k] = False
+        cut(witness, k + 1)
+        k = int(np.argmax(alive))
     return None
 
 

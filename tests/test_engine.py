@@ -9,11 +9,12 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gproximity as gp
 import gproximity._scan
+import gproximity.operators
 from gproximity.cli import main
 from gproximity.errors import ClassificationError
 
@@ -443,21 +444,114 @@ def test_demo_crr_searches_share_cuts(monkeypatch):
     assert len(passes) == 2
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10 ** 6), st.sampled_from(("complete", "explicit", "grid", "line")),
-       st.sampled_from(((0.05, 0.1), (0.1, 0.05), (0.1, 0.25))), st.sampled_from((TOL, 0.0)))
-def test_crr_search_after_another_equals_a_fresh_search(seed, kind, grids, tol):
+CRR_KINDS = ("complete", "explicit", "grid", "line")
+
+
+def crr_instance(seed, kind, tol):
+    """A single-map instance of one of CRR_KINDS at the given tol."""
     make = {"grid": lambda: grid_instance(seed), "line": lambda: line_instance(seed)}.get(
         kind, lambda: single_instance(seed, kind))
+    return dataclasses.replace(make(), tol=tol)
 
-    def build():
-        return dataclasses.replace(make(), tol=tol)
 
-    inst = build()
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from(CRR_KINDS),
+       st.sampled_from(((0.05, 0.1), (0.1, 0.05), (0.1, 0.25))), st.sampled_from((TOL, 0.0)))
+def test_crr_search_after_another_equals_a_fresh_search(seed, kind, grids, tol):
+    inst = crr_instance(seed, kind, tol)
     if not inst.engine.preserved[0]:
         return
     gp.crr_params_feasible(inst, grids[0])
-    assert gp.crr_params_feasible(inst, grids[1]) == gp.crr_params_feasible(build(), grids[1])
+    assert gp.crr_params_feasible(inst, grids[1]) == \
+        gp.crr_params_feasible(crr_instance(seed, kind, tol), grids[1])
+
+
+def crr_loop_reference(inst, grid_step):
+    """The constants search as a Python loop over the grid and, per
+    candidate, over the engine's cuts: the reference of the survivor mask."""
+    eng = inst.engine
+    gproximity.operators._require_preserving(eng)
+    dab, tol = inst.d_ab, inst.tol
+    values = [i * grid_step for i in range(math.ceil(1.0 / grid_step) + 1)]
+    for a in values:
+        for b in values:
+            if a + 2 * b >= 1:
+                break
+            for c in values:
+                if a + 2 * b + c >= 1:
+                    break
+                if any(df - a * d - b * u - c * dab > tol for d, df, u in eng.cuts):
+                    continue
+                worst, _, witness = gproximity._scan.fold_max(eng, a, b, c * dab)
+                if worst <= tol:
+                    return gp.CrrParams(a, b, c)
+                eng.cuts.append(witness)
+    return None
+
+
+CRR_GRIDS = (0.1, 0.05, 0.02, 0.01)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from(CRR_KINDS), st.sampled_from(CRR_GRIDS),
+       st.sampled_from(CRR_GRIDS), st.sampled_from((TOL, 0.0)))
+@example(91, "grid", 0.1, 0.05, TOL)  # a full pass refutes grid 0.1's last candidate
+def test_crr_search_matches_the_loop(seed, kind, first, second, tol):
+    """Same constants, bit for bit and as Python floats, and the same cuts
+    left on the engine, on a fresh engine and after a search at another grid."""
+    mask, loop = crr_instance(seed, kind, tol), crr_instance(seed, kind, tol)
+    if not loop.engine.preserved[0]:
+        with pytest.raises(ClassificationError):
+            gp.crr_params_feasible(mask, first)
+        return
+    for grid in (first, second):
+        got, want = gp.crr_params_feasible(mask, grid), crr_loop_reference(loop, grid)
+        assert got == want
+        assert got is None or {type(v) for v in dataclasses.astuple(got)} == {float}
+        assert mask.engine.cuts == loop.engine.cuts
+
+
+def test_crr_search_refutes_the_last_candidate_by_a_full_pass(monkeypatch):
+    """The search at grid 0.1 ends with the full pass of the grid's last
+    candidate, which fails and leaves no survivor."""
+    inst = crr_instance(91, "grid", TOL)
+    folded = []
+
+    def fold_max(eng, a, b, c):
+        folded.append((a, b, c))
+        return gproximity._scan.fold_max(eng, a, b, c)
+
+    monkeypatch.setattr(gproximity.operators, "fold_max", fold_max)
+    assert gp.crr_params_feasible(inst, 0.1) is None
+    a, b, c = (x[-1] for x in gproximity.operators._crr_grid(0.1))
+    assert folded[-1] == (a, b, c * inst.d_ab)
+    assert crr_loop_reference(crr_instance(91, "grid", TOL), 0.1) is None
+
+
+def grid_loop(step):
+    """The (a, b, c) of the constants grid at ``step``, by the search's
+    triple loop."""
+    values = [i * step for i in range(math.ceil(1.0 / step) + 1)]
+    for a in values:
+        for b in values:
+            if a + 2 * b >= 1:
+                break
+            for c in values:
+                if a + 2 * b + c >= 1:
+                    break
+                yield a, b, c
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(0.01, 2.0))
+@example(1 / 3)
+@example(0.07)
+@example(0.0123)
+def test_crr_grid_is_the_loop_sequence(step):
+    grid = gproximity.operators._crr_grid(step)
+    want = np.array(list(grid_loop(step)), dtype=float).reshape(-1, 3)
+    assert np.stack(grid, axis=1).tobytes() == want.tobytes()
+    assert not any(x.flags.writeable for x in grid)
 
 
 def listed_grid_instance(seed):

@@ -188,6 +188,7 @@ def test_domain_edges_stay_accepted(files, argv):
 
 @pytest.mark.parametrize("call", [
     lambda: gp.crr_params_feasible(gp.contraction_instance(3), NAN),
+    lambda: gp.crr_params_feasible(gp.contraction_instance(3), math.inf),
     lambda: gp.SolveConfig(NAN),
     lambda: gp.enumerate_proximity_set(gp.contraction_instance(3), NAN),
     lambda: gp.enumerate_pair_set(gp.identity_pair_instance(4, n=3), NAN),
@@ -252,6 +253,27 @@ def test_extreme_shift_is_refused_by_the_library():
     for shift in (math.inf, -math.inf, NAN):
         with pytest.raises(SpecError, match="shift must be finite"):
             gp.affine_segments_pair(0.5, shift)
+
+
+@pytest.mark.parametrize("step", ["5e-324", "1e-3", "0.0044"])
+def test_too_fine_crr_grid_is_one_error_line(files, step):
+    """A constants grid of more than a million candidates is refused before
+    any is laid out, by the CLI and the library alike."""
+    _root, single, _pair = files
+    assert usage_errors(["classify", single, "--crr-grid", step]) == [
+        "error: argument --crr-grid: must be positive, with at most 1000000 grid candidates, "
+        f"got {float(step)!r}"]
+    started = time.perf_counter()
+    with pytest.raises(DomainError, match="with at most 1000000 grid candidates"):
+        gp.crr_params_feasible(gp.contraction_instance(3), float(step))
+    assert time.perf_counter() - started < 1.0
+
+
+@pytest.mark.parametrize("step", ["0.01", "0.0045"])
+def test_fine_crr_grid_stays_accepted(files, step):
+    _root, single, _pair = files
+    code, out, err = run_main(["classify", single, "--crr-grid", step])
+    assert code in (0, 1) and not error_lines(err) and "crr-params: " in out
 
 
 #: A file whose table is one entry short (n = 2).
