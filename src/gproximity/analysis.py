@@ -7,14 +7,12 @@ from typing import Optional
 
 import numpy as np
 
+from ._constants import STRICT, VACUOUS
 from ._scan import elem_dists
 from .errors import DomainError
 from .maps import Instance
 from .metric import array_diameter, within_epsilon
 from .operators import is_edge_nonexpansive
-
-STRICT = "strict"
-VACUOUS = "vacuous"
 
 
 @dataclass(frozen=True)

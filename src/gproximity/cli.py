@@ -3,21 +3,28 @@
 Reports are plain ``key: value`` lines on stdout with a stable grammar, so
 identical invocations produce byte-identical output; timing goes to stderr.
 Exit codes: 0 success, 1 domain or negative result, 2 usage/parse errors.
+
+The options and the whole instance file are checked before numpy or any
+numeric module is imported: each command imports the modules it needs once
+its input is accepted, so a rejected input costs a process only the
+interpreter, argparse and the file reader.
 """
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import sys
 import time
+from typing import TYPE_CHECKING
 
-from . import analysis, instances, operators, solver
+from ._constants import DEFAULT_TOL, MAX_CRR_CANDIDATES, STRICT, VACUOUS, crr_grid_fits
+from ._reader import read_file
 from .errors import (ClassificationError, DomainError, GproximityError,
                      HypothesisError, OrbitError, ParseError)
-from .graph import validate_graph
-from .maps import Instance
-from .metric import DEFAULT_TOL, TabulatedSpace, validate_metric, validate_sets
+
+if TYPE_CHECKING:
+    from .maps import Instance
+    from .solver import SolveConfig, SolveResult
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -65,14 +72,20 @@ class Report:
 
 
 def _load(args) -> Instance:
+    """The instance file, read and checked whole, then built at ``--tol``."""
     try:
-        return dataclasses.replace(instances.load_instance(args.instance), tol=args.tol)
+        spec = read_file(args.instance)
+        from .instances import build
+        inst = build(spec)
     except (OSError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+    from dataclasses import replace
+    return replace(inst, tol=args.tol)
 
 
 def _parse_start(inst: Instance, text: str):
+    from .metric import TabulatedSpace
     try:
         if isinstance(inst.space, TabulatedSpace):
             index = int(text)
@@ -101,13 +114,16 @@ def _report(inst: Instance, args) -> Report:
 
 
 def _validation_block(rep: Report, inst: Instance) -> bool:
+    from .graph import validate_graph
+    from .metric import validate_metric, validate_sets
+    from .operators import validate_cyclic, validate_pair
     reports = [("metric", validate_metric(inst.space, inst.tol)),
                ("sets", validate_sets(inst.space, inst.sets)),
                ("graph", validate_graph(inst.graph, inst.points))]
     if inst.map_pair is not None:
-        reports.append(("cyclic", operators.validate_pair(inst)))
+        reports.append(("cyclic", validate_pair(inst)))
     elif inst.cyclic_map is not None:
-        reports.append(("cyclic", operators.validate_cyclic(inst)))
+        reports.append(("cyclic", validate_cyclic(inst)))
     ok = True
     for label, report in reports:
         rep.add(f"{label}-valid", _fmt(report.ok))
@@ -125,15 +141,17 @@ def cmd_validate(args) -> int:
 
 
 def _classify_block(rep: Report, inst: Instance, args) -> int:
+    from .operators import (crr_params_feasible, is_edge_nonexpansive, is_g_contraction,
+                            min_contraction_factor, pair_preserves_edges)
     rep.add("d(A,B)", _fmt(inst.d_ab))
     if inst.map_pair is not None:
-        ok, edge = operators.pair_preserves_edges(inst)
+        ok, edge = pair_preserves_edges(inst)
         rep.add("pair-preserves-edges", _fmt(ok))
         if not ok:
             rep.add("violating-edge", _fmt_edge(edge))
         return EXIT_OK if ok else EXIT_NEGATIVE
     try:
-        est = operators.min_contraction_factor(inst)
+        est = min_contraction_factor(inst)
     except ClassificationError as exc:
         rep.add("classification-error", str(exc))
         return EXIT_NEGATIVE
@@ -144,14 +162,14 @@ def _classify_block(rep: Report, inst: Instance, args) -> int:
         rep.add("worst-ratio", _fmt(est.alpha_min))
     if est.worst_edge is not None:
         rep.add("worst-edge", _fmt_edge(est.worst_edge))
-    nonexp = operators.is_edge_nonexpansive(inst)
+    nonexp = is_edge_nonexpansive(inst)
     rep.add("nonexpansive", _fmt(nonexp.ok))
     if args.alpha is not None:
-        chk = operators.is_g_contraction(inst, args.alpha)
+        chk = is_g_contraction(inst, args.alpha)
         rep.add(f"g-contraction({_fmt(args.alpha)})", _fmt(chk.ok))
         if not chk.ok:
             rep.add("contraction-worst-edge", _fmt_edge(chk.worst_edge))
-    params = operators.crr_params_feasible(inst, args.crr_grid)
+    params = crr_params_feasible(inst, args.crr_grid)
     if params is None:
         rep.add("crr-params", "none")
     else:
@@ -169,15 +187,17 @@ def cmd_classify(args) -> int:
 
 def cmd_solve(args) -> int:
     inst = _load(args)
+    from .solver import (SolveConfig, find_proximity_point, two_map_alternating,
+                         two_map_parallel)
     rep = _report(inst, args)
     rep.add("mode", args.mode)
     rep.add("epsilon", _fmt(args.epsilon))
-    cfg = solver.SolveConfig(args.epsilon, args.max_iter)
+    cfg = SolveConfig(args.epsilon, args.max_iter)
     try:
         x0 = _parse_start(inst, args.start) if args.start else inst.sets.a[0]
         if args.mode == "single":
             rep.add("start", _fmt_point(x0))
-            result = solver.find_proximity_point(inst, x0, cfg)
+            result = find_proximity_point(inst, x0, cfg)
             _solve_report(rep, inst, result, cfg)
         else:
             y0 = _parse_start(inst, args.start_b) if args.start_b else inst.sets.b[0]
@@ -187,9 +207,9 @@ def cmd_solve(args) -> int:
             rep.add("start", _fmt_point(x0))
             rep.add("start-b", _fmt_point(y0))
             if args.mode == "parallel":
-                result = solver.two_map_parallel(inst, x0, y0, cfg)
+                result = two_map_parallel(inst, x0, y0, cfg)
             else:
-                result = solver.two_map_alternating(inst, x0, y0, args.alpha, args.gamma, cfg)
+                result = two_map_alternating(inst, x0, y0, args.alpha, args.gamma, cfg)
             _trace_report(rep, result, _fmt_pair)
             for n, b in enumerate(result.bounds or ()):  # the alternating scheme's
                 rep.add("gap-bound", f"{n} {_fmt(b)}")
@@ -202,7 +222,7 @@ def cmd_solve(args) -> int:
 _STEP_PREVIEW = 12
 
 
-def _trace_report(rep: Report, result: solver.SolveResult, fmt):
+def _trace_report(rep: Report, result: SolveResult, fmt):
     rep.add("status", result.status)
     rep.add("iterations", result.iterations)
     res = result.trace.residuals
@@ -214,15 +234,16 @@ def _trace_report(rep: Report, result: solver.SolveResult, fmt):
         rep.add("witness", fmt(result.witness))
 
 
-def _solve_report(rep: Report, inst: Instance, result: solver.SolveResult,
-                  cfg: solver.SolveConfig):
+def _solve_report(rep: Report, inst: Instance, result: SolveResult, cfg: SolveConfig):
+    from .operators import crr_params_feasible
+    from .solver import crr_iteration_bound
     _trace_report(rep, result, _fmt_point)
     # the a-priori bound needs CRR constants, which need edge preservation
     if result.found and inst.engine.preserved[0]:
-        params = operators.crr_params_feasible(inst, _BOUND_CRR_GRID)
+        params = crr_params_feasible(inst, _BOUND_CRR_GRID)
         if params is not None:
             d0 = result.trace.residuals[0] + inst.d_ab
-            bound = solver.crr_iteration_bound(d0, params.k, inst.d_ab, cfg.epsilon, inst.tol)
+            bound = crr_iteration_bound(d0, params.k, inst.d_ab, cfg.epsilon, inst.tol)
             rep.add("crr-iteration-bound", bound)
 
 
@@ -238,26 +259,29 @@ def _members_report(rep: Report, members, fmt):
 
 
 def _enumerate_block(rep: Report, inst: Instance, epsilon: float, mode: str) -> int:
+    from .analysis import (contraction_diam_bound, enumerate_pair_set,
+                           enumerate_proximity_set, pair_diameter, proximity_diameter)
+    from .operators import min_contraction_factor
     rep.add("epsilon", _fmt(epsilon))
     dab = inst.d_ab
     rep.add("d(A,B)", _fmt(dab))
     if inst.map_pair is not None:
-        pset = analysis.enumerate_pair_set(inst, epsilon)
+        pset = enumerate_pair_set(inst, epsilon)
         _members_report(rep, pset.members, _fmt_pair)
         if pset.members:
-            rep.add("pair-diameter", _fmt(analysis.pair_diameter(inst, pset)))
+            rep.add("pair-diameter", _fmt(pair_diameter(inst, pset)))
         return len(pset.members)
-    ps = analysis.enumerate_proximity_set(inst, epsilon, mode=mode)
+    ps = enumerate_proximity_set(inst, epsilon, mode=mode)
     rep.add("mode", mode)
     _members_report(rep, ps.members, _fmt_point)
     if ps.members:
-        rep.add("set-diameter", _fmt(analysis.proximity_diameter(inst, ps)))
+        rep.add("set-diameter", _fmt(proximity_diameter(inst, ps)))
         try:
-            est = operators.min_contraction_factor(inst)
+            est = min_contraction_factor(inst)
         except ClassificationError:
             est = None
         if est is not None and est.contractive:
-            bound = analysis.contraction_diam_bound(est.alpha_min, epsilon, dab)
+            bound = contraction_diam_bound(est.alpha_min, epsilon, dab)
             rep.add("contraction-diam-bound", _fmt(bound))
     return len(ps.members)
 
@@ -269,19 +293,19 @@ def cmd_enumerate(args) -> int:
     return rep.finish(EXIT_NEGATIVE if (args.require_nonempty and size == 0) else EXIT_OK)
 
 
-_DEMOS = {"interval": instances.interval_example,
-          "ellipse": instances.ellipse_example,
-          "segments": instances.segments_example}
-
-
 def cmd_demo(args) -> int:
-    if args.name not in _DEMOS:
+    if args.name not in ("interval", "ellipse", "segments"):
         print(f"error: unknown demo {args.name!r}", file=sys.stderr)
         return EXIT_USAGE
-    builder = _DEMOS[args.name]
+    from dataclasses import replace
+
+    from .instances import ellipse_example, interval_example, segments_example
+    from .solver import SolveConfig, find_proximity_point, two_map_alternating, two_map_parallel
+    builder = {"interval": interval_example, "ellipse": ellipse_example,
+               "segments": segments_example}[args.name]
     try:
         inst = builder() if args.grid_step is None else builder(args.grid_step)
-        inst = dataclasses.replace(inst, tol=args.tol)
+        inst = replace(inst, tol=args.tol)
     except GproximityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -291,33 +315,33 @@ def cmd_demo(args) -> int:
     ok = _validation_block(rep, inst)
     rep.section("classify")
     _classify_block(rep, inst, args)
-    cfg = solver.SolveConfig(0.3, 200)
+    cfg = SolveConfig(0.3, 200)
     if args.name != "segments":
         rep.section("solve")
         # ellipse: reflection across the y-axis, only minor-axis points make progress
         start = (-3.0,) if args.name == "interval" else (0.0, 0.0)
         rep.add("start", _fmt_point(start))
         rep.add("epsilon", _fmt(0.3))
-        result = solver.find_proximity_point(inst, start, cfg)
+        result = find_proximity_point(inst, start, cfg)
         _solve_report(rep, inst, result, cfg)
         if args.name == "interval":
             rep.section("enumerate-exact")
-            _enumerate_block(rep, inst, 0.0, analysis.STRICT)
+            _enumerate_block(rep, inst, 0.0, STRICT)
         rep.section("enumerate")
-        _enumerate_block(rep, inst, 0.3 if args.name == "interval" else 0.01, analysis.STRICT)
+        _enumerate_block(rep, inst, 0.3 if args.name == "interval" else 0.01, STRICT)
     else:
         rep.section("solve-parallel")
         x0, y0 = inst.sets.a[0], inst.sets.b[-1]
         rep.add("start", _fmt_point(x0))
         rep.add("start-b", _fmt_point(y0))
-        pcfg = solver.SolveConfig(0.01, 50)
-        result = solver.two_map_parallel(inst, x0, y0, pcfg)
+        pcfg = SolveConfig(0.01, 50)
+        result = two_map_parallel(inst, x0, y0, pcfg)
         _trace_report(rep, result, _fmt_pair)
         rep.section("solve-alternating")
-        result = solver.two_map_alternating(inst, (0.0, 0.0), (1.0, 1.0), 0.0, 1.0, pcfg)
+        result = two_map_alternating(inst, (0.0, 0.0), (1.0, 1.0), 0.0, 1.0, pcfg)
         _trace_report(rep, result, _fmt_pair)
         rep.section("enumerate")
-        _enumerate_block(rep, inst, 0.01, analysis.STRICT)
+        _enumerate_block(rep, inst, 0.01, STRICT)
     return rep.finish(EXIT_OK if ok else EXIT_NEGATIVE)
 
 
@@ -357,8 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--alpha", type=_number(float, lambda v: 0 < v < 1, "in (0, 1)"),
                    default=None, help="also test the contraction condition at this factor")
-    grid_domain = f"positive, with at most {operators.MAX_CRR_CANDIDATES} grid candidates"
-    p.add_argument("--crr-grid", type=_number(float, operators.crr_grid_fits, grid_domain),
+    grid_domain = f"positive, with at most {MAX_CRR_CANDIDATES} grid candidates"
+    p.add_argument("--crr-grid", type=_number(float, crr_grid_fits, grid_domain),
                    default=_CRR_GRID, help="grid resolution for the constants search")
     p.set_defaults(func=cmd_classify)
 
@@ -381,8 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--epsilon", type=_number(float, lambda v: v >= 0, "nonnegative"),
                    default=0.1)
-    p.add_argument("--mode", choices=[analysis.STRICT, analysis.VACUOUS],
-                   default=analysis.STRICT)
+    p.add_argument("--mode", choices=[STRICT, VACUOUS], default=STRICT)
     p.add_argument("--require-nonempty", action="store_true")
     p.set_defaults(func=cmd_enumerate)
 

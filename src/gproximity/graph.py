@@ -14,13 +14,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ._constants import COMPLETE, CUSTOM, DIAGONAL, EXPLICIT
 from .errors import DomainError
 from .metric import ValidationReport, Violation, point_positions
-
-COMPLETE = "complete"
-DIAGONAL = "diagonal"
-EXPLICIT = "explicit"
-CUSTOM = "custom"
 
 
 @dataclass(frozen=True)

@@ -3,15 +3,16 @@
 Tabulated instances serialize losslessly (lower triangle of the matrix,
 index sets, map tables, edge lists).  Coordinate instances serialize as the
 builder name plus its parameters and are rebuilt on load.  See
-docs/instance_format.md for the file grammar.
+docs/instance_format.md for the file grammar, which ``_reader`` checks
+before ``build`` makes the instance.
 """
 from __future__ import annotations
 
-import inspect
 import math
 
 import numpy as np
 
+from ._reader import FORMAT_HEADER, Coordinate, read, read_file
 from .errors import ParseError, SpecError
 from .graph import (COMPLETE, DIAGONAL, EXPLICIT, DirectedGraph,
                     complete_graph, diagonal_graph, explicit_graph)
@@ -299,16 +300,13 @@ _BUILDERS = {
     "affine-segments": affine_segments_pair,
 }
 
-_FORMAT_HEADER = "gproximity-instance v1"
-
-
 def _fmt(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
 def dumps(inst: Instance) -> str:
     """Serialize an instance to the structured text format."""
-    lines = [_FORMAT_HEADER, f"name: {inst.name}"]
+    lines = [FORMAT_HEADER, f"name: {inst.name}"]
     if isinstance(inst.space, CoordinateSpace):
         params = dict(inst.params)
         builder = params.pop("builder", None)
@@ -347,186 +345,34 @@ def dumps(inst: Instance) -> str:
     return "\n".join(lines) + "\n"
 
 
-class _Reader:
-    def __init__(self, text: str):
-        self.lines = text.splitlines()
-        self.pos = 0
-
-    def more(self) -> bool:
-        """Skip blank lines; True while a line is left."""
-        while self.pos < len(self.lines) and not self.lines[self.pos].strip():
-            self.pos += 1
-        return self.pos < len(self.lines)
-
-    def next(self, expect_key: str = None) -> str:
-        if not self.more():
-            raise ParseError("unexpected end of file", line=self.pos + 1)
-        line = self.lines[self.pos].strip()
-        self.pos += 1
-        if expect_key is not None:
-            prefix = expect_key + ":"
-            if not line.startswith(prefix):
-                raise ParseError(f"expected {prefix!r}, got {line!r}", line=self.pos)
-            return line[len(prefix):].strip()
-        return line
-
-    def error(self, message: str):
-        raise ParseError(message, line=self.pos)
-
-    def columns(self, count: int, n: int):
-        """The next ``count`` lines as ``edge: <i> <j>`` pairs with both ends
-        in 0..n-1, read in one pass; None (``pos`` unmoved) for the caller to
-        read them line by line instead.  Every line must start with
-        ``edge: ``, and the tokens must come in threes, so a token moved
-        across a line break puts a key among the ends and fails them."""
-        text = "\n".join(self.lines[self.pos:self.pos + count])
-        toks = text.split()
-        if ("\n" + text).count("\nedge: ") != count or len(toks) != 3 * count:
-            return None
+def build(spec) -> Instance:
+    """The instance that a checked file (``_reader.read``) describes; a
+    builder that rejects the file's arguments is a ParseError on its
+    ``builder:`` line."""
+    if isinstance(spec, Coordinate):
         try:
-            ends = _indices_below(n, toks[1::3] + toks[2::3])
-        except (KeyError, ValueError):
-            return None
-        self.pos += count
-        return zip(ends[:count], ends[count:])
-
-
-def _indices_below(n: int, toks) -> list:
-    """int of each token, once per distinct one: ValueError for a token that
-    is no int, KeyError for an index outside 0..n-1."""
-    index = {tok: i for tok in set(toks) if 0 <= (i := int(tok)) < n}
-    return list(map(index.__getitem__, toks))
-
-
-def _parse_value(text: str):
-    for kind in (int, float):
-        try:
-            return kind(text)
-        except ValueError:
-            pass
-    return text
+            return _BUILDERS[spec.builder](**spec.kwargs)
+        except (SpecError, TypeError) as exc:
+            raise ParseError(f"builder {spec.builder!r} rejects its arguments: {exc}",
+                             line=spec.line) from exc
+    fmap = pair = None
+    if len(spec.tables) == 1:
+        fmap = CyclicMap("table", table=spec.tables[0])
+    elif spec.tables:
+        pair = MapPair(CyclicMap("table-t", table=spec.tables[0]),
+                       CyclicMap("table-s", table=spec.tables[1]))
+    dist = np.zeros((spec.n, spec.n))
+    for i, values in enumerate(spec.rows, 1):
+        dist[i, :i] = values
+        dist[:i, i] = dist[i, :i]
+    return Instance(spec.name, TabulatedSpace(dist), SubsetPair(spec.a, spec.b),
+                    DirectedGraph(spec.graph, spec.edges), cyclic_map=fmap, map_pair=pair)
 
 
 def loads(text: str) -> Instance:
-    """Parse the structured text format back into an instance."""
-    r = _Reader(text)
-    if r.next() != _FORMAT_HEADER:
-        raise ParseError(f"missing header {_FORMAT_HEADER!r}", line=1)
-    name = r.next("name")
-    kind = r.next("kind")
-    if kind == "coordinate":
-        builder = r.next("builder")
-        if builder not in _BUILDERS:
-            r.error(f"unknown builder {builder!r}")
-        builder_line = r.pos
-        accepted = inspect.signature(_BUILDERS[builder]).parameters
-        kwargs = {}
-        while r.more():
-            body = r.next("arg")
-            if "=" not in body:
-                r.error(f"malformed arg {body!r}")
-            key, value = body.split("=", 1)
-            key = key.strip()
-            if key not in accepted:
-                r.error(f"builder {builder!r} takes no argument {key!r}")
-            if key in kwargs:
-                r.error(f"argument {key!r} repeated")
-            kwargs[key] = _parse_value(value.strip())
-        try:
-            return _BUILDERS[builder](**kwargs)
-        except (SpecError, TypeError) as exc:
-            raise ParseError(f"builder {builder!r} rejects its arguments: {exc}",
-                             line=builder_line) from exc
-    if kind != "tabulated":
-        r.error(f"unknown kind {kind!r}")
-
-    def ints(text, what):
-        try:
-            return tuple(int(tok) for tok in text.split())
-        except ValueError:
-            r.error(f"malformed {what} list {text!r}")
-
-    def in_range(idx, what):
-        bad = [i for i in idx if not 0 <= i < n]
-        if bad:
-            r.error(f"{what} index {bad[0]} outside 0..{n - 1}")
-        return idx
-
-    def indices(what, count=None):
-        idx = ints(r.next(what), what)
-        if not idx or count is not None and len(idx) != count:
-            r.error(f"{what} needs {count or 'at least one'} entries, got {len(idx)}")
-        return in_range(idx, what)
-
-    def subset(what):
-        idx = indices(what)
-        if len(set(idx)) < len(idx):
-            repeated = next(i for k, i in enumerate(idx) if i in idx[:k])
-            r.error(f"{what} index {repeated} repeated")
-        return idx
-
-    try:
-        n = int(r.next("n"))
-    except ValueError:
-        r.error("malformed point count")
-    if n < 1:
-        r.error(f"point count {n} is not positive")
-    a = subset("A")
-    b = subset("B")
-    gspec = r.next("graph")
-    words = gspec.split()
-    if gspec in (COMPLETE, DIAGONAL):
-        graph = complete_graph() if gspec == COMPLETE else diagonal_graph()
-    elif words[:1] == ["edges"]:
-        try:
-            (count,) = map(int, words[1:])
-        except ValueError:
-            r.error(f"malformed edge count in {gspec!r}")
-        if count < 0:
-            r.error(f"edge count {count} is negative")
-        edges = r.columns(count, n)
-        if edges is None:
-            edges = set()
-            for _ in range(count):
-                body = r.next("edge")
-                pair = ints(body, "edge")
-                if len(pair) != 2:
-                    r.error(f"malformed edge {body!r}")
-                edges.add(in_range(pair, "edge"))
-        graph = explicit_graph(edges)
-    else:
-        r.error(f"unknown graph spec {gspec!r}")
-    mspec = r.next("map")
-    fmap = None
-    pair = None
-    if mspec == "table":
-        fmap = CyclicMap("table", table=indices("table", n))
-    elif mspec == "pair":
-        pair = MapPair(CyclicMap("table-t", table=indices("table-t", n)),
-                       CyclicMap("table-s", table=indices("table-s", n)))
-    elif mspec != "none":
-        r.error(f"unknown map spec {mspec!r}")
-    if r.next() != "dist:":
-        r.error("expected 'dist:' section")
-    rows = []  # every row is read and checked before the n x n matrix exists
-    for i in range(1, n):
-        row = r.next("row").split()
-        if len(row) != i:
-            r.error(f"row {i} must carry {i} entries, got {len(row)}")
-        try:
-            rows.append(np.array([float(tok) for tok in row]))
-        except ValueError:
-            r.error(f"malformed distance in row {i}")
-        if not np.isfinite(rows[-1]).all():
-            r.error(f"non-finite distance in row {i}")
-    if r.more():
-        extra = r.next()
-        r.error(f"unexpected line {extra!r} after the distance rows")
-    dist = np.zeros((n, n))
-    for i, values in enumerate(rows, 1):
-        dist[i, :i] = dist[:i, i] = values
-    return Instance(name, TabulatedSpace(dist), SubsetPair(a, b), graph,
-                    cyclic_map=fmap, map_pair=pair)
+    """Parse the structured text format back into an instance: the whole
+    text is checked before the instance is built."""
+    return build(read(text))
 
 
 def save_instance(inst: Instance, path) -> None:
@@ -535,5 +381,4 @@ def save_instance(inst: Instance, path) -> None:
 
 
 def load_instance(path) -> Instance:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read())
+    return build(read_file(path))

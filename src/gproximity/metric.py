@@ -14,11 +14,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ._constants import DEFAULT_TOL
 from .errors import DomainError, StructuralError
-
-#: Default absolute comparison slack.  All paper quantities are O(1), so
-#: double-precision round-off sits far below this.
-DEFAULT_TOL = 1e-9
 
 
 def within_epsilon(residual, epsilon: float, tol: float):

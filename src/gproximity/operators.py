@@ -13,6 +13,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._constants import MAX_CRR_CANDIDATES, crr_grid_fits
 from ._scan import EdgeScanner, fold_max
 from .errors import ClassificationError, DomainError
 from .maps import CrrParams, Instance
@@ -113,23 +114,6 @@ def is_edge_nonexpansive(inst: Instance) -> CheckResult:
 def is_crr_moh(inst: Instance, params: CrrParams) -> CheckResult:
     """d(fx,fy) <= a d(x,y) + b [d(x,fx) + d(y,fy)] + c d(A,B) on every edge."""
     return _fold_check(inst.engine, params.alpha, params.beta, params.gamma * inst.d_ab)
-
-
-#: Most candidates a CRR constants grid may lay out: 24 bytes each in the
-#: cached arrays, so 24 MB at the cap.  Grid 0.01 holds 87,176 of them.
-MAX_CRR_CANDIDATES = 10 ** 6
-
-
-def crr_grid_fits(grid_step: float) -> bool:
-    """Whether 0 < grid_step < inf and the constants grid at that step lays
-    out at most MAX_CRR_CANDIDATES candidates, tested before anything is
-    built.  A candidate (i, j, k) * grid_step has i + 2j + k <= K =
-    ceil(1 / grid_step) up to rounding; the unit cubes at those integer
-    triples fill x + 2y + z < K + 4, of volume (K + 4)^3 / 12."""
-    if not 0.0 < grid_step < math.inf:
-        return False
-    n = 1.0 / grid_step + 5.0  # >= K + 4; inf when 1 / grid_step overflows
-    return n * n * n / 12.0 <= MAX_CRR_CANDIDATES
 
 
 @functools.lru_cache(maxsize=4)

@@ -5,6 +5,8 @@ import contextlib
 import dataclasses
 import io
 import math
+import subprocess
+import sys
 import time
 
 import pytest
@@ -345,3 +347,73 @@ def test_short_table_is_one_error_line(tmp_path):
     code, out, err = run_main(["validate", str(path)])
     assert code == 2 and out == ""
     assert error_lines(err) == ["error: line 9: table needs 2 entries, got 1"]
+
+
+NOT_UTF8 = b"gproximity-instance v1\nname: x\xff\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "classify", "solve", "enumerate"])
+def test_file_that_is_not_utf8_is_one_error_line(tmp_path, command):
+    """An undecodable byte is a parse error on its line, not a
+    UnicodeDecodeError; the library's load_instance raises the same."""
+    path = tmp_path / "latin.gpx"
+    path.write_bytes(NOT_UTF8)
+    message = "line 2: not UTF-8 text: invalid start byte at byte 30"
+    assert usage_errors([command, str(path)]) == [f"error: {message}"]
+    with pytest.raises(ParseError, match=message):
+        gp.load_instance(path)
+
+
+#: One CLI call in a fresh interpreter; prints its exit code and the
+#: package's and numpy's modules loaded by then.
+REJECT_PROCESS = """
+import sys
+from gproximity.cli import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+print(code, *sorted(m for m in sys.modules if m == "numpy" or m.startswith("gproximity")))
+"""
+
+#: Modules a rejected input may load: none of them imports numpy.
+READER_MODULES = ["gproximity", "gproximity._constants", "gproximity._reader",
+                  "gproximity.cli", "gproximity.errors"]
+
+#: Rejected inputs: the file's text (None: no file) and the argv before its path.
+REJECTED = {
+    "oob": ("gproximity-instance v1\nname: oob\nkind: tabulated\nn: 2\nA: 0\nB: 5\n"
+            "graph: complete\nmap: table\ntable: 1 0\ndist:\nrow: 1.0\n", ["classify"]),
+    "nan": ("gproximity-instance v1\nname: nan\nkind: tabulated\nn: 2\nA: 0\nB: 1\n"
+            "graph: complete\nmap: table\ntable: 1 0\ndist:\nrow: nan\n", ["validate"]),
+    "builder-arg": (coordinate_file("interval", ["bogus=1"]), ["classify"]),
+    "not-utf8": (NOT_UTF8, ["validate"]),
+    "missing": (None, ["solve"]),
+    "tol-nan": (BASES[0], ["--tol", "nan", "classify"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTED))
+def test_rejected_input_imports_no_numpy(tmp_path, case):
+    """A rejected file or option ends in exit 2 and one error: line, before
+    numpy or any numeric module of the package is imported."""
+    text, argv = REJECTED[case]
+    path = tmp_path / f"{case}.gpx"
+    if text is not None:
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    out = subprocess.run([sys.executable, "-c", REJECT_PROCESS, *argv, str(path)],
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["2", *READER_MODULES]
+    assert len(error_lines(out.stderr)) == 1 and "Traceback" not in out.stderr
+
+
+def test_package_import_defers_the_api():
+    """``import gproximity`` loads no numpy; the first public name loads
+    every module of the API, as the eager import did."""
+    probe = ("import sys, gproximity as gp\n"
+             "print('numpy' in sys.modules)\n"
+             "gp.loads\n"
+             "print(all(f'gproximity.{m}' in sys.modules for m in gp._API), 'numpy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False", "True", "True"]

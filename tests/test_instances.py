@@ -1,4 +1,5 @@
 """Builders and the text serialization format."""
+import inspect
 import math
 from unittest import mock
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gproximity as gp
-from gproximity import instances
+from gproximity import _reader, instances
 from gproximity.cli import main
 from gproximity.errors import ParseError, SpecError
 
@@ -372,7 +373,7 @@ VALUE_TOKENS = ("nan", "inf", "-inf", "-1", "3", "99", "1e309", "-0.0", "+1", "1
 
 def line_reader_only():
     """The section fast path switched off: every line goes through _Reader."""
-    return mock.patch.object(instances._Reader, "columns", lambda *args: None)
+    return mock.patch.object(_reader._Reader, "columns", lambda *args: None)
 
 
 def load_outcome(text):
@@ -474,11 +475,18 @@ def test_duplicate_edge_lines_collapse():
     assert gp.loads(text).graph.edges == {(2, 0), (1, 1)}
 
 
+def test_reader_builder_arguments_match_the_builders():
+    """The reader checks arg: names against its own table, without the
+    builders; the table must name each registered builder's parameters."""
+    assert _reader.BUILDER_ARGS == {name: tuple(inspect.signature(fn).parameters)
+                                    for name, fn in instances._BUILDERS.items()}
+
+
 def test_canonical_sections_skip_the_line_walk():
     """A canonical file reads its edge: section in one pass: the number of
     _Reader.next calls grows with the row count only, not the edge count."""
     calls = []
-    real_next = instances._Reader.next
+    real_next = _reader._Reader.next
 
     def counting_next(self, *args):
         calls.append(self.pos)
@@ -489,7 +497,7 @@ def test_canonical_sections_skip_the_line_walk():
     texts = [gp.dumps(big), gp.dumps(small)]
     assert len(big.graph.edges) > 35_000 and texts[0].count("\n") > 35_000
     counts = []
-    with mock.patch.object(instances._Reader, "next", counting_next):
+    with mock.patch.object(_reader._Reader, "next", counting_next):
         for text in texts:
             calls.clear()
             gp.loads(text)
