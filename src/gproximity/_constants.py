@@ -22,7 +22,7 @@ STRICT = "strict"
 VACUOUS = "vacuous"
 
 #: Most candidates a CRR constants grid may lay out: 24 bytes each in the
-#: cached arrays, so 24 MB at the cap.  Grid 0.01 holds 87,176 of them.
+#: cached arrays, so 24 MB at the cap.  Grid 0.01 holds 87,125 of them.
 MAX_CRR_CANDIDATES = 10 ** 6
 
 

@@ -41,7 +41,7 @@ class Tabulated(NamedTuple):
     a: tuple
     b: tuple
     graph: str  # COMPLETE, DIAGONAL or EXPLICIT
-    edges: Optional[frozenset]  # the (i, j) index pairs of an EXPLICIT graph
+    edges: Optional[tuple]  # (I, J): the ends of an EXPLICIT graph's edge: lines, as int lists
     tables: tuple  # (), (table,) or (table-t, table-s): map none, table or pair
     rows: list  # row i = 1..n-1 of the strict lower triangle, as i floats
 
@@ -74,10 +74,11 @@ class _Reader:
 
     def columns(self, count: int, n: int):
         """The next ``count`` lines as ``edge: <i> <j>`` pairs with both ends
-        in 0..n-1, read in one pass; None (``pos`` unmoved) for the caller to
-        read them line by line instead.  Every line must start with
-        ``edge: ``, and the tokens must come in threes, so a token moved
-        across a line break puts a key among the ends and fails them."""
+        in 0..n-1, read in one pass into the lists (I, J); None (``pos``
+        unmoved) for the caller to read them line by line instead.  Every
+        line must start with ``edge: ``, and the tokens must come in threes,
+        so a token moved across a line break puts a key among the ends and
+        fails them."""
         text = "\n".join(self.lines[self.pos:self.pos + count])
         toks = text.split()
         if ("\n" + text).count("\nedge: ") != count or len(toks) != 3 * count:
@@ -87,7 +88,7 @@ class _Reader:
         except (KeyError, ValueError):
             return None
         self.pos += count
-        return zip(ends[:count], ends[count:])
+        return ends[:count], ends[count:]
 
 
 def _indices_below(n: int, toks) -> list:
@@ -181,16 +182,17 @@ def read(text: str) -> Coordinate | Tabulated:
             r.error(f"malformed edge count in {gspec!r}")
         if count < 0:
             r.error(f"edge count {count} is negative")
-        listed = r.columns(count, n)
-        if listed is None:
-            listed = set()
+        edges = r.columns(count, n)
+        if edges is None:
+            edges = [], []
             for _ in range(count):
                 body = r.next("edge")
                 pair = ints(body, "edge")
                 if len(pair) != 2:
                     r.error(f"malformed edge {body!r}")
-                listed.add(in_range(pair, "edge"))
-        edges = frozenset(listed)
+                i, j = in_range(pair, "edge")
+                edges[0].append(i)
+                edges[1].append(j)
     else:
         r.error(f"unknown graph spec {gspec!r}")
     mspec = r.next("map")

@@ -7,6 +7,9 @@ DF <= a D + b U + c: (alpha, 0, 0) for a g-contraction, (1, 0, 0) for
 nonexpansiveness, (alpha, beta, gamma d(A, B)) for CRR constants.
 ``fold_max`` folds its excess; the certificate pass folds the zero-length
 edges, ratio, margin and largest DF, which decide the first two classes.
+Each pass computes only what its consumer reads: U only for a fold with a
+nonzero b, and a caller that needs only to know whether the map contracts
+gets a certificate pass that stops at the first block refuting it.
 
 Half-triangle rule: a complete graph without an A x B rectangle, under one
 map on a metric that is exactly symmetric, makes D, DF and U bitwise
@@ -20,11 +23,11 @@ same first zero-length edge as the full square.
 
 Buffers: an engine holds the kernel forms of its points and images (see
 ``metric.DistanceKernel``), built once.  Each pass of ``blocks()`` allocates
-D, DF, U and one kernel scratch array once, at the size of its largest
-block: at most ``_BLOCK_ELEMS`` pairs unless one row is longer, 512 KiB per
-float64 array, so that with a fold's own buffers, also allocated once per
-pass, they stay near a 2 MiB L2 cache.  The distance kernel writes every
-block into them in place.
+DF, the D and U its consumer reads, and one kernel scratch array once, at
+the size of its largest block: at most ``_BLOCK_ELEMS`` pairs unless one
+row is longer, 512 KiB per float64 array, so that with a fold's own
+buffers, also allocated once per pass, they stay near a 2 MiB L2 cache.
+The distance kernel writes every block into them in place.
 
 Streaming contract: the arrays of a block are views of the pass's buffers,
 valid until the next block is requested, which overwrites them.  A consumer
@@ -38,7 +41,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .graph import adjacency, contains_pairs, first_unpreserved, image_positions
+from .graph import contains_pairs, first_unpreserved, image_positions
 from .metric import _BLOCK_ELEMS, DistanceKernel, point_array
 
 
@@ -79,11 +82,12 @@ class EdgeScanner:
     ``SubsetPair``.
 
     Holds the instance's ``tol``, images, point arrays, self-distances and
-    the graph's ``adjacency`` over the points, and streams (start, stop, D,
-    DF, U) blocks over the edges at scan positions start..stop-1.  DF takes
-    ``images_left`` on the I side and ``images_right`` (default: the same)
-    on the J side; a map pair, given ``images_right``, scans the edges of
-    A x B only (rows ``rows``, columns ``cols``).
+    the graph's ``adjacency`` over the points (``adj``, the instance's), and
+    streams (start, stop, D, DF, U) blocks over the edges at scan positions
+    start..stop-1.  DF takes ``images_left`` on the I side and
+    ``images_right`` (default: the same) on the J side; a map pair, given
+    ``images_right``, scans the edges of A x B only (rows ``rows``, columns
+    ``cols``).
 
     Listed edges (every graph but the complete one) are the set entries of
     the adjacency's ``rows`` x ``cols`` cut in row-major order, scanned
@@ -95,7 +99,7 @@ class EdgeScanner:
     docstring), else every column.  Scan positions count the visited edges.
     """
 
-    def __init__(self, space, sets, graph, tol, images_left, images_right=None):
+    def __init__(self, space, sets, graph, adj, tol, images_left, images_right=None):
         self.kernel = DistanceKernel(space)
         self.tol = tol
         self.points = sets.points
@@ -111,7 +115,7 @@ class EdgeScanner:
         pair, pos = images_right is not None, sets.position
         self.rows = np.array([pos[p] for p in sets.a], dtype=np.intp) if pair else np.arange(n)
         self.cols = np.array([pos[p] for p in sets.b], dtype=np.intp) if pair else np.arange(n)
-        self.adj = adjacency(graph, pos)
+        self.adj = adj
         self.edges = None
         if self.adj is not None:
             r, c = np.nonzero(self.adj[np.ix_(self.rows, self.cols)])
@@ -184,13 +188,18 @@ class EdgeScanner:
         k = first_unpreserved(self.graph, self.adj, self.edges, *self.maps)
         return (True, None) if k is None else (False, self._edge(k))
 
-    def blocks(self):
+    def blocks(self, *, d=True, u=True):
         """Yield (start, stop, D, DF, U) in row-major scan order, in buffers
-        allocated once per pass (module docstring)."""
+        allocated once per pass (module docstring).  D and U are computed
+        only when asked for (``d``, ``u``); one that is not holds a read-only
+        NaN view of the block's length."""
         kern = self.kernel
         pr, fr, ur, pc, fc, uc = self._forms
         size = self._largest_block
-        d_buf, df_buf, u_buf = np.empty(size), np.empty(size), np.empty(size)
+        unread = np.broadcast_to(np.nan, size)
+        d_buf = np.empty(size) if d else unread
+        df_buf = np.empty(size)
+        u_buf = np.empty(size) if u else unread
         scratch = np.empty(size, dtype=kern.scratch_dtype)
         if self.edges is not None:
             i, j = self.edges
@@ -199,30 +208,52 @@ class EdgeScanner:
             for s in range(0, i.size, _BLOCK_ELEMS):
                 bi, bj = i[s:s + _BLOCK_ELEMS], j[s:s + _BLOCK_ELEMS]
                 m = bi.size
-                u = np.add(_gather(ur, bi, u_buf), _gather(uc, bj, df_buf), out=u_buf[:m])
-                d = kern(_gather(pr, bi, gi), _gather(pc, bj, gj), False, d_buf[:m], scratch)
-                df = kern(_gather(fr, bi, gi), _gather(fc, bj, gj), False, df_buf[:m], scratch)
-                yield s, s + m, d, df, u
+                dv, dfv, uv = d_buf[:m], df_buf[:m], u_buf[:m]
+                if u:
+                    np.add(_gather(ur, bi, u_buf), _gather(uc, bj, df_buf), out=uv)
+                if d:
+                    kern(_gather(pr, bi, gi), _gather(pc, bj, gj), False, dv, scratch)
+                kern(_gather(fr, bi, gi), _gather(fc, bj, gj), False, dfv, scratch)
+                yield s, s + m, dv, dfv, uv
             return
         nc = self.cols.size
         for s, e, lo, start in self._layout.tolist():
             shape = (e - s, nc - lo)
             m = shape[0] * shape[1]
-            d, df, u = d_buf[:m], df_buf[:m], u_buf[:m]
-            kern(pr[..., s:e], pc[..., lo:], True, d.reshape(shape), scratch)
-            kern(fr[..., s:e], fc[..., lo:], True, df.reshape(shape), scratch)
-            np.add.outer(ur[s:e], uc[lo:], out=u.reshape(shape))
-            yield start, start + m, d, df, u
+            dv, dfv, uv = d_buf[:m], df_buf[:m], u_buf[:m]
+            if d:
+                kern(pr[..., s:e], pc[..., lo:], True, dv.reshape(shape), scratch)
+            kern(fr[..., s:e], fc[..., lo:], True, dfv.reshape(shape), scratch)
+            if u:
+                np.add.outer(ur[s:e], uc[lo:], out=uv.reshape(shape))
+            yield start, start + m, dv, dfv, uv
 
     @cached_property
     def certificate(self) -> Certificate:
         """Zero-edge check, largest ratio, nonexpansive margin and largest
         image distance, in one pass."""
+        return self._certify(verdict_only=False)
+
+    def contraction_certificate(self) -> Optional[Certificate]:
+        """The certificate of a map that contracts every edge, None for one
+        that does not (``contracts``), from a pass that stops at the end of
+        the first block deciding no: one with a zero-length edge whose image
+        is longer than tol, or with d(fx, fy) / d(x, y) >= 1.  A pass that
+        runs to the end is cached as ``certificate``, and a cached one is
+        read, so a map is scanned to the end once."""
+        if "certificate" in self.__dict__:
+            return self.certificate if contracts(self.certificate) else None
+        cert = self._certify(verdict_only=True)
+        if cert is not None:
+            self.__dict__["certificate"] = cert
+        return cert
+
+    def _certify(self, verdict_only):
         zero, ratio, margin, reach = _FirstMax(), _FirstMax(), _FirstMax(), _FirstMax()
         size = self._largest_block
         values = np.empty(size)
         low, high = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
-        for start, _stop, d, df, u in self.blocks():
+        for start, _stop, d, df, _u in self.blocks(u=False):
             buf, lo, hi = values[:d.size], low[:d.size], high[:d.size]
             np.less_equal(d, 0.0, out=lo)
             np.greater(df, self.tol, out=hi)
@@ -231,11 +262,14 @@ class EdgeScanner:
             if hi.any():
                 buf.fill(-np.inf)
                 ratio.add(np.divide(df, d, out=buf, where=hi), start)
+            if verdict_only and (zero.value or ratio.value is not None and ratio.value >= 1.0):
+                return None
             margin.add(np.subtract(df, d, out=buf), start)
-            reach.add(df, start, d, df, u)
+            reach.add(df, start, d, df)
         return Certificate(self._edge(zero.at) if zero.value else None,
                            0.0 if ratio.value is None else ratio.value, self._edge(ratio.at),
-                           margin.value, self._edge(margin.at), reach.value, reach.witness)
+                           margin.value, self._edge(margin.at), reach.value,
+                           reach.witness + (self._u_at(reach.at),))
 
     @cached_property
     def cuts(self) -> list:
@@ -246,6 +280,11 @@ class EdgeScanner:
 
     def _edge(self, k):
         return None if k is None else tuple(self.points[i] for i in self.edge_at(k))
+
+    def _u_at(self, k) -> float:
+        """U at scan position k: the addition ``blocks`` makes there."""
+        i, j = self.edge_at(k)
+        return float(self.self_left[i] + self.self_right[j])
 
 
 class _FirstMax:
@@ -261,25 +300,34 @@ class _FirstMax:
             self.witness = tuple(float(col[p]) for col in cols)
 
 
+def contracts(cert: Certificate) -> bool:
+    """Whether a certificate shows a contraction: no zero-length edge with
+    an image longer than tol, and every ratio below 1."""
+    return cert.zero_edge is None and cert.ratio < 1.0
+
+
 def fold_max(scanner: EdgeScanner, a: float, b: float = 0.0, c: float = 0.0):
     """Max over the edges of df - a*d - b*u - c, the excess of the edge
     inequality d(fx, fy) <= a d(x, y) + b [d(x, fx) + d(y, fy)] + c, with
     its first arg-max edge.
 
-    Subtracts the terms in that order (b and c only if one is nonzero) into
-    two buffers allocated once per pass.  Returns (max, (i, j), (d, df, u))
-    at the first arg-max edge, or (None, None, None) without edges.
+    Subtracts the terms in that order (b*u only if b is nonzero, c only if b
+    or c is) into two buffers allocated once per pass; the pass computes U
+    only for a nonzero b; u of the witness is the addition U makes at its
+    edge (``_u_at``).  Returns (max, (i, j), (d, df, u)) at the first arg-max
+    edge, or (None, None, None) without edges.
     """
     size = scanner._largest_block
     values, terms = np.empty(size), np.empty(size)
     best = _FirstMax()
-    for start, _stop, d, df, u in scanner.blocks():
+    for start, _stop, d, df, u in scanner.blocks(u=bool(b)):
         v, t = values[:d.size], terms[:d.size]
         np.subtract(df, np.multiply(a, d, out=t), out=v)
-        if b or c:
+        if b:
             np.subtract(v, np.multiply(b, u, out=t), out=v)
+        if b or c:
             np.subtract(v, c, out=v)
-        best.add(v, start, d, df, u)
+        best.add(v, start, d, df)
     if best.at is None:
         return None, None, None
-    return best.value, scanner.edge_at(best.at), best.witness
+    return best.value, scanner.edge_at(best.at), best.witness + (scanner._u_at(best.at),)

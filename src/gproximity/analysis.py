@@ -66,7 +66,7 @@ def enumerate_pair_set(inst: Instance, epsilon: float) -> PairProximitySet:
     eng = inst.pair_engine
     pos = np.concatenate([np.empty(0, np.intp)] + [
         start + np.flatnonzero(within_epsilon(df - inst.d_ab, epsilon, inst.tol))
-        for start, _stop, _d, df, _u in eng.blocks()])
+        for start, _stop, _d, df, _u in eng.blocks(d=False, u=False)])
     (i, j), pts = eng.edge_pairs(pos), inst.points
     members = list(zip([pts[k] for k in i.tolist()], [pts[k] for k in j.tolist()]))
     return PairProximitySet(epsilon, tuple(members), pos)

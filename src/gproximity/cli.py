@@ -277,10 +277,10 @@ def _enumerate_block(rep: Report, inst: Instance, epsilon: float, mode: str) -> 
     if ps.members:
         rep.add("set-diameter", _fmt(proximity_diameter(inst, ps)))
         try:
-            est = min_contraction_factor(inst)
+            est = min_contraction_factor(inst, verdict_only=True)
         except ClassificationError:
             est = None
-        if est is not None and est.contractive:
+        if est is not None:
             bound = contraction_diam_bound(est.alpha_min, epsilon, dab)
             rep.add("contraction-diam-bound", _fmt(bound))
     return len(ps.members)

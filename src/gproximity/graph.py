@@ -1,14 +1,14 @@
 """Directed graphs over the point set, with the diagonal convention.
 
 A graph is either a named rule (complete, diagonal, custom predicate) or an
-explicit set of ordered point pairs.  Every rule contains the diagonal: each
+explicit list of ordered point pairs.  Every rule contains the diagonal: each
 query, and the adjacency every scan reads, treats (x, x) as an edge whether
 listed or not; `validate_graph` still flags explicit edge sets that omit
 diagonal pairs, since such a file is incomplete.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Callable, Optional
 
@@ -19,22 +19,61 @@ from .errors import DomainError
 from .metric import ValidationReport, Violation, point_positions
 
 
-@dataclass(frozen=True)
 class DirectedGraph:
-    rule: str
-    edges: Optional[frozenset] = None
-    predicate: Optional[Callable] = None
-    predicate_name: str = ""
+    """A named rule (complete, diagonal, custom predicate) or an explicit
+    graph of listed (x, y) pairs.
 
-    def __post_init__(self):
-        if self.rule not in (COMPLETE, DIAGONAL, EXPLICIT, CUSTOM):
-            raise DomainError(f"unknown graph rule {self.rule!r}")
-        if self.rule == EXPLICIT:
-            if self.edges is None:
-                raise DomainError("explicit graph needs an edge set")
-            object.__setattr__(self, "edges", frozenset(self.edges))
-        if self.rule == CUSTOM and self.predicate is None:
+    An explicit graph holds its pairs as a set, ``edges``, or, read from an
+    instance file, as ``pairs``: the index arrays (I, J) of its ``edge:``
+    lines, duplicates kept, which ``adjacency`` and ``validate_graph`` read.
+    ``edges`` is then the frozenset of (i, j) tuples, built on first access.
+    Graphs are equal when rule, edge set and predicate are, whichever form
+    the pairs came in.
+    """
+
+    def __init__(self, rule: str, edges=None, predicate: Optional[Callable] = None,
+                 predicate_name: str = "", *, pairs=None):
+        if rule not in (COMPLETE, DIAGONAL, EXPLICIT, CUSTOM):
+            raise DomainError(f"unknown graph rule {rule!r}")
+        if rule == EXPLICIT and edges is None and pairs is None:
+            raise DomainError("explicit graph needs an edge set")
+        if rule == CUSTOM and predicate is None:
             raise DomainError("custom graph needs a predicate")
+        fields = {"rule": rule, "predicate": predicate, "predicate_name": predicate_name,
+                  "pairs": None}
+        if rule == EXPLICIT and edges is not None:
+            fields["edges"] = frozenset(edges)
+        elif rule == EXPLICIT:
+            fields["pairs"] = tuple(np.array(v, dtype=np.intp) for v in pairs)
+            for v in fields["pairs"]:
+                v.flags.writeable = False
+        self.__dict__.update(fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign {name!r}: a DirectedGraph is immutable")
+
+    @cached_property
+    def edges(self) -> Optional[frozenset]:
+        """The listed (x, y) pairs of an explicit graph, None for a rule."""
+        if self.pairs is None:
+            return None
+        i, j = self.pairs
+        return frozenset(zip(i.tolist(), j.tolist()))
+
+    def _key(self):
+        return self.rule, self.edges, self.predicate, self.predicate_name
+
+    def __eq__(self, other):
+        if not isinstance(other, DirectedGraph):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (f"DirectedGraph(rule={self.rule!r}, edges={self.edges!r}, "
+                f"predicate={self.predicate!r}, predicate_name={self.predicate_name!r})")
 
 
 def complete_graph() -> DirectedGraph:
@@ -75,11 +114,10 @@ def validate_graph(g: DirectedGraph, points) -> ValidationReport:
     pts = tuple(points)
     out = []
     if g.rule == EXPLICIT:
-        pset = set(pts)
+        loops, foreign = _listed(g, pts)
         for p in pts:
-            if (p, p) not in g.edges:
+            if p not in loops:
                 out.append(Violation("diagonal", (p,), f"diagonal incomplete at {p!r}"))
-        foreign = [e for e in g.edges if e[0] not in pset or e[1] not in pset]
         for edge in sorted(foreign, key=_edge_key):
             out.append(Violation("endpoint", edge, "foreign endpoint"))
     elif g.rule == CUSTOM:
@@ -90,6 +128,18 @@ def validate_graph(g: DirectedGraph, points) -> ValidationReport:
                 out.append(Violation("diagonal", (p,),
                                      f"predicate {g.predicate_name!r} rejects ({p!r},{p!r})"))
     return ValidationReport(tuple(out))
+
+
+def _listed(g: DirectedGraph, pts: tuple):
+    """The set of points with a listed self-loop, and the set of listed
+    edges with an end outside ``pts``, of an explicit graph."""
+    if g.pairs is None:
+        pset = set(pts)
+        return ({x for x, y in g.edges if x == y},
+                {e for e in g.edges if e[0] not in pset or e[1] not in pset})
+    i, j = g.pairs
+    out = ~(np.isin(i, pts) & np.isin(j, pts))
+    return set(i[i == j].tolist()), set(zip(i[out].tolist(), j[out].tolist()))
 
 
 def _edge_key(edge):
@@ -117,10 +167,17 @@ def adjacency(g: DirectedGraph, position):
         mask = [[contains_edge(g, x, y) for y in pts] for x in pts]
         return np.array(mask, dtype=bool).reshape(n, n)
     adj = np.eye(n, dtype=bool)
-    if g.rule == EXPLICIT:
+    if g.rule == EXPLICIT and g.pairs is None:
         keys = [position[x] * n + position[y] for x, y in g.edges
                 if x in position and y in position]
         adj.ravel()[keys] = True
+    elif g.rule == EXPLICIT:
+        i, j = g.pairs
+        index = np.full(max(i.max(initial=0), j.max(initial=0), *position) + 1, -1, np.intp)
+        index[list(position)] = np.arange(n)
+        pi, pj = index[i], index[j]
+        keep = (pi >= 0) & (pj >= 0)
+        adj[pi[keep], pj[keep]] = True
     return adj
 
 

@@ -366,7 +366,7 @@ def build(spec) -> Instance:
         dist[i, :i] = values
         dist[:i, i] = dist[i, :i]
     return Instance(spec.name, TabulatedSpace(dist), SubsetPair(spec.a, spec.b),
-                    DirectedGraph(spec.graph, spec.edges), cyclic_map=fmap, map_pair=pair)
+                    DirectedGraph(spec.graph, pairs=spec.edges), cyclic_map=fmap, map_pair=pair)
 
 
 def loads(text: str) -> Instance:

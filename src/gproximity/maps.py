@@ -6,9 +6,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
 
+from ._constants import EXPLICIT
 from ._scan import EdgeScanner
 from .errors import DomainError, OrbitError
-from .graph import DirectedGraph
+from .graph import DirectedGraph, adjacency, contains_edge
 from .metric import DEFAULT_TOL, SubsetPair, pair_distance
 
 
@@ -114,19 +115,36 @@ class Instance:
         return pair_distance(self.space, self.sets)
 
     @cached_property
+    def adjacency(self):
+        """E(G) over the positions of the points (``graph.adjacency``), read
+        by both engines and the solver's edge tests; None for a complete
+        graph."""
+        return adjacency(self.graph, self.sets.position)
+
+    def has_edge(self, x, y) -> bool:
+        """``contains_edge(graph, x, y)``; for a listed graph and two of the
+        points it reads ``adjacency``, so the edges are never collected into
+        a set of tuples."""
+        pos = self.sets.position
+        if self.graph.rule != EXPLICIT or x not in pos or y not in pos:
+            return contains_edge(self.graph, x, y)
+        return bool(self.adjacency[pos[x], pos[y]])
+
+    @cached_property
     def engine(self):
         """The edge engine of the single map, built on first use; another
         map or tolerance is analysed as its own instance,
         ``dataclasses.replace(inst, cyclic_map=g)`` or ``tol=t``."""
         f, pts = self.require_map(), self.points
-        return EdgeScanner(self.space, self.sets, self.graph, self.tol, [f(p) for p in pts])
+        return EdgeScanner(self.space, self.sets, self.graph, self.adjacency, self.tol,
+                           [f(p) for p in pts])
 
     @cached_property
     def pair_engine(self):
         """The A x B edge engine of the map pair, T on the A side and S on
         the B side, built on first use."""
         pair, pts = self.require_pair(), self.points
-        return EdgeScanner(self.space, self.sets, self.graph, self.tol,
+        return EdgeScanner(self.space, self.sets, self.graph, self.adjacency, self.tol,
                            [pair.t(p) for p in pts], [pair.s(p) for p in pts])
 
 

@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from ._constants import MAX_CRR_CANDIDATES, crr_grid_fits
-from ._scan import EdgeScanner, fold_max
+from ._scan import EdgeScanner, contracts, fold_max
 from .errors import ClassificationError, DomainError
 from .maps import CrrParams, Instance
 from .metric import ValidationReport, Violation
@@ -83,19 +83,25 @@ def _fold_check(eng: EdgeScanner, a: float, b: float = 0.0, c: float = 0.0) -> C
     return CheckResult(worst <= eng.tol, worst_edge=tuple(eng.points[i] for i in pos), margin=worst)
 
 
-def min_contraction_factor(inst: Instance) -> ContractionEstimate:
+def min_contraction_factor(inst: Instance,
+                           verdict_only: bool = False) -> Optional[ContractionEstimate]:
     """Smallest uniform factor shrinking every edge, by exhaustive scan.
 
     Vacuous suprema (no edge with positive distance) give 0.  The result is
     flagged non-contractive when the factor reaches 1 or some zero-length
-    edge has a positive-length image.
+    edge has a positive-length image.  With ``verdict_only``, for a caller
+    that reads the factor of a contraction only, the pass stops at the first
+    block that refutes one and a non-contractive map gives None.
     """
     eng = inst.engine
     _require_preserving(eng)
+    if verdict_only:
+        cert = eng.contraction_certificate()
+        return None if cert is None else ContractionEstimate(True, cert.ratio, cert.ratio_edge)
     cert = eng.certificate
     if cert.zero_edge is not None:
         return ContractionEstimate(False, math.inf, cert.zero_edge)
-    return ContractionEstimate(cert.ratio < 1.0, cert.ratio, cert.ratio_edge)
+    return ContractionEstimate(contracts(cert), cert.ratio, cert.ratio_edge)
 
 
 def is_g_contraction(inst: Instance, alpha: float) -> CheckResult:
@@ -120,14 +126,22 @@ def is_crr_moh(inst: Instance, params: CrrParams) -> CheckResult:
 def _crr_grid(grid_step: float):
     """Read-only arrays (A, B, C) of the candidates (a, b, c) of the simplex
     alpha + 2*beta + gamma < 1 at ``grid_step``, in lexicographic order:
-    each coordinate runs over i * grid_step, i = 0..ceil(1 / grid_step), and
-    a pair (a, b) with a + 2*b >= 1, or a triple with a + 2*b + c >= 1, is
-    left out, with the sums rounded in that order."""
-    values = np.arange(math.ceil(1.0 / grid_step) + 1) * grid_step
-    a, b = (x.ravel() for x in np.meshgrid(values, values, indexing="ij"))
-    pair = a + 2 * b < 1
-    a, b = a[pair], b[pair]
-    p, k = np.nonzero((a + 2 * b)[:, None] + values < 1)
+    each coordinate runs over i * grid_step, i = 0..ceil(1 / grid_step).
+    Strictness is decided on the indices, in exact arithmetic: a pair (i, j)
+    is kept only when (i + 2j) * grid_step < 1, a triple only when
+    (i + 2j + k) * grid_step < 1, so no candidate lies on the boundary that
+    float rounding of the sum would hide.  A candidate whose float sum
+    a + 2*b + c, rounded in that order, reaches 1 is left out too: that is
+    the test ``CrrParams`` makes."""
+    num, den = float(grid_step).as_integer_ratio()  # grid_step == num / den exactly
+    limit = -(-den // num)  # s * grid_step < 1 exactly iff the index sum s < limit
+    index = np.arange(math.ceil(1.0 / grid_step) + 1)
+    values = index * grid_step
+    i, j = (x.ravel() for x in np.meshgrid(index, index, indexing="ij"))
+    a, b = values[i], values[j]
+    pair = (i + 2 * j < limit) & (a + 2 * b < 1)
+    i, j, a, b = i[pair], j[pair], a[pair], b[pair]
+    p, k = np.nonzero((index < (limit - i - 2 * j)[:, None]) & ((a + 2 * b)[:, None] + values < 1))
     grid = a[p], b[p], values[k]
     for x in grid:
         x.flags.writeable = False

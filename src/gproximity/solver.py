@@ -2,6 +2,7 @@
 
 One driver records each scheme's lazy orbit of (point, residual) steps up to
 the first residual the scheme's stop rule accepts, or max_iter + 1 of them.
+Edge tests read the instance's adjacency (``Instance.has_edge``).
 """
 from __future__ import annotations
 
@@ -11,7 +12,6 @@ from itertools import count, islice
 from typing import Optional
 
 from .errors import DomainError, HypothesisError
-from .graph import contains_edge
 from .maps import Instance, apply_map
 from .metric import DEFAULT_TOL, within_epsilon
 
@@ -101,12 +101,12 @@ def find_proximity_point(inst: Instance, x0, cfg: SolveConfig) -> SolveResult:
     """
     f = inst.require_map()
     fx0 = apply_map(f, x0, last_valid=0)
-    if not contains_edge(inst.graph, x0, fx0):
+    if not inst.has_edge(x0, fx0):
         return SolveResult(INELIGIBLE, None, 0, IterationTrace((x0,), ()))
 
     def stop(step):  # found only where the step's (x, T x) is still an edge
         if within_epsilon(step[1], cfg.epsilon, inst.tol):
-            return FOUND if contains_edge(inst.graph, step[0], step[2]) else INELIGIBLE
+            return FOUND if inst.has_edge(step[0], step[2]) else INELIGIBLE
 
     return _run(inst, _picard_steps(inst, f, x0, fx0), cfg, stop=stop)
 
@@ -149,7 +149,7 @@ def is_gt_minimizing(inst: Instance, trace: IterationTrace, window: int, delta: 
     if len(trace.residuals) < window:
         raise DomainError("trace shorter than the residual window")
     for idx, z in enumerate(trace.points):
-        if not contains_edge(inst.graph, z, apply_map(f, z, last_valid=idx)):
+        if not inst.has_edge(z, apply_map(f, z, last_valid=idx)):
             return False, idx
     tail = trace.residuals[-window:]
     return all(r <= delta for r in tail), None
@@ -176,7 +176,7 @@ def two_map_parallel(inst: Instance, x0, y0, cfg: SolveConfig) -> SolveResult:
     pair = inst.require_pair()
     if not inst.sets.in_a(x0) or not inst.sets.in_b(y0):
         raise DomainError("parallel scheme needs a start pair in A x B")
-    if not contains_edge(inst.graph, x0, y0):
+    if not inst.has_edge(x0, y0):
         return SolveResult(INELIGIBLE, None, 0, IterationTrace(((x0, y0),), ()))
     dab = inst.d_ab
 
@@ -205,7 +205,7 @@ def two_map_alternating(inst: Instance, x1, y1, alpha: float, gamma: float,
         raise DomainError("alternating scheme needs alpha + gamma = 1")
     if not (0.0 <= alpha < 1.0):
         raise DomainError("alpha must lie in [0, 1)")
-    if not contains_edge(inst.graph, x1, y1):
+    if not inst.has_edge(x1, y1):
         return SolveResult(INELIGIBLE, None, 0, IterationTrace(((x1, y1),), ()))
     dab, d0 = inst.d_ab, inst.space.distance(x1, y1)
     bounds = []

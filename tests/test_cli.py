@@ -400,3 +400,37 @@ class TestDeterminism:
                               capture_output=True, text=True, check=False)
         assert "elapsed-seconds" in proc.stderr
         assert "elapsed-seconds" not in proc.stdout
+
+
+@pytest.mark.parametrize("argv", [["validate"], ["classify", "--alpha", "0.9"],
+                                  ["solve", "--epsilon", "0.2"],
+                                  ["enumerate", "--epsilon", "0.2"]])
+def test_listed_graph_file_is_read_as_index_arrays(tmp_path, capsys, monkeypatch, argv):
+    """No command on a file with an edge list collects its edges into a set
+    of tuples; the report is the one of the same graph given as a set."""
+    inst = gp.random_instance(11, 9, 9, graph_rule="random:0.6")
+    path = tmp_path / "listed.gpx"
+    gp.save_instance(inst, path)
+    command, *options = argv
+    code, out = run(capsys, command, str(path), *options)
+
+    def built(graph):
+        raise AssertionError("the edge set was built")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(gp.DirectedGraph, "edges", property(built))
+        assert run(capsys, command, str(path), *options) == (code, out)
+
+
+def test_in_process_main_freezes_nothing(capsys, contraction_file):
+    """Only the process entry point, ``python -m gproximity``, freezes the
+    heap before exit: ``cli.main`` leaves a caller's collector alone."""
+    import gc
+    from pathlib import Path
+
+    before = gc.get_freeze_count()
+    run(capsys, "classify", contraction_file)
+    assert gc.get_freeze_count() == before
+    package = Path(cli.__file__).parent
+    assert [p.name for p in sorted(package.glob("*.py"))
+            if "gc.freeze" in p.read_text(encoding="utf-8")] == ["__main__.py"]

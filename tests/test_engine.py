@@ -6,6 +6,7 @@ import io
 import math
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -390,9 +391,9 @@ def count_passes(monkeypatch):
     passes = []
     blocks = gproximity._scan.EdgeScanner.blocks
 
-    def counted(self):
+    def counted(self, **kwargs):
         passes.append(0)
-        for blk in blocks(self):
+        for blk in blocks(self, **kwargs):
             passes[-1] += blk[2].size
             yield blk
 
@@ -472,20 +473,13 @@ def crr_loop_reference(inst, grid_step):
     eng = inst.engine
     gproximity.operators._require_preserving(eng)
     dab, tol = inst.d_ab, inst.tol
-    values = [i * grid_step for i in range(math.ceil(1.0 / grid_step) + 1)]
-    for a in values:
-        for b in values:
-            if a + 2 * b >= 1:
-                break
-            for c in values:
-                if a + 2 * b + c >= 1:
-                    break
-                if any(df - a * d - b * u - c * dab > tol for d, df, u in eng.cuts):
-                    continue
-                worst, _, witness = gproximity._scan.fold_max(eng, a, b, c * dab)
-                if worst <= tol:
-                    return gp.CrrParams(a, b, c)
-                eng.cuts.append(witness)
+    for a, b, c in grid_loop(grid_step):
+        if any(df - a * d - b * u - c * dab > tol for d, df, u in eng.cuts):
+            continue
+        worst, _, witness = gproximity._scan.fold_max(eng, a, b, c * dab)
+        if worst <= tol:
+            return gp.CrrParams(a, b, c)
+        eng.cuts.append(witness)
     return None
 
 
@@ -530,14 +524,16 @@ def test_crr_search_refutes_the_last_candidate_by_a_full_pass(monkeypatch):
 
 def grid_loop(step):
     """The (a, b, c) of the constants grid at ``step``, by the search's
-    triple loop."""
+    triple loop: an index sum i + 2j (+ k) must stay below 1 / step in exact
+    arithmetic, and the float sum a + 2*b (+ c) below 1."""
     values = [i * step for i in range(math.ceil(1.0 / step) + 1)]
-    for a in values:
-        for b in values:
-            if a + 2 * b >= 1:
+    inside = [s * Fraction(step) < 1 for s in range(4 * len(values))]  # by index sum
+    for i, a in enumerate(values):
+        for j, b in enumerate(values):
+            if not inside[i + 2 * j] or a + 2 * b >= 1:
                 break
-            for c in values:
-                if a + 2 * b + c >= 1:
+            for k, c in enumerate(values):
+                if not inside[i + 2 * j + k] or a + 2 * b + c >= 1:
                     break
                 yield a, b, c
 
@@ -553,6 +549,17 @@ def test_crr_grid_is_the_loop_sequence(step):
     assert np.stack(grid, axis=1).tobytes() == want.tobytes()
     assert not any(x.flags.writeable for x in grid)
 
+
+
+@pytest.mark.parametrize("step", (0.02, 0.01, 0.005))
+def test_crr_grid_leaves_out_the_strict_boundary(step):
+    """(0.06, 0.42, 0.1) has index sum 3 + 2*21 + 5 = 1 / step: on the
+    boundary alpha + 2*beta + gamma = 1, although its float sum is below 1.
+    The edge (d, df, u) = (2, 2, 4) of the interval example, with
+    d(A, B) = 2, refutes every triple inside it, so no step finds one."""
+    inst = gp.interval_example(0.05)
+    assert 0.06 + 2 * 0.42 + 0.1 < 1
+    assert gp.crr_params_feasible(inst, step) is None
 
 def listed_grid_instance(seed):
     """grid_instance with a random explicit edge set instead of the complete graph."""
@@ -736,3 +743,184 @@ def test_library_pass_imports_nothing():
     out = subprocess.run([sys.executable, "-c", LIBRARY_PASS], capture_output=True,
                          text=True, check=True)
     assert out.stdout.split() == []
+
+
+# Each pass computes only what its consumer reads: D and U on demand, and a
+# certificate pass that stops once it refutes a contraction, against the
+# passes as they were before.
+
+def certificate_reference(eng):
+    """The certificate pass with U on every block and the reach witness read
+    off U's block, as the engine computed it before U became optional."""
+    _FirstMax = gproximity._scan._FirstMax
+    zero, ratio, margin, reach = _FirstMax(), _FirstMax(), _FirstMax(), _FirstMax()
+    size = eng._largest_block
+    values = np.empty(size)
+    low, high = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
+    for start, _stop, d, df, u in eng.blocks():
+        buf, lo, hi = values[:d.size], low[:d.size], high[:d.size]
+        np.less_equal(d, 0.0, out=lo)
+        np.greater(df, eng.tol, out=hi)
+        zero.add(np.logical_and(lo, hi, out=lo), start)  # first max: first True
+        np.greater(d, 0.0, out=hi)
+        if hi.any():
+            buf.fill(-np.inf)
+            ratio.add(np.divide(df, d, out=buf, where=hi), start)
+        margin.add(np.subtract(df, d, out=buf), start)
+        reach.add(df, start, d, df, u)
+    return gproximity._scan.Certificate(
+        eng._edge(zero.at) if zero.value else None,
+        0.0 if ratio.value is None else ratio.value, eng._edge(ratio.at),
+        margin.value, eng._edge(margin.at), reach.value, reach.witness)
+
+
+def fold_max_reference(scanner, a, b=0.0, c=0.0):
+    """``fold_max`` with U on every block and the witness read off the blocks."""
+    size = scanner._largest_block
+    values, terms = np.empty(size), np.empty(size)
+    best = gproximity._scan._FirstMax()
+    for start, _stop, d, df, u in scanner.blocks():
+        v, t = values[:d.size], terms[:d.size]
+        np.subtract(df, np.multiply(a, d, out=t), out=v)
+        if b or c:
+            np.subtract(v, np.multiply(b, u, out=t), out=v)
+            np.subtract(v, c, out=v)
+        best.add(v, start, d, df, u)
+    if best.at is None:
+        return None, None, None
+    return best.value, scanner.edge_at(best.at), best.witness
+
+
+def crr_search_reference(inst, grid_step, cuts):
+    """The constants search over ``_crr_grid`` with ``fold_max_reference``,
+    its cuts kept in ``cuts``."""
+    eng, dab, tol = inst.engine, inst.d_ab, inst.tol
+    for a, b, c in zip(*(x.tolist() for x in gproximity.operators._crr_grid(grid_step))):
+        if any(df - a * d - b * u - c * dab > tol for d, df, u in cuts):
+            continue
+        worst, _, witness = fold_max_reference(eng, a, b, c * dab)
+        if worst <= tol:
+            return gp.CrrParams(a, b, c)
+        cuts.append(witness)
+    return None
+
+
+def bits(*values):
+    """The bytes of float values, so that -0.0 and 0.0 (or two NaNs) differ."""
+    return np.array(values, dtype=float).tobytes()
+
+
+def check_folds(eng, dab):
+    for a, b, c in ((0.0, 0.0, 0.0), (0.7, 0.0, 0.0), (0.4, 0.0, 0.3 * dab),
+                    (0.3, 0.1, 0.2 * dab), (0.0, 0.45, 0.0)):
+        got, want = gproximity._scan.fold_max(eng, a, b, c), fold_max_reference(eng, a, b, c)
+        assert got[1] == want[1]
+        assert got[0] is None or bits(got[0], *got[2]) == bits(want[0], *want[2])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from(("complete", "explicit")),
+       st.sampled_from(("single", "pair")), st.booleans(), st.sampled_from((TOL, 0.0)),
+       st.sampled_from(BLOCKS))
+def test_passes_on_demand_match_the_full_passes(seed, rule, kind, coords, tol, block):
+    """Certificate, reach witness, folds, cuts, constants and the pair set
+    are bitwise those of the passes that computed D and U on every block."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gproximity._scan, "_BLOCK_ELEMS", block)
+        inst, ref = (dataclasses.replace(build_case(seed, rule, kind, coords), tol=tol)
+                     for _ in range(2))
+        if kind == "pair":
+            eng = inst.pair_engine
+            check_folds(eng, inst.d_ab)
+            for eps in (0.0, 0.3):
+                want = np.concatenate([np.empty(0, np.intp)] + [
+                    start + np.flatnonzero(df - inst.d_ab <= eps + tol)
+                    for start, _stop, _d, df, _u in eng.blocks()])
+                assert np.array_equal(gp.enumerate_pair_set(inst, eps).positions, want)
+            return
+        cert, want = inst.engine.certificate, certificate_reference(ref.engine)
+        assert cert == want
+        assert bits(cert.ratio, cert.margin, cert.reach, *cert.reach_witness) == \
+            bits(want.ratio, want.margin, want.reach, *want.reach_witness)
+        check_folds(inst.engine, inst.d_ab)
+        if not inst.engine.preserved[0]:
+            return
+        cuts = [want.reach_witness]
+        for grid in (0.1, 0.05):
+            assert gp.crr_params_feasible(inst, grid) == crr_search_reference(ref, grid, cuts)
+            assert bits(*(v for cut in inst.engine.cuts for v in cut)) == \
+                bits(*(v for cut in cuts for v in cut))
+
+
+def record_blocks(monkeypatch):
+    """Patch EdgeScanner.blocks to record the block sizes of every pass."""
+    passes = []
+    blocks = gproximity._scan.EdgeScanner.blocks
+
+    def recorded(self, **kwargs):
+        passes.append([])
+        for blk in blocks(self, **kwargs):
+            passes[-1].append(blk[2].size)
+            yield blk
+
+    monkeypatch.setattr(gproximity._scan.EdgeScanner, "blocks", recorded)
+    return passes
+
+
+def cli_run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
+def full_certificate_only(monkeypatch):
+    """min_contraction_factor with its verdict-only stop switched off."""
+    real = gproximity.operators.min_contraction_factor
+
+    def full(inst, verdict_only=False):
+        est = real(inst)
+        return est if est.contractive or not verdict_only else None
+
+    monkeypatch.setattr(gproximity.operators, "min_contraction_factor", full)
+
+
+def test_enumerate_refutes_a_contraction_in_one_block(tmp_path, monkeypatch):
+    """The mirror map of the ellipse example is no contraction: enumerate
+    reads one block of its certificate pass, of several, and prints the
+    report of the full pass."""
+    path = tmp_path / "ellipse.gpx"
+    gp.save_instance(gp.ellipse_example(0.1), path)
+    monkeypatch.setattr(gproximity._scan, "_BLOCK_ELEMS", 1000)
+    assert sum(1 for _ in gp.load_instance(path).engine.blocks()) > 10
+    passes = record_blocks(monkeypatch)
+    fast = cli_run("enumerate", str(path), "--epsilon", "0.1")
+    assert [len(p) for p in passes] == [1]
+    assert "contraction-diam-bound" not in fast[1]
+    full_certificate_only(monkeypatch)
+    assert fast == cli_run("enumerate", str(path), "--epsilon", "0.1")
+
+
+def test_a_contraction_is_scanned_to_the_end_once(tmp_path, monkeypatch):
+    """On a contraction enumerate makes one full certificate pass; on one
+    engine, a later classification reads the cached certificate."""
+    monkeypatch.setattr(gproximity._scan, "_BLOCK_ELEMS", 50)
+    inst = gp.contraction_instance(3)
+    path = tmp_path / "contraction.gpx"
+    gp.save_instance(inst, path)
+    full = [blk[2].size for blk in gp.load_instance(path).engine.blocks()]
+    passes = record_blocks(monkeypatch)
+    fast = cli_run("enumerate", str(path), "--epsilon", "0.1")
+    assert passes == [full] and len(full) > 1
+    assert "contraction-diam-bound" in fast[1]
+    full_certificate_only(monkeypatch)
+    assert fast == cli_run("enumerate", str(path), "--epsilon", "0.1")
+    monkeypatch.undo()
+    passes = record_blocks(monkeypatch)
+    est = gp.min_contraction_factor(inst, verdict_only=True)
+    assert len(passes) == 1
+    assert est == gp.min_contraction_factor(inst) == \
+        gp.min_contraction_factor(gp.contraction_instance(3)) and est.contractive
+    gp.is_edge_nonexpansive(inst)
+    assert len(passes) == 2  # the fresh instance's
+    assert gp.min_contraction_factor(gp.ellipse_example(0.2), verdict_only=True) is None

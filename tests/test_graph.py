@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gproximity import (complete_graph, contains_edge, custom_graph,
+from gproximity import (DirectedGraph, complete_graph, contains_edge, custom_graph,
                         diagonal_graph, explicit_graph, iter_edges,
                         preserves_edges, validate_graph)
 from gproximity.graph import adjacency
@@ -118,3 +118,33 @@ class TestAdjacency:
         g = explicit_graph({(3, 1), (9, 3)})
         adj = adjacency(g, point_positions((3, 1)))
         assert adj.tolist() == [[True, True], [False, True]]
+
+
+def listed_graphs(seed):
+    """A graph of random index pairs with repeated pairs, most of the
+    diagonal and ends outside the points, as index arrays and as a set;
+    with the points, a random subset of 0..n-1 in random order."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 12))
+    k = int(rng.integers(0, 3 * n))
+    i, j = rng.integers(0, n, size=k), rng.integers(0, n, size=k)
+    loops = np.flatnonzero(rng.random(n) < 0.7)
+    i, j = np.concatenate([i, loops, i[:3]]), np.concatenate([j, loops, j[:3]])
+    order = rng.permutation(i.size)
+    i, j = i[order].tolist(), j[order].tolist()
+    pts = [int(p) for p in rng.permutation(n)[:int(rng.integers(1, n + 1))]]
+    return DirectedGraph("explicit", pairs=(i, j)), explicit_graph(zip(i, j)), pts
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_index_pairs_act_as_the_tuple_set(seed):
+    """adjacency and validate_graph read a graph of index arrays as the set
+    of its pairs, without building that set; equality and hash go by it."""
+    listed, tuples, pts = listed_graphs(seed)
+    position = point_positions(pts)
+    assert np.array_equal(adjacency(listed, position), adjacency(tuples, position))
+    assert validate_graph(listed, pts) == validate_graph(tuples, pts)
+    assert "edges" not in vars(listed)
+    assert listed == tuples and hash(listed) == hash(tuples)
+    assert listed.edges == tuples.edges
+    assert {type(v) for e in listed.edges for v in e} <= {int}
