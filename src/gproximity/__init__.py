@@ -23,9 +23,8 @@ _API = {
                  "two_map_diam_bound"),
     "errors": ("ClassificationError", "DomainError", "GproximityError", "HypothesisError",
                "OrbitError", "ParseError", "SpecError", "StructuralError"),
-    "graph": ("COMPLETE", "CUSTOM", "DIAGONAL", "EXPLICIT", "DirectedGraph", "complete_graph",
-              "contains_edge", "custom_graph", "diagonal_graph", "explicit_graph",
-              "iter_edges", "preserves_edges", "validate_graph"),
+    "graph": ("COMPLETE", "DIAGONAL", "EXPLICIT", "DirectedGraph", "complete_graph",
+              "contains_edge", "diagonal_graph", "explicit_graph", "validate_graph"),
     "instances": ("affine_segments_pair", "contraction_instance", "dumps", "ellipse_example",
                   "identity_pair_instance", "interval_example", "load_instance", "loads",
                   "random_instance", "reflection_instance", "save_instance",

@@ -15,7 +15,6 @@ DEFAULT_TOL = 1e-9
 COMPLETE = "complete"
 DIAGONAL = "diagonal"
 EXPLICIT = "explicit"
-CUSTOM = "custom"
 
 #: Membership modes of ``analysis.enumerate_proximity_set``.
 STRICT = "strict"

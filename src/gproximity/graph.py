@@ -1,46 +1,42 @@
 """Directed graphs over the point set, with the diagonal convention.
 
-A graph is either a named rule (complete, diagonal, custom predicate) or an
-explicit list of ordered point pairs.  Every rule contains the diagonal: each
-query, and the adjacency every scan reads, treats (x, x) as an edge whether
-listed or not; `validate_graph` still flags explicit edge sets that omit
-diagonal pairs, since such a file is incomplete.
+A graph is either a named rule (complete, diagonal) or an explicit list of
+ordered point pairs, the three graphs an instance file can state.  Every
+rule contains the diagonal: each query, and the adjacency every scan reads,
+treats (x, x) as an edge whether listed or not; `validate_graph` still
+flags explicit edge sets that omit diagonal pairs, since such a file is
+incomplete.
 """
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import product
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from ._constants import COMPLETE, CUSTOM, DIAGONAL, EXPLICIT
+from ._constants import COMPLETE, DIAGONAL, EXPLICIT
 from .errors import DomainError
-from .metric import ValidationReport, Violation, point_positions
+from .metric import ValidationReport, Violation
 
 
 class DirectedGraph:
-    """A named rule (complete, diagonal, custom predicate) or an explicit
-    graph of listed (x, y) pairs.
+    """A named rule (complete, diagonal) or an explicit graph of listed
+    (x, y) pairs.
 
     An explicit graph holds its pairs as a set, ``edges``, or, read from an
     instance file, as ``pairs``: the index arrays (I, J) of its ``edge:``
     lines, duplicates kept, which ``adjacency`` and ``validate_graph`` read.
     ``edges`` is then the frozenset of (i, j) tuples, built on first access.
-    Graphs are equal when rule, edge set and predicate are, whichever form
-    the pairs came in.
+    Graphs are equal when rule and edge set are, whichever form the pairs
+    came in.
     """
 
-    def __init__(self, rule: str, edges=None, predicate: Optional[Callable] = None,
-                 predicate_name: str = "", *, pairs=None):
-        if rule not in (COMPLETE, DIAGONAL, EXPLICIT, CUSTOM):
+    def __init__(self, rule: str, edges=None, *, pairs=None):
+        if rule not in (COMPLETE, DIAGONAL, EXPLICIT):
             raise DomainError(f"unknown graph rule {rule!r}")
         if rule == EXPLICIT and edges is None and pairs is None:
             raise DomainError("explicit graph needs an edge set")
-        if rule == CUSTOM and predicate is None:
-            raise DomainError("custom graph needs a predicate")
-        fields = {"rule": rule, "predicate": predicate, "predicate_name": predicate_name,
-                  "pairs": None}
+        fields = {"rule": rule, "pairs": None}
         if rule == EXPLICIT and edges is not None:
             fields["edges"] = frozenset(edges)
         elif rule == EXPLICIT:
@@ -61,7 +57,7 @@ class DirectedGraph:
         return frozenset(zip(i.tolist(), j.tolist()))
 
     def _key(self):
-        return self.rule, self.edges, self.predicate, self.predicate_name
+        return self.rule, self.edges
 
     def __eq__(self, other):
         if not isinstance(other, DirectedGraph):
@@ -72,8 +68,7 @@ class DirectedGraph:
         return hash(self._key())
 
     def __repr__(self):
-        return (f"DirectedGraph(rule={self.rule!r}, edges={self.edges!r}, "
-                f"predicate={self.predicate!r}, predicate_name={self.predicate_name!r})")
+        return f"DirectedGraph(rule={self.rule!r}, edges={self.edges!r})"
 
 
 def complete_graph() -> DirectedGraph:
@@ -88,10 +83,6 @@ def explicit_graph(edges) -> DirectedGraph:
     return DirectedGraph(EXPLICIT, edges=frozenset(edges))
 
 
-def custom_graph(name: str, predicate: Callable) -> DirectedGraph:
-    return DirectedGraph(CUSTOM, predicate=predicate, predicate_name=name)
-
-
 def contains_edge(g: DirectedGraph, x, y, points=None) -> bool:
     """True iff (x, y) is an edge; (x, x) is always an edge."""
     if points is not None:
@@ -104,9 +95,7 @@ def contains_edge(g: DirectedGraph, x, y, points=None) -> bool:
         return True
     if g.rule == DIAGONAL:
         return False
-    if g.rule == EXPLICIT:
-        return (x, y) in g.edges
-    return bool(g.predicate(x, y))
+    return (x, y) in g.edges
 
 
 def validate_graph(g: DirectedGraph, points) -> ValidationReport:
@@ -120,13 +109,6 @@ def validate_graph(g: DirectedGraph, points) -> ValidationReport:
                 out.append(Violation("diagonal", (p,), f"diagonal incomplete at {p!r}"))
         for edge in sorted(foreign, key=_edge_key):
             out.append(Violation("endpoint", edge, "foreign endpoint"))
-    elif g.rule == CUSTOM:
-        # contains_edge forces the diagonal anyway; still surface predicates
-        # that contradict the convention
-        for p in pts:
-            if not g.predicate(p, p):
-                out.append(Violation("diagonal", (p,),
-                                     f"predicate {g.predicate_name!r} rejects ({p!r},{p!r})"))
     return ValidationReport(tuple(out))
 
 
@@ -151,21 +133,15 @@ def adjacency(g: DirectedGraph, position):
     """E(G) among the n points of ``position`` (a ``SubsetPair.position``) as
     an n x n boolean matrix over their positions, the diagonal set for every
     rule: explicit graphs their listed edges among the points, diagonal
-    graphs the diagonal alone, custom graphs the predicate's mask; None for
-    complete graphs (every pair).
+    graphs the diagonal alone; None for complete graphs (every pair).
 
     The matrix holds n^2 bytes.  For a tabulated instance that is 1/8 of its
-    float64 distance matrix, and a custom graph asks its predicate for every
-    pair anyway; only an explicit graph on a large coordinate point set
-    costs more here than its edge list.
+    float64 distance matrix; only an explicit graph on a large coordinate
+    point set costs more here than its edge list.
     """
     n = len(position)
     if g.rule == COMPLETE:
         return None
-    if g.rule == CUSTOM:
-        pts = tuple(position)
-        mask = [[contains_edge(g, x, y) for y in pts] for x in pts]
-        return np.array(mask, dtype=bool).reshape(n, n)
     adj = np.eye(n, dtype=bool)
     if g.rule == EXPLICIT and g.pairs is None:
         keys = [position[x] * n + position[y] for x, y in g.edges
@@ -173,9 +149,11 @@ def adjacency(g: DirectedGraph, position):
         adj.ravel()[keys] = True
     elif g.rule == EXPLICIT:
         i, j = g.pairs
-        index = np.full(max(i.max(initial=0), j.max(initial=0), *position) + 1, -1, np.intp)
+        # the slot past the largest end stays -1; ends below 0 are clipped to
+        # it, so they count as foreign instead of wrapping onto the last points
+        index = np.full(max(i.max(initial=0), j.max(initial=0), *position) + 2, -1, np.intp)
         index[list(position)] = np.arange(n)
-        pi, pj = index[i], index[j]
+        pi, pj = index[np.maximum(i, -1)], index[np.maximum(j, -1)]
         keep = (pi >= 0) & (pj >= 0)
         adj[pi[keep], pj[keep]] = True
     return adj
@@ -212,30 +190,3 @@ def first_unpreserved(g: DirectedGraph, adj, edges, *maps):
     hits = np.flatnonzero(bad)
     return int(hits[0]) if hits.size else None
 
-
-def iter_edges(g: DirectedGraph, points):
-    """All edges among the given (distinct) points, in lexicographic scan order."""
-    position = point_positions(points)
-    pts = tuple(position)
-    adj = adjacency(g, position)
-    if adj is None:
-        return product(pts, pts)
-    return ((pts[i], pts[j]) for i, j in zip(*np.nonzero(adj)))
-
-
-def preserves_edges(g: DirectedGraph, f, points):
-    """Check (x, y) in E(G) implies (f x, f y) in E(G).
-
-    Returns (ok, first_counterexample) with the first violating edge in
-    deterministic scan order.  Complete and diagonal graphs preserve
-    trivially (images of diagonal edges are diagonal).
-    """
-    if g.rule in (COMPLETE, DIAGONAL):
-        return True, None
-    position = point_positions(points)
-    pts = tuple(position)
-    adj = adjacency(g, position)
-    edges = np.nonzero(adj)
-    images = [f(p) for p in pts]
-    k = first_unpreserved(g, adj, edges, (images, image_positions(position, images)))
-    return (True, None) if k is None else (False, (pts[edges[0][k]], pts[edges[1][k]]))

@@ -14,7 +14,7 @@ import numpy as np
 
 from ._reader import FORMAT_HEADER, Coordinate, read, read_file
 from .errors import ParseError, SpecError
-from .graph import (COMPLETE, DIAGONAL, EXPLICIT, DirectedGraph,
+from .graph import (COMPLETE, DIAGONAL, DirectedGraph,
                     complete_graph, diagonal_graph, explicit_graph)
 from .maps import CyclicMap, Instance, MapPair
 from .metric import DEFAULT_TOL, CoordinateSpace, SubsetPair, TabulatedSpace, euclidean
@@ -325,11 +325,9 @@ def dumps(inst: Instance) -> str:
     g = inst.graph
     if g.rule in (COMPLETE, DIAGONAL):
         lines.append(f"graph: {g.rule}")
-    elif g.rule == EXPLICIT:
+    else:
         lines.append(f"graph: edges {len(g.edges)}")
         lines.extend(f"edge: {x} {y}" for x, y in sorted(g.edges))
-    else:
-        raise SpecError("custom graphs do not serialize")
     if inst.map_pair is not None:
         lines.append("map: pair")
         lines.append("table-t: " + " ".join(str(i) for i in inst.map_pair.t.table))

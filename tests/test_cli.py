@@ -434,3 +434,25 @@ def test_in_process_main_freezes_nothing(capsys, contraction_file):
     package = Path(cli.__file__).parent
     assert [p.name for p in sorted(package.glob("*.py"))
             if "gc.freeze" in p.read_text(encoding="utf-8")] == ["__main__.py"]
+
+
+def test_installed_script_is_the_process_entry(monkeypatch):
+    """The ``gproximity`` script of ``pyproject.toml`` resolves to the entry
+    of ``python -m gproximity``: the report, then the freeze, then the exit."""
+    import importlib
+    from pathlib import Path
+
+    import gproximity.__main__ as entry
+
+    tomllib = pytest.importorskip("tomllib")
+    project = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    target = tomllib.loads(project.read_text(encoding="utf-8"))["project"]["scripts"]
+    module, _, name = target["gproximity"].partition(":")
+    script = getattr(importlib.import_module(module), name)
+    assert script is entry.run
+    calls = []
+    monkeypatch.setattr(entry, "main", lambda: calls.append("main") or 3)
+    monkeypatch.setattr(entry.gc, "freeze", lambda: calls.append("freeze"))
+    with pytest.raises(SystemExit) as stop:
+        script()
+    assert (calls, stop.value.code) == (["main", "freeze"], 3)

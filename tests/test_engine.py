@@ -21,7 +21,7 @@ from gproximity.errors import ClassificationError
 
 TOL = 1e-9
 PARAMS = gp.CrrParams(0.3, 0.1, 0.2)
-RULES = ("complete", "diagonal", "explicit", "custom")
+RULES = ("complete", "diagonal", "explicit", "pairs")
 BLOCKS = (1, 5, gproximity._scan._BLOCK_ELEMS)  # small blocks split the folds
 
 
@@ -39,13 +39,17 @@ def closed_edges(rng, n, tables, p):
 
 
 def make_graph(rule, edges):
+    """The graph of a rule; "pairs" is the form an instance file builds,
+    index arrays with repeated pairs, and "explicit" the set form."""
     if rule == "complete":
         return gp.complete_graph()
     if rule == "diagonal":
         return gp.diagonal_graph()
     if rule == "explicit":
         return gp.explicit_graph(edges)
-    return gp.custom_graph("listed", lambda x, y: (x, y) in edges)
+    listed = sorted(edges)[::-1]
+    listed += listed[::2]
+    return gp.DirectedGraph(gp.EXPLICIT, pairs=([i for i, _ in listed], [j for _, j in listed]))
 
 
 def cloud(rng, n):
@@ -91,6 +95,12 @@ def scan_edges(g, xs, ys):
     return [(x, y) for x in xs for y in ys if gp.contains_edge(g, x, y)]
 
 
+def listed_edges(eng):
+    """The listed edges of an engine as point pairs, in its scan order."""
+    i, j = eng.edge_pairs(np.arange(eng.edges[0].size))
+    return [(eng.points[a], eng.points[b]) for a, b in zip(i.tolist(), j.tolist())]
+
+
 def first_broken(g, edges, *maps):
     for x, y in edges:
         if any(not gp.contains_edge(g, m(x), m(y)) for m in maps):
@@ -131,9 +141,10 @@ def check_single_map(inst, rule):
     assert inst.d_ab == dab
 
     broken = first_broken(g, edges, f)
+    eng = inst.engine
+    assert eng.preserved == (broken is None, broken)
     if rule != "complete":
-        assert gp.preserves_edges(g, f, pts) == (broken is None, broken)
-        assert list(gp.iter_edges(g, pts)) == edges
+        assert listed_edges(eng) == edges
     if broken is not None:
         with pytest.raises(ClassificationError):
             gp.min_contraction_factor(inst)
@@ -210,8 +221,10 @@ def test_unlisted_self_loop_is_an_edge_of_every_scan():
         res = gp.is_crr_2map(inst, PARAMS)
         assert (res.ok, res.worst_edge, res.margin) == (False, (1, 1), pytest.approx(1.8))
         assert gp.enumerate_pair_set(inst, 2.0).members == ((0, 2), (1, 1))
-        assert list(gp.iter_edges(inst.graph, inst.points)) == \
-            [(0, 0), (0, 2), (1, 1), (2, 2)]
+        assert listed_edges(inst.pair_engine) == [(0, 2), (1, 1)]
+        eng = dataclasses.replace(inst, map_pair=None, cyclic_map=pair.t).engine
+        assert eng.preserved == (True, None)
+        assert listed_edges(eng) == [(0, 0), (0, 2), (1, 1), (2, 2)]
 
 
 def line_space(n):
@@ -612,8 +625,6 @@ def on_grid(inst, seed):
     g = inst.graph
     if g.rule == "explicit":
         g = gp.explicit_graph({(coords[i], coords[j]) for i, j in g.edges})
-    elif g.rule == "custom":
-        g = gp.custom_graph("listed", lambda x, y, pred=g.predicate: pred(index[x], index[y]))
     sets = gp.SubsetPair(tuple(coords[k] for k in inst.sets.a),
                          tuple(coords[k] for k in inst.sets.b))
     if inst.map_pair is not None:

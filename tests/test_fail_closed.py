@@ -288,7 +288,7 @@ SHORT_TABLE = ("gproximity-instance v1\nname: x\nkind: tabulated\nn: 2\nA: 0\nB:
      DomainError, "unknown mode 'loose'"),
     (lambda: gp.DirectedGraph("ring"), DomainError, "unknown graph rule 'ring'"),
     (lambda: gp.DirectedGraph(gp.EXPLICIT), DomainError, "explicit graph needs an edge set"),
-    (lambda: gp.DirectedGraph(gp.CUSTOM), DomainError, "custom graph needs a predicate"),
+    (lambda: gp.DirectedGraph("custom"), DomainError, "unknown graph rule 'custom'"),
     (lambda: gp.random_instance(1, 0, 3), SpecError, "both subsets need at least one point"),
     (lambda: gp.contraction_instance(1, rays=1), SpecError,
      "need at least two rays and one level"),

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from gproximity import (DirectedGraph, complete_graph, contains_edge, custom_graph,
-                        diagonal_graph, explicit_graph, iter_edges,
-                        preserves_edges, validate_graph)
+from gproximity import (CyclicMap, DirectedGraph, Instance, SubsetPair, TabulatedSpace,
+                        complete_graph, contains_edge, diagonal_graph, explicit_graph,
+                        validate_graph)
 from gproximity.graph import adjacency
 from gproximity.metric import point_positions
 from gproximity.errors import DomainError
@@ -32,13 +32,6 @@ def test_explicit_edges():
     assert contains_edge(g, 0, 0)
 
 
-def test_custom_predicate():
-    g = custom_graph("even-sum", lambda x, y: (x + y) % 2 == 0)
-    assert contains_edge(g, 1, 3)
-    assert not contains_edge(g, 1, 2)
-    assert contains_edge(g, 1, 1)
-
-
 def test_foreign_point_rejected_when_points_given():
     g = complete_graph()
     with pytest.raises(DomainError):
@@ -58,39 +51,36 @@ def test_validate_graph_accepts_complete():
     assert validate_graph(complete_graph(), PTS).ok
 
 
-def test_validate_graph_flags_loopless_custom_predicate():
-    g = custom_graph("strictly-less", lambda x, y: x < y)
-    report = validate_graph(g, PTS)
-    assert not report.ok
+def on_line(g, table):
+    """An instance on PTS placed at 0..3 on a line, A = {0, 1}, B = {2, 3},
+    with graph ``g`` and the cyclic map of ``table``."""
+    space = TabulatedSpace(np.abs(np.subtract.outer(np.arange(4.0), np.arange(4.0))))
+    return Instance("line", space, SubsetPair((0, 1), (2, 3)), g,
+                    cyclic_map=CyclicMap("m", table=table))
 
 
-def test_iter_edges_is_deterministic():
-    g = explicit_graph({(2, 0), (0, 1), (1, 2)})
-    first = list(iter_edges(g, PTS))
-    second = list(iter_edges(g, PTS))
-    assert first == second
-    assert set(first) >= {(2, 0), (0, 1), (1, 2)}
-
-
-def test_iter_edges_complete_count():
-    g = complete_graph()
-    assert len(list(iter_edges(g, PTS))) == len(PTS) ** 2
+def test_listed_edges_are_deterministic():
+    """The engine scans a listed graph's edges among the points in sorted
+    order, the diagonal included, whatever order they were listed in."""
+    g = explicit_graph({(2, 0), (0, 1), (1, 2), (0, 9)})
+    first, second = on_line(g, (0, 1, 2, 3)).engine, on_line(g, (0, 1, 2, 3)).engine
+    pairs = [tuple(a.tolist()) for a in first.edge_pairs(np.arange(first.edges[0].size))]
+    assert pairs == [tuple(a.tolist()) for a in second.edge_pairs(np.arange(second.edges[0].size))]
+    assert list(zip(*pairs)) == [(0, 0), (0, 1), (1, 1), (1, 2), (2, 0), (2, 2), (3, 3)]
 
 
 class TestPreservesEdges:
+    SHIFT = (1, 2, 3, 0)
+
     def test_complete_is_trivial(self):
-        ok, edge = preserves_edges(complete_graph(), lambda x: x, PTS)
-        assert ok and edge is None
+        assert on_line(complete_graph(), self.SHIFT).engine.preserved == (True, None)
 
     def test_explicit_pass(self):
-        g = explicit_graph({(0, 1)})
-        ok, _ = preserves_edges(g, lambda x: x, PTS)
+        ok, _ = on_line(explicit_graph({(0, 1)}), (0, 1, 2, 3)).engine.preserved
         assert ok
 
     def test_explicit_fail_reports_witness(self):
-        g = explicit_graph({(0, 1)})
-        shift = {0: 1, 1: 2, 2: 3, 3: 0}
-        ok, edge = preserves_edges(g, shift.__getitem__, PTS)
+        ok, edge = on_line(explicit_graph({(0, 1)}), self.SHIFT).engine.preserved
         assert not ok
         assert edge == (0, 1)
 
@@ -107,10 +97,6 @@ class TestAdjacency:
         g = explicit_graph({(2, 0), (0, 1), (1, 1), (0, 9)})
         assert self.pairs(g) == [(0, 0), (0, 1), (1, 1), (2, 0), (2, 2), (3, 3)]
 
-    def test_custom_always_has_the_diagonal(self):
-        g = custom_graph("less", lambda x, y: x < y)
-        assert self.pairs(g) == [(i, j) for i in PTS for j in PTS if i <= j]
-
     def test_diagonal(self):
         assert self.pairs(diagonal_graph()) == [(i, i) for i in PTS]
 
@@ -120,14 +106,25 @@ class TestAdjacency:
         assert adj.tolist() == [[True, True], [False, True]]
 
 
+def test_negative_index_end_is_foreign():
+    """A negative end of an index-array graph names no point: it must not
+    wrap onto the last point, as it would by numpy indexing."""
+    listed = DirectedGraph("explicit", pairs=([-1], [0]))
+    assert listed == explicit_graph({(-1, 0)})
+    assert not adjacency(listed, point_positions((0, 1, 2)))[2, 0]
+    inst = on_line(listed, (0, 1, 2, 3))
+    assert not inst.has_edge(3, 0) and inst.has_edge(3, 3)
+
+
 def listed_graphs(seed):
     """A graph of random index pairs with repeated pairs, most of the
-    diagonal and ends outside the points, as index arrays and as a set;
-    with the points, a random subset of 0..n-1 in random order."""
+    diagonal and ends outside the points, negative ones among them, as
+    index arrays and as a set; with the points, a random subset of 0..n-1
+    in random order."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 12))
     k = int(rng.integers(0, 3 * n))
-    i, j = rng.integers(0, n, size=k), rng.integers(0, n, size=k)
+    i, j = rng.integers(-n, n, size=k), rng.integers(-n, n, size=k)
     loops = np.flatnonzero(rng.random(n) < 0.7)
     i, j = np.concatenate([i, loops, i[:3]]), np.concatenate([j, loops, j[:3]])
     order = rng.permutation(i.size)

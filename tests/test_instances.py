@@ -320,13 +320,13 @@ class TestSerialization:
         assert np.array_equal(back.space.dist, bare.space.dist)
         assert gp.dumps(back) == text
 
-    def test_custom_graph_does_not_serialize(self):
+    @pytest.mark.parametrize("graph", [
+        gp.complete_graph(), gp.diagonal_graph(), gp.explicit_graph({(0, 1), (2, 2), (5, 3)}),
+        gp.DirectedGraph(gp.EXPLICIT, pairs=([5, 0, 5, 2], [3, 1, 3, 2]))])
+    def test_every_graph_roundtrips(self, graph):
         inst = gp.random_instance(8, 3, 3)
-        custom = gp.Instance(inst.name, inst.space, inst.sets,
-                             gp.custom_graph("any", lambda x, y: True),
-                             cyclic_map=inst.cyclic_map)
-        with pytest.raises(SpecError):
-            gp.dumps(custom)
+        inst = gp.Instance(inst.name, inst.space, inst.sets, graph, cyclic_map=inst.cyclic_map)
+        assert gp.loads(gp.dumps(inst)).graph == inst.graph
 
     def test_truncated_raises_with_line(self):
         inst = gp.random_instance(8, 4, 4)
