@@ -10,40 +10,43 @@ incomplete.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
 
 from ._constants import COMPLETE, DIAGONAL, EXPLICIT
 from .errors import DomainError
-from .metric import ValidationReport, Violation
+from .metric import ValidationReport, Violation, point_positions
 
 
 class DirectedGraph:
     """A named rule (complete, diagonal) or an explicit graph of listed
     (x, y) pairs.
 
-    An explicit graph holds its pairs as a set, ``edges``, or, read from an
-    instance file, as ``pairs``: the index arrays (I, J) of its ``edge:``
-    lines, duplicates kept, which ``adjacency`` and ``validate_graph`` read.
-    ``edges`` is then the frozenset of (i, j) tuples, built on first access.
-    Graphs are equal when rule and edge set are, whichever form the pairs
-    came in.
+    An explicit graph holds ``pairs``, the two sequences (I, J) of its
+    listed ends as point values, duplicates kept, the way an instance file
+    lists them; an end that is not a point of the instance makes no edge.
+    ``edges``, the frozenset of (x, y) tuples, is built on first access.
+    Graphs are equal when rule and edge set are.
     """
 
-    def __init__(self, rule: str, edges=None, *, pairs=None):
+    def __init__(self, rule: str, *, pairs=None):
         if rule not in (COMPLETE, DIAGONAL, EXPLICIT):
             raise DomainError(f"unknown graph rule {rule!r}")
-        if rule == EXPLICIT and edges is None and pairs is None:
-            raise DomainError("explicit graph needs an edge set")
-        fields = {"rule": rule, "pairs": None}
-        if rule == EXPLICIT and edges is not None:
-            fields["edges"] = frozenset(edges)
-        elif rule == EXPLICIT:
-            fields["pairs"] = tuple(np.array(v, dtype=np.intp) for v in pairs)
-            for v in fields["pairs"]:
-                v.flags.writeable = False
-        self.__dict__.update(fields)
+        if rule == EXPLICIT:
+            if pairs is None:
+                raise DomainError("explicit graph needs an edge set")
+            try:
+                i, j = map(tuple, pairs)
+            except (TypeError, ValueError):
+                raise DomainError("explicit graph needs two end sequences (I, J)") from None
+            if len(i) != len(j):
+                raise DomainError(f"end sequences of {len(i)} and {len(j)} ends differ in length")
+            pairs = i, j
+        else:
+            pairs = None
+        self.__dict__.update(rule=rule, pairs=pairs)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign {name!r}: a DirectedGraph is immutable")
@@ -51,10 +54,7 @@ class DirectedGraph:
     @cached_property
     def edges(self) -> Optional[frozenset]:
         """The listed (x, y) pairs of an explicit graph, None for a rule."""
-        if self.pairs is None:
-            return None
-        i, j = self.pairs
-        return frozenset(zip(i.tolist(), j.tolist()))
+        return None if self.pairs is None else frozenset(zip(*self.pairs))
 
     def _key(self):
         return self.rule, self.edges
@@ -80,15 +80,12 @@ def diagonal_graph() -> DirectedGraph:
 
 
 def explicit_graph(edges) -> DirectedGraph:
-    return DirectedGraph(EXPLICIT, edges=frozenset(edges))
+    edges = tuple(edges)
+    return DirectedGraph(EXPLICIT, pairs=([x for x, _ in edges], [y for _, y in edges]))
 
 
-def contains_edge(g: DirectedGraph, x, y, points=None) -> bool:
+def contains_edge(g: DirectedGraph, x, y) -> bool:
     """True iff (x, y) is an edge; (x, x) is always an edge."""
-    if points is not None:
-        pts = set(points)
-        if x not in pts or y not in pts:
-            raise DomainError(f"point outside the instance: {x!r} or {y!r}")
     if x == y:
         return True
     if g.rule == COMPLETE:
@@ -103,25 +100,18 @@ def validate_graph(g: DirectedGraph, points) -> ValidationReport:
     pts = tuple(points)
     out = []
     if g.rule == EXPLICIT:
-        loops, foreign = _listed(g, pts)
+        position = point_positions(pts)
+        i, j = (image_positions(position, v) for v in g.pairs)
+        looped = np.zeros(len(position), dtype=bool)
+        looped[i[(i == j) & (i >= 0)]] = True
         for p in pts:
-            if p not in loops:
+            if not looped[position[p]]:
                 out.append(Violation("diagonal", (p,), f"diagonal incomplete at {p!r}"))
+        x, y = g.pairs
+        foreign = {(x[k], y[k]) for k in np.flatnonzero((i < 0) | (j < 0)).tolist()}
         for edge in sorted(foreign, key=_edge_key):
             out.append(Violation("endpoint", edge, "foreign endpoint"))
     return ValidationReport(tuple(out))
-
-
-def _listed(g: DirectedGraph, pts: tuple):
-    """The set of points with a listed self-loop, and the set of listed
-    edges with an end outside ``pts``, of an explicit graph."""
-    if g.pairs is None:
-        pset = set(pts)
-        return ({x for x, y in g.edges if x == y},
-                {e for e in g.edges if e[0] not in pset or e[1] not in pset})
-    i, j = g.pairs
-    out = ~(np.isin(i, pts) & np.isin(j, pts))
-    return set(i[i == j].tolist()), set(zip(i[out].tolist(), j[out].tolist()))
 
 
 def _edge_key(edge):
@@ -143,25 +133,17 @@ def adjacency(g: DirectedGraph, position):
     if g.rule == COMPLETE:
         return None
     adj = np.eye(n, dtype=bool)
-    if g.rule == EXPLICIT and g.pairs is None:
-        keys = [position[x] * n + position[y] for x, y in g.edges
-                if x in position and y in position]
-        adj.ravel()[keys] = True
-    elif g.rule == EXPLICIT:
-        i, j = g.pairs
-        # the slot past the largest end stays -1; ends below 0 are clipped to
-        # it, so they count as foreign instead of wrapping onto the last points
-        index = np.full(max(i.max(initial=0), j.max(initial=0), *position) + 2, -1, np.intp)
-        index[list(position)] = np.arange(n)
-        pi, pj = index[np.maximum(i, -1)], index[np.maximum(j, -1)]
-        keep = (pi >= 0) & (pj >= 0)
-        adj[pi[keep], pj[keep]] = True
+    if g.rule == EXPLICIT:
+        i, j = (image_positions(position, v) for v in g.pairs)
+        keep = (i >= 0) & (j >= 0)
+        adj[i[keep], j[keep]] = True
     return adj
 
 
 def image_positions(position, images):
-    """The index of each image in ``position``, -1 for one outside the points."""
-    return np.array([position.get(q, -1) for q in images], dtype=np.intp)
+    """The index in ``position`` of each of ``images`` (a map's images, a
+    graph's ends), -1 for one that is not a point."""
+    return np.fromiter(map(position.get, images, repeat(-1)), np.intp, len(images))
 
 
 def contains_pairs(g: DirectedGraph, adj, left, right, i, j):

@@ -14,8 +14,7 @@ import numpy as np
 
 from ._reader import FORMAT_HEADER, Coordinate, read, read_file
 from .errors import ParseError, SpecError
-from .graph import (COMPLETE, DIAGONAL, DirectedGraph,
-                    complete_graph, diagonal_graph, explicit_graph)
+from .graph import COMPLETE, DIAGONAL, EXPLICIT, DirectedGraph, complete_graph, diagonal_graph
 from .maps import CyclicMap, Instance, MapPair
 from .metric import DEFAULT_TOL, CoordinateSpace, SubsetPair, TabulatedSpace, euclidean
 
@@ -156,11 +155,8 @@ def _graph_from_rule(rule: str, n: int, rng) -> DirectedGraph:
         return diagonal_graph()
     if rule.startswith("random:"):
         p = float(rule.split(":", 1)[1])
-        draws = rng.random((n, n))
-        edges = {(i, i) for i in range(n)}
-        edges.update((i, j) for i in range(n) for j in range(n)
-                     if i != j and draws[i, j] < p)
-        return explicit_graph(edges)
+        i, j = np.nonzero(np.eye(n, dtype=bool) | (rng.random((n, n)) < p))
+        return DirectedGraph(EXPLICIT, pairs=(i.tolist(), j.tolist()))
     raise SpecError(f"unknown graph rule {rule!r}")
 
 
@@ -312,6 +308,9 @@ def dumps(inst: Instance) -> str:
         builder = params.pop("builder", None)
         if builder not in _BUILDERS:
             raise SpecError(f"coordinate instance {inst.name!r} has no registered builder")
+        if inst.graph.rule != COMPLETE:
+            raise SpecError(f"coordinate instance {inst.name!r} has a {inst.graph.rule} graph; "
+                            "its builder makes the complete one")
         lines.append("kind: coordinate")
         lines.append(f"builder: {builder}")
         for key, value in params.items():

@@ -123,8 +123,9 @@ class Instance:
 
     def has_edge(self, x, y) -> bool:
         """``contains_edge(graph, x, y)``; for a listed graph and two of the
-        points it reads ``adjacency``, so the edges are never collected into
-        a set of tuples."""
+        points it reads ``adjacency``, so the edges are not collected into a
+        set of tuples, but an end that is not a point asks ``contains_edge``,
+        which builds ``graph.edges``."""
         pos = self.sets.position
         if self.graph.rule != EXPLICIT or x not in pos or y not in pos:
             return contains_edge(self.graph, x, y)

@@ -39,8 +39,9 @@ def closed_edges(rng, n, tables, p):
 
 
 def make_graph(rule, edges):
-    """The graph of a rule; "pairs" is the form an instance file builds,
-    index arrays with repeated pairs, and "explicit" the set form."""
+    """The graph of a rule; "pairs" lists the edges as an instance file
+    may, in its own order with repeated pairs, and "explicit" takes them
+    from a set."""
     if rule == "complete":
         return gp.complete_graph()
     if rule == "diagonal":

@@ -1,9 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gproximity import (CyclicMap, DirectedGraph, Instance, SubsetPair, TabulatedSpace,
-                        complete_graph, contains_edge, diagonal_graph, explicit_graph,
-                        validate_graph)
+from gproximity import (EXPLICIT, CyclicMap, DirectedGraph, Instance, SubsetPair,
+                        TabulatedSpace, complete_graph, contains_edge, diagonal_graph,
+                        explicit_graph, interval_example, validate_graph)
 from gproximity.graph import adjacency
 from gproximity.metric import point_positions
 from gproximity.errors import DomainError
@@ -32,12 +36,6 @@ def test_explicit_edges():
     assert contains_edge(g, 0, 0)
 
 
-def test_foreign_point_rejected_when_points_given():
-    g = complete_graph()
-    with pytest.raises(DomainError):
-        contains_edge(g, 0, 9, points=PTS)
-
-
 def test_validate_graph_flags_foreign_explicit_endpoint():
     g = explicit_graph({(0, 9)})
     report = validate_graph(g, PTS)
@@ -45,6 +43,10 @@ def test_validate_graph_flags_foreign_explicit_endpoint():
     g = explicit_graph({(7, 1), (0, (1.0,)), (2, 3), (0, 9), (-1, 0), (1, 1)})
     assert [v.where for v in validate_graph(g, PTS).violations if v.axiom == "endpoint"] == \
         [(-1, 0), (0, 9), (0, (1.0,)), (7, 1)]
+    # a self-loop is listed at point 1 only; an edge with two foreign ends is no loop
+    g = explicit_graph({(7, 9), (1, 1), (-1, -1)})
+    assert [v.where for v in validate_graph(g, PTS).violations] == \
+        [(0,), (2,), (3,), (-1, -1), (7, 9)]
 
 
 def test_validate_graph_accepts_complete():
@@ -107,8 +109,9 @@ class TestAdjacency:
 
 
 def test_negative_index_end_is_foreign():
-    """A negative end of an index-array graph names no point: it must not
-    wrap onto the last point, as it would by numpy indexing."""
+    """A negative end names no point of a tabulated instance, so it makes no
+    edge: it must not wrap onto the last point, as it would if ends were
+    used as numpy indices."""
     listed = DirectedGraph("explicit", pairs=([-1], [0]))
     assert listed == explicit_graph({(-1, 0)})
     assert not adjacency(listed, point_positions((0, 1, 2)))[2, 0]
@@ -118,9 +121,9 @@ def test_negative_index_end_is_foreign():
 
 def listed_graphs(seed):
     """A graph of random index pairs with repeated pairs, most of the
-    diagonal and ends outside the points, negative ones among them, as
-    index arrays and as a set; with the points, a random subset of 0..n-1
-    in random order."""
+    diagonal and ends outside the points, negative ones among them, built
+    from its end sequences and from its edges; with the points, a random
+    subset of 0..n-1 in random order."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 12))
     k = int(rng.integers(0, 3 * n))
@@ -135,7 +138,7 @@ def listed_graphs(seed):
 
 @pytest.mark.parametrize("seed", range(40))
 def test_index_pairs_act_as_the_tuple_set(seed):
-    """adjacency and validate_graph read a graph of index arrays as the set
+    """adjacency and validate_graph read a graph's end sequences as the set
     of its pairs, without building that set; equality and hash go by it."""
     listed, tuples, pts = listed_graphs(seed)
     position = point_positions(pts)
@@ -145,3 +148,44 @@ def test_index_pairs_act_as_the_tuple_set(seed):
     assert listed == tuples and hash(listed) == hash(tuples)
     assert listed.edges == tuples.edges
     assert {type(v) for e in listed.edges for v in e} <= {int}
+
+
+#: A tabulated instance on the points 0..3 and a coordinate one on ten
+#: points of the line, whose halving map sends some points off the grid.
+ON_LINE, INTERVAL = on_line(complete_graph(), (2, 3, 0, 1)), interval_example(0.5)
+
+
+def ends(inst):
+    """An end of a listed edge: a point of ``inst``, a foreign int (negative
+    ones among them), a float, or a coordinate tuple, on the grid or off."""
+    return st.one_of(st.sampled_from(inst.points), st.integers(-4, 9),
+                     st.sampled_from((0.5, 1.0, 2.9, -1.0)),
+                     st.tuples(st.sampled_from((-3.0, -2.5, -1.0, 0.5, 1.0, 2.0, 2.75))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_equal_graphs_act_alike(data):
+    """A graph built from its end sequences and one built from its edges
+    are equal, and every check reads them alike, ends that are no point
+    included."""
+    inst = data.draw(st.sampled_from((ON_LINE, INTERVAL)))
+    listed = data.draw(st.lists(st.tuples(ends(inst), ends(inst)), max_size=12))
+    listed += listed[::2]
+    i, j = [x for x, _ in listed], [y for _, y in listed]
+    by_ends, by_edges = DirectedGraph(EXPLICIT, pairs=(i, j)), explicit_graph(zip(i, j))
+    assert by_ends == by_edges and hash(by_ends) == hash(by_edges)
+    first, second = (dataclasses.replace(inst, graph=g) for g in (by_ends, by_edges))
+    assert np.array_equal(first.adjacency, second.adjacency)
+    assert validate_graph(by_ends, inst.points) == validate_graph(by_edges, inst.points)
+    for x in inst.points + tuple(i):
+        for y in inst.points + tuple(j):
+            assert first.has_edge(x, y) == second.has_edge(x, y) == contains_edge(by_edges, x, y)
+    assert first.engine.preserved == second.engine.preserved
+    assert np.array_equal(first.engine.on_edge, second.engine.on_edge)
+
+
+@pytest.mark.parametrize("pairs", [([0, 1], [1]), ([], [0]), ([0],), ([0], [1], [2]), 5])
+def test_ends_must_be_two_sequences_of_one_length(pairs):
+    with pytest.raises(DomainError):
+        DirectedGraph(EXPLICIT, pairs=pairs)

@@ -1,4 +1,5 @@
 """Builders and the text serialization format."""
+import dataclasses
 import inspect
 import math
 from unittest import mock
@@ -114,11 +115,34 @@ class TestRandomInstance:
         inst = gp.random_instance(5, 6, 6, graph_rule="random:0.3")
         assert gp.validate_graph(inst.graph, inst.points).ok
 
+    @pytest.mark.parametrize("p", [0, 0.3, 0.6, 1])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_graph_is_the_loop_graph(self, seed, p):
+        """One numpy call makes the graph the n^2 loop made, from the same
+        draws, leaving the generator where the loop left it."""
+        n = 1 + 4 * seed
+        rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        g = instances._graph_from_rule(f"random:{p}", n, rng)
+        assert g == loop_random_graph(f"random:{p}", n, loop_rng)
+        assert rng.random() == loop_rng.random()
+        assert {type(v) for e in g.edges for v in e} <= {int}
+
     def test_unknown_rules_rejected(self):
         with pytest.raises(SpecError):
             gp.random_instance(1, 4, 4, map_rule="warp")
         with pytest.raises(SpecError):
             gp.random_instance(1, 4, 4, graph_rule="dense")
+
+
+def loop_random_graph(rule, n, rng):
+    """The ``random:p`` graph as ``_graph_from_rule`` built it with a loop
+    over all n^2 pairs (a verbatim copy)."""
+    p = float(rule.split(":", 1)[1])
+    draws = rng.random((n, n))
+    edges = {(i, i) for i in range(n)}
+    edges.update((i, j) for i in range(n) for j in range(n)
+                 if i != j and draws[i, j] < p)
+    return gp.explicit_graph(edges)
 
 
 class TestContractionInstance:
@@ -327,6 +351,17 @@ class TestSerialization:
         inst = gp.random_instance(8, 3, 3)
         inst = gp.Instance(inst.name, inst.space, inst.sets, graph, cyclic_map=inst.cyclic_map)
         assert gp.loads(gp.dumps(inst)).graph == inst.graph
+
+    @pytest.mark.parametrize("graph", [
+        gp.diagonal_graph(), gp.explicit_graph({((-3.0,), (2.0,))})])
+    def test_coordinate_instance_keeps_its_builder_graph(self, graph):
+        """A coordinate file names its builder, which makes the complete
+        graph; any other graph would come back complete, so it does not
+        serialize."""
+        inst = dataclasses.replace(gp.interval_example(0.5), graph=graph)
+        with pytest.raises(SpecError, match="complete"):
+            gp.dumps(inst)
+        assert gp.loads(gp.dumps(gp.interval_example(0.5))).graph == gp.complete_graph()
 
     def test_truncated_raises_with_line(self):
         inst = gp.random_instance(8, 4, 4)
