@@ -9,6 +9,7 @@ before ``build`` makes the instance.
 from __future__ import annotations
 
 import math
+from operator import index
 
 import numpy as np
 
@@ -300,6 +301,39 @@ def _fmt(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
+def _is_index(end, n: int) -> bool:
+    """True iff ``end`` is an integer index in 0..n-1: an int, a bool or a
+    numpy integer."""
+    try:
+        return 0 <= index(end) < n
+    except TypeError:
+        return False
+
+
+def _end_indices(ends, n: int) -> list:
+    """An explicit graph's ``ends`` as plain ints; the first end that is not
+    an integer index in 0..n-1 raises SpecError naming it."""
+    try:
+        out = list(map(index, ends))
+        if not out or (min(out) >= 0 and max(out) < n):
+            return out
+    except TypeError:
+        pass
+    bad = next(end for end in ends if not _is_index(end, n))
+    raise SpecError(f"edge end {bad!r} is not a point index in 0..{n - 1}")
+
+
+def _edge_lines(pairs, n: int) -> list:
+    """The ``graph: edges`` line and one ``edge:`` line per distinct listed
+    (x, y), in sorted order: the key x * n + y orders pairs of indices in
+    0..n-1 as the (x, y) tuples would."""
+    i, j = (_end_indices(ends, n) for ends in pairs)
+    keys = sorted({x * n + y for x, y in zip(i, j)})
+    heads = [f"edge: {x} " for x in range(n)]
+    names = list(map(str, range(n)))
+    return [f"graph: edges {len(keys)}"] + [heads[k // n] + names[k % n] for k in keys]
+
+
 def dumps(inst: Instance) -> str:
     """Serialize an instance to the structured text format."""
     lines = [FORMAT_HEADER, f"name: {inst.name}"]
@@ -325,8 +359,7 @@ def dumps(inst: Instance) -> str:
     if g.rule in (COMPLETE, DIAGONAL):
         lines.append(f"graph: {g.rule}")
     else:
-        lines.append(f"graph: edges {len(g.edges)}")
-        lines.extend(f"edge: {x} {y}" for x, y in sorted(g.edges))
+        lines.extend(_edge_lines(g.pairs, n))
     if inst.map_pair is not None:
         lines.append("map: pair")
         lines.append("table-t: " + " ".join(str(i) for i in inst.map_pair.t.table))

@@ -1,4 +1,5 @@
 """Command-line reports: exit codes, grammar, determinism."""
+import os
 import subprocess
 import sys
 
@@ -451,8 +452,46 @@ def test_installed_script_is_the_process_entry(monkeypatch):
     script = getattr(importlib.import_module(module), name)
     assert script is entry.run
     calls = []
+    environ = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    monkeypatch.setattr(entry.os, "environ", environ)
     monkeypatch.setattr(entry, "main", lambda: calls.append("main") or 3)
     monkeypatch.setattr(entry.gc, "freeze", lambda: calls.append("freeze"))
     with pytest.raises(SystemExit) as stop:
         script()
     assert (calls, stop.value.code) == (["main", "freeze"], 3)
+    assert environ["OPENBLAS_NUM_THREADS"] == "1"
+
+
+#: Runs the process entry on its argv and, at exit, prints the process's
+#: thread count and the BLAS thread setting it ran with.
+ENTRY_PROCESS = """\
+import atexit, os
+
+def report():
+    with open("/proc/self/status") as fh:
+        threads = next(ln.split()[1] for ln in fh if ln.startswith("Threads:"))
+    print(threads, os.environ["OPENBLAS_NUM_THREADS"])
+
+atexit.register(report)
+from gproximity.__main__ import run
+run()
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_entry_starts_no_blas_worker(contraction_file, preset):
+    """A command-line process ends with its main thread alone: numpy's
+    OpenBLAS starts no worker beside it, unless the user's own
+    ``OPENBLAS_NUM_THREADS`` asks for one, which is kept."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    proc = subprocess.run([sys.executable, "-c", ENTRY_PROCESS, "classify", contraction_file],
+                          env=env, capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stderr
+    threads, setting = proc.stdout.splitlines()[-1].split()
+    assert setting == (preset or "1")
+    if preset is None:
+        assert threads == "1"

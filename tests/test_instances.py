@@ -2,6 +2,7 @@
 import dataclasses
 import inspect
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -346,11 +347,27 @@ class TestSerialization:
 
     @pytest.mark.parametrize("graph", [
         gp.complete_graph(), gp.diagonal_graph(), gp.explicit_graph({(0, 1), (2, 2), (5, 3)}),
-        gp.DirectedGraph(gp.EXPLICIT, pairs=([5, 0, 5, 2], [3, 1, 3, 2]))])
+        gp.DirectedGraph(gp.EXPLICIT, pairs=([5, 0, 5, 2], [3, 1, 3, 2])),
+        gp.DirectedGraph(gp.EXPLICIT, pairs=(np.array([5, 0, 2]), np.array([3, 1, 2]))),
+        gp.DirectedGraph(gp.EXPLICIT,
+                         pairs=([True, 0, np.int64(4), 1], [0, False, np.int64(1), 0]))])
     def test_every_graph_roundtrips(self, graph):
         inst = gp.random_instance(8, 3, 3)
         inst = gp.Instance(inst.name, inst.space, inst.sets, graph, cyclic_map=inst.cyclic_map)
         assert gp.loads(gp.dumps(inst)).graph == inst.graph
+
+    @pytest.mark.parametrize("end", [9, 4, -1, 2.0, np.float64(1.0), "1", None, (0,)])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_end_that_is_not_an_index_does_not_serialize(self, end, side):
+        """``dumps`` writes only an edge list that ``loads`` reads back: an
+        end outside 0..n-1, or one that is not an integer, is refused by name."""
+        inst = gp.random_instance(1, 2, 2)
+        ends = [[0, 1, 2], [1, 2, 3]]
+        ends[side][1] = end
+        bad = dataclasses.replace(inst, graph=gp.DirectedGraph(gp.EXPLICIT, pairs=ends))
+        with pytest.raises(SpecError, match=rf"edge end {re.escape(repr(end))} is not a point "
+                                            r"index in 0\.\.3"):
+            gp.dumps(bad)
 
     @pytest.mark.parametrize("graph", [
         gp.diagonal_graph(), gp.explicit_graph({((-3.0,), (2.0,))})])
@@ -379,6 +396,83 @@ def test_random_instance_roundtrip_property(seed, n_a, n_b):
     assert np.array_equal(back.space.dist, inst.space.dist)
     assert back.cyclic_map.table == inst.cyclic_map.table
     assert back.sets.a == inst.sets.a and back.sets.b == inst.sets.b
+
+
+def dumps_reference(inst):
+    """``dumps`` as it wrote the ``edge:`` section from ``graph.edges``, a
+    set of (x, y) tuples sorted as tuples: the reference of the keyed writer."""
+    lines = [instances.FORMAT_HEADER, f"name: {inst.name}"]
+    if isinstance(inst.space, gp.CoordinateSpace):
+        params = dict(inst.params)
+        builder = params.pop("builder", None)
+        if builder not in instances._BUILDERS:
+            raise SpecError(f"coordinate instance {inst.name!r} has no registered builder")
+        if inst.graph.rule != gp.COMPLETE:
+            raise SpecError(f"coordinate instance {inst.name!r} has a {inst.graph.rule} graph; "
+                            "its builder makes the complete one")
+        lines.append("kind: coordinate")
+        lines.append(f"builder: {builder}")
+        for key, value in params.items():
+            lines.append(f"arg: {key}={instances._fmt(value)}")
+        return "\n".join(lines) + "\n"
+    n = inst.space.n
+    lines.append("kind: tabulated")
+    lines.append(f"n: {n}")
+    lines.append("A: " + " ".join(str(i) for i in inst.sets.a))
+    lines.append("B: " + " ".join(str(i) for i in inst.sets.b))
+    g = inst.graph
+    if g.rule in (gp.COMPLETE, gp.DIAGONAL):
+        lines.append(f"graph: {g.rule}")
+    else:
+        lines.append(f"graph: edges {len(g.edges)}")
+        lines.extend(f"edge: {x} {y}" for x, y in sorted(g.edges))
+    if inst.map_pair is not None:
+        lines.append("map: pair")
+        lines.append("table-t: " + " ".join(str(i) for i in inst.map_pair.t.table))
+        lines.append("table-s: " + " ".join(str(i) for i in inst.map_pair.s.table))
+    elif inst.cyclic_map is not None:
+        lines.append("map: table")
+        lines.append("table: " + " ".join(str(i) for i in inst.cyclic_map.table))
+    else:
+        lines.append("map: none")
+    lines.append("dist:")
+    d = inst.space.dist
+    lines.extend("row: " + " ".join(map(repr, d[i, :i].tolist())) for i in range(1, n))
+    return "\n".join(lines) + "\n"
+
+
+def with_map(inst, kind):
+    """``inst`` with no map, with its own table, or with its table and the
+    reversed table as a pair."""
+    if kind == "none":
+        return gp.Instance(inst.name, inst.space, inst.sets, inst.graph)
+    if kind == "table":
+        return inst
+    table = inst.cyclic_map.table
+    pair = gp.MapPair(gp.CyclicMap("t", table=table), gp.CyclicMap("s", table=table[::-1]))
+    return gp.Instance(inst.name, inst.space, inst.sets, inst.graph, map_pair=pair)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 17])
+@pytest.mark.parametrize("p", ["0", "0.3", "0.6", "1"])
+@pytest.mark.parametrize("kind", ["none", "table", "pair"])
+def test_dumps_matches_the_tuple_writer(seed, p, kind):
+    inst = with_map(gp.random_instance(seed, 3 + seed % 5, 4, graph_rule=f"random:{p}"), kind)
+    assert gp.dumps(inst) == dumps_reference(inst)
+
+
+@pytest.mark.parametrize("pairs", [
+    ([3, 0, 3, 2, 0, 3], [1, 0, 1, 2, 0, 1]),
+    ([np.int64(4), 0, 4, np.int64(0)], [np.int64(1), np.int64(6), 1, 6]),
+    (np.array([6, 5, 6, 0, 1]), np.array([0, 6, 0, 0, 6])),
+    ([], []),
+])
+def test_dumps_of_listed_pairs_matches_the_tuple_writer(pairs):
+    """Repeated pairs are written once, numpy integer ends as their index."""
+    inst = gp.random_instance(5, 3, 4)
+    inst = dataclasses.replace(inst, graph=gp.DirectedGraph(gp.EXPLICIT, pairs=pairs))
+    assert gp.dumps(inst) == dumps_reference(inst)
+    assert gp.dumps(gp.loads(gp.dumps(inst))) == gp.dumps(inst)
 
 
 def test_dumps_rows_repr_each_entry():
