@@ -1,9 +1,9 @@
 """Brute-force enumeration of approximate proximity sets and diameter bounds;
-a set keeps its members' scan positions, and its diameter gathers by them."""
+a set stores point indices, decodes ``members`` on first read, and compares by identity."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import cached_property
 
 import numpy as np
 
@@ -15,19 +15,27 @@ from .metric import array_diameter, within_epsilon
 from .operators import is_edge_nonexpansive
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProximitySet:
     epsilon: float
-    members: tuple
     mode: str
-    positions: Optional[np.ndarray] = field(default=None, compare=False, repr=False)  # in points
+    positions: np.ndarray  # (m,) point indices, in scan order
+    points: tuple = field(repr=False)
+    members = cached_property(lambda self: self.decode(self.positions))  # decoded on first read
+
+    def decode(self, positions) -> tuple:
+        return tuple(map(self.points.__getitem__, positions.tolist()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairProximitySet:
     epsilon: float
-    members: tuple  # ordered (x, y) pairs from A x B
-    positions: Optional[np.ndarray] = field(default=None, compare=False, repr=False)  # A x B scan
+    positions: np.ndarray  # (2, m) point indices, rows I and J of the (x, y) pairs
+    points: tuple = field(repr=False)
+    members = cached_property(lambda self: self.decode(self.positions))  # decoded on first read
+
+    def decode(self, positions) -> tuple:
+        return tuple(zip(*(map(self.points.__getitem__, row) for row in positions.tolist())))
 
 
 @dataclass(frozen=True)
@@ -55,7 +63,8 @@ def enumerate_proximity_set(inst: Instance, epsilon: float, mode: str = STRICT) 
     if mode == VACUOUS:
         keep |= ~eng.on_edge
     k = np.flatnonzero(keep)
-    return ProximitySet(epsilon, tuple(inst.points[p] for p in k.tolist()), mode, k)
+    k.setflags(write=False)
+    return ProximitySet(epsilon, mode, k, inst.points)
 
 
 def enumerate_pair_set(inst: Instance, epsilon: float) -> PairProximitySet:
@@ -67,29 +76,27 @@ def enumerate_pair_set(inst: Instance, epsilon: float) -> PairProximitySet:
     pos = np.concatenate([np.empty(0, np.intp)] + [
         start + np.flatnonzero(within_epsilon(df - inst.d_ab, epsilon, inst.tol))
         for start, _stop, _d, df, _u in eng.blocks(d=False, u=False)])
-    (i, j), pts = eng.edge_pairs(pos), inst.points
-    members = list(zip([pts[k] for k in i.tolist()], [pts[k] for k in j.tolist()]))
-    return PairProximitySet(epsilon, tuple(members), pos)
+    ij = np.stack(eng.edge_pairs(pos))
+    ij.setflags(write=False)
+    return PairProximitySet(epsilon, ij, inst.points)
 
 
 def _positions(s, what: str):
-    """Scan positions of a non-empty set made by ``enumerate_*``."""
-    if s.positions is None and len(s.members):
-        raise DomainError(f"{what} has no scan positions: only enumerate_* makes them")
-    if s.positions is None or not s.positions.size:
+    """Point indices of a non-empty set."""
+    if not s.positions.size:
         raise DomainError(f"diameter of an empty {what} is undefined")
     return s.positions
 
 
 def proximity_diameter(inst: Instance, ps: ProximitySet) -> float:
-    """Max pairwise distance among set members, gathered by position."""
+    """Max pairwise distance among set members, gathered by point index."""
     return array_diameter(inst.space, inst.engine.P[_positions(ps, "proximity set")])
 
 
 def pair_diameter(inst: Instance, pps: PairProximitySet) -> float:
-    """Max within-pair distance d(x, y) over the member pairs, by position."""
+    """Max within-pair distance d(x, y) over the member pairs, by point index."""
+    i, j = _positions(pps, "pair set")
     eng = inst.pair_engine
-    i, j = eng.edge_pairs(_positions(pps, "pair set"))
     return float(elem_dists(inst.space, eng.P[i], eng.P[j]).max())
 
 

@@ -250,12 +250,14 @@ def _solve_report(rep: Report, inst: Instance, result: SolveResult, cfg: SolveCo
 _MEMBER_PREVIEW = 20
 
 
-def _members_report(rep: Report, members, fmt):
-    rep.add("set-size", len(members))
-    for m in members[:_MEMBER_PREVIEW]:
+def _members_report(rep: Report, s, fmt) -> int:
+    size = s.positions.shape[-1]
+    rep.add("set-size", size)
+    for m in s.decode(s.positions[..., :_MEMBER_PREVIEW]):  # only the printed members
         rep.add("member", fmt(m))
-    if len(members) > _MEMBER_PREVIEW:
-        rep.add("members-truncated", len(members) - _MEMBER_PREVIEW)
+    if size > _MEMBER_PREVIEW:
+        rep.add("members-truncated", size - _MEMBER_PREVIEW)
+    return size
 
 
 def _enumerate_block(rep: Report, inst: Instance, epsilon: float, mode: str) -> int:
@@ -267,14 +269,14 @@ def _enumerate_block(rep: Report, inst: Instance, epsilon: float, mode: str) -> 
     rep.add("d(A,B)", _fmt(dab))
     if inst.map_pair is not None:
         pset = enumerate_pair_set(inst, epsilon)
-        _members_report(rep, pset.members, _fmt_pair)
-        if pset.members:
+        size = _members_report(rep, pset, _fmt_pair)
+        if size:
             rep.add("pair-diameter", _fmt(pair_diameter(inst, pset)))
-        return len(pset.members)
+        return size
     ps = enumerate_proximity_set(inst, epsilon, mode=mode)
     rep.add("mode", mode)
-    _members_report(rep, ps.members, _fmt_point)
-    if ps.members:
+    size = _members_report(rep, ps, _fmt_point)
+    if size:
         rep.add("set-diameter", _fmt(proximity_diameter(inst, ps)))
         try:
             est = min_contraction_factor(inst, verdict_only=True)
@@ -283,7 +285,7 @@ def _enumerate_block(rep: Report, inst: Instance, epsilon: float, mode: str) -> 
         if est is not None:
             bound = contraction_diam_bound(est.alpha_min, epsilon, dab)
             rep.add("contraction-diam-bound", _fmt(bound))
-    return len(ps.members)
+    return size
 
 
 def cmd_enumerate(args) -> int:
@@ -310,7 +312,7 @@ def cmd_demo(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     rep = _report(inst, args)
-    rep.add("grid-step", _fmt(inst.grid_step))
+    rep.add("grid-step", _fmt(dict(inst.params)["grid_step"]))
     rep.section("validate")
     ok = _validation_block(rep, inst)
     rep.section("classify")

@@ -66,8 +66,7 @@ def interval_example(grid_step: float = 0.01) -> Instance:
     )
     fmap = CyclicMap("interval-halving", fn=t)
     return Instance("interval", CoordinateSpace(1), sets, complete_graph(),
-                    cyclic_map=fmap, grid_step=grid_step,
-                    params=(("builder", "interval"), ("grid_step", grid_step)))
+                    cyclic_map=fmap, params=(("builder", "interval"), ("grid_step", grid_step)))
 
 
 def ellipse_example(grid_step: float = 0.1) -> Instance:
@@ -93,8 +92,7 @@ def ellipse_example(grid_step: float = 0.1) -> Instance:
     sets = SubsetPair(a, b, a_contains=in_a, b_contains=in_b)
     fmap = CyclicMap("mirror-x", fn=t)
     return Instance("ellipse", CoordinateSpace(2), sets, complete_graph(),
-                    cyclic_map=fmap, grid_step=grid_step,
-                    params=(("builder", "ellipse"), ("grid_step", grid_step)))
+                    cyclic_map=fmap, params=(("builder", "ellipse"), ("grid_step", grid_step)))
 
 
 def _segment_grids(grid_step: float):
@@ -119,7 +117,7 @@ def segments_example(grid_step: float = 0.01) -> Instance:
     t = CyclicMap("const-upper-mid", fn=lambda p: (0.5, 1.0))
     s = CyclicMap("const-lower-mid", fn=lambda p: (0.5, 0.0))
     return Instance("segments", CoordinateSpace(2), sets, complete_graph(),
-                    map_pair=MapPair(t, s), grid_step=grid_step,
+                    map_pair=MapPair(t, s),
                     params=(("builder", "segments"), ("grid_step", grid_step)))
 
 
@@ -139,7 +137,7 @@ def affine_segments_pair(factor: float, shift: float = 0.0,
     t = CyclicMap("affine-up", fn=lambda p: (factor * p[0] + shift, 1.0))
     s = CyclicMap("affine-down", fn=lambda p: (factor * p[0] + shift, 0.0))
     return Instance("affine-segments", CoordinateSpace(2), sets, complete_graph(),
-                    map_pair=MapPair(t, s), grid_step=grid_step,
+                    map_pair=MapPair(t, s),
                     params=(("builder", "affine-segments"), ("factor", factor),
                             ("shift", shift), ("grid_step", grid_step)))
 

@@ -83,7 +83,6 @@ class Instance:
     graph: DirectedGraph
     cyclic_map: Optional[CyclicMap] = None
     map_pair: Optional[MapPair] = None
-    grid_step: Optional[float] = None
     params: tuple = ()  # a coordinate builder's name and arguments, for dumps
     tol: float = DEFAULT_TOL  # the absolute slack of every distance inequality tested on it
 

@@ -70,7 +70,7 @@ def test_criterion_01_interval_exact_set(fine_interval):
 
 def test_criterion_02_interval_epsilon_030(fine_interval):
     inst = fine_interval
-    step = inst.grid_step
+    step = dict(inst.params)["grid_step"]
     members = set(gp.enumerate_proximity_set(inst, 0.3).members)
 
     def in_band(x, slack):

@@ -1,6 +1,7 @@
 """Enumeration and diameter bounds."""
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,7 +29,7 @@ def gap_interval(step=0.5):
                       a_contains=lambda p: -3 <= p[0] <= -1,
                       b_contains=lambda p: 1 <= p[0] <= 3)
     return Instance("gap", CoordinateSpace(1), sets, complete_graph(),
-                    cyclic_map=CyclicMap("gap-map", fn=t), grid_step=step)
+                    cyclic_map=CyclicMap("gap-map", fn=t))
 
 
 class TestEnumerateProximitySet:
@@ -71,7 +72,7 @@ class TestProximityDiameter:
 
     def test_empty_raises(self):
         inst = gap_interval()
-        ps = gp.ProximitySet(0.0, (), STRICT)
+        ps = gp.ProximitySet(0.0, STRICT, np.empty(0, np.intp), inst.points)
         with pytest.raises(DomainError):
             gp.proximity_diameter(inst, ps)
 

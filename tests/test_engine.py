@@ -15,9 +15,11 @@ from hypothesis import strategies as st
 
 import gproximity as gp
 import gproximity._scan
+import gproximity.cli
 import gproximity.operators
 from gproximity.cli import main
 from gproximity.errors import ClassificationError
+from gproximity.metric import within_epsilon
 
 TOL = 1e-9
 PARAMS = gp.CrrParams(0.3, 0.1, 0.2)
@@ -607,8 +609,8 @@ def test_one_block_pass_reserves_only_its_edges():
     assert blk[2].size == blk[2].base.size == n * n < gproximity._scan._BLOCK_ELEMS
 
 
-# Result sets carry the scan positions of their members; the diameters are
-# gathers by position.
+# Result sets store their members' point indices and decode them on first
+# read; the diameters are gathers by index.
 
 def on_grid(inst, seed):
     """A tabulated instance of this module moved onto distinct points of a
@@ -640,34 +642,55 @@ def build_case(seed, rule, kind, coords):
     return on_grid(inst, seed) if coords else inst
 
 
-class Unreadable(tuple):
-    """A members tuple that keeps its length but cannot be read."""
+def members_reference(inst, epsilon, mode=None):
+    """The members as ``enumerate_proximity_set`` (given a mode) and
+    ``enumerate_pair_set`` built them before sets decoded on first read: the
+    reference of the decoded members."""
+    if mode is not None:
+        eng = inst.engine
+        keep = eng.on_edge & within_epsilon(eng.self_left - inst.d_ab, epsilon, inst.tol)
+        if mode == gp.VACUOUS:
+            keep |= ~eng.on_edge
+        k = np.flatnonzero(keep)
+        return tuple(inst.points[p] for p in k.tolist())
+    eng = inst.pair_engine
+    pos = np.concatenate([np.empty(0, np.intp)] + [
+        start + np.flatnonzero(within_epsilon(df - inst.d_ab, epsilon, inst.tol))
+        for start, _stop, _d, df, _u in eng.blocks(d=False, u=False)])
+    (i, j), pts = eng.edge_pairs(pos), inst.points
+    members = list(zip([pts[k] for k in i.tolist()], [pts[k] for k in j.tolist()]))
+    return tuple(members)
 
-    def __iter__(self):
-        raise AssertionError("members were read")
 
-    def __getitem__(self, k):
-        raise AssertionError("members were read")
+def exact(value):
+    """A value's type and bits, through nested tuples."""
+    if isinstance(value, tuple):
+        return tuple, tuple(map(exact, value))
+    return type(value), value.hex() if isinstance(value, float) else value
 
 
-def check_positions(inst, s, diameter, brute):
-    """Positions index inst.points to the members (a pair set's through the
-    A x B scan order); the diameter equals the brute-force value bitwise and
-    never reads the members."""
-    pts = inst.points
-    if isinstance(s, gp.PairProximitySet):
-        i, j = inst.pair_engine.edge_pairs(s.positions)
-        assert tuple(zip((pts[k] for k in i), (pts[k] for k in j))) == s.members
-    else:
-        assert tuple(pts[k] for k in s.positions) == s.members
-    assert s == dataclasses.replace(s, positions=None) and "positions" not in repr(s)
-    if not s.members:
-        with pytest.raises(gp.DomainError):
-            diameter(inst, s)
-        return
-    value = diameter(inst, s)
-    assert value == brute
-    assert diameter(inst, dataclasses.replace(s, members=Unreadable(s.members))) == value
+def refuse_decoding(self, positions):
+    raise AssertionError("members were decoded")
+
+
+def check_set(inst, s, diameter, want, brute):
+    """The set stores read-only point indices, one per reference member (a
+    pair set's as rows I and J); its diameter equals the brute-force value
+    over the reference bitwise and decodes no member; ``members`` decodes
+    to the reference exactly; sets compare by identity."""
+    shape = (2, len(want)) if isinstance(s, gp.PairProximitySet) else (len(want),)
+    assert s.positions.shape == shape and s.positions.dtype == np.intp
+    assert not s.positions.flags.writeable
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(type(s), "decode", refuse_decoding)
+        if want:
+            assert diameter(inst, s) == brute
+        else:
+            with pytest.raises(gp.DomainError, match="empty"):
+                diameter(inst, s)
+    assert "members" not in vars(s)  # never decoded
+    assert exact(s.members) == exact(want) and s.members is s.members
+    assert s == s and s != dataclasses.replace(s)
 
 
 @settings(max_examples=80, deadline=None)
@@ -680,36 +703,92 @@ def test_sets_carry_positions_and_gather_diameters(seed, rule, kind, coords, blo
         d = inst.space.distance
         for eps in (0.0, 0.1, 0.5, 2.0):
             if kind == "pair":
-                pps = gp.enumerate_pair_set(inst, eps)
-                check_positions(inst, pps, gp.pair_diameter,
-                                max((d(x, y) for x, y in pps.members), default=None))
+                want = members_reference(inst, eps)
+                check_set(inst, gp.enumerate_pair_set(inst, eps), gp.pair_diameter, want,
+                          max((d(x, y) for x, y in want), default=None))
                 continue
             for mode in (gp.STRICT, gp.VACUOUS):
-                ps = gp.enumerate_proximity_set(inst, eps, mode=mode)
-                check_positions(inst, ps, gp.proximity_diameter,
-                                max((d(x, y) for x in ps.members for y in ps.members),
-                                    default=None))
+                want = members_reference(inst, eps, mode)
+                check_set(inst, gp.enumerate_proximity_set(inst, eps, mode=mode),
+                          gp.proximity_diameter, want,
+                          max((d(x, y) for x in want for y in want), default=None))
 
 
 def test_identity_pair_sets_carry_positions():
     """A = B and T = S = identity: every pair of the shared cloud."""
     inst = gp.identity_pair_instance(2, n=7)
-    pps = gp.enumerate_pair_set(inst, 10.0)
-    assert len(pps.members) == 49
+    want = members_reference(inst, 10.0)
+    assert len(want) == 49
     d = inst.space.distance
-    check_positions(inst, pps, gp.pair_diameter, max(d(x, y) for x, y in pps.members))
+    check_set(inst, gp.enumerate_pair_set(inst, 10.0), gp.pair_diameter, want,
+              max(d(x, y) for x, y in want))
 
 
-def test_sets_built_by_hand_have_no_diameter():
+def test_sets_built_by_hand_from_indices():
+    """A set made from point indices has a diameter; an empty one has none."""
     single = single_instance(4, "complete")
     pair = pair_instance(4, "complete")
-    x, y = pair.sets.a[0], pair.sets.b[0]
-    with pytest.raises(gp.DomainError, match="scan positions"):
-        gp.proximity_diameter(single, gp.ProximitySet(0.0, (single.points[0],), gp.STRICT))
-    with pytest.raises(gp.DomainError, match="scan positions"):
-        gp.pair_diameter(pair, gp.PairProximitySet(0.0, ((x, y),)))
+    x, y, z = single.points[:3]
+    d = single.space.distance
+    ps = gp.ProximitySet(0.0, gp.STRICT, np.array([0, 2, 1]), single.points)
+    assert ps.members == (x, z, y)
+    assert gp.proximity_diameter(single, ps) == max(d(x, y), d(x, z), d(y, z))
+    pps = gp.PairProximitySet(0.0, np.array([[0], [3]]), pair.points)
+    assert pps.members == ((pair.points[0], pair.points[3]),)
+    assert gp.pair_diameter(pair, pps) == pair.space.distance(pair.points[0], pair.points[3])
     with pytest.raises(gp.DomainError, match="empty"):
-        gp.pair_diameter(pair, gp.PairProximitySet(0.0, ()))
+        gp.pair_diameter(pair, gp.PairProximitySet(0.0, np.empty((2, 0), np.intp), pair.points))
+
+
+def count_decoded(mp):
+    """Patch both set kinds' ``decode`` to count the members it decodes."""
+    decoded = []
+    for kind in (gp.ProximitySet, gp.PairProximitySet):
+        def counting(self, positions, decode=kind.decode):
+            out = decode(self, positions)
+            decoded.append(len(out))
+            return out
+        mp.setattr(kind, "decode", counting)
+    return decoded
+
+
+def run_main(argv):
+    with contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def enumerate_lines(members, fmt):
+    """The set-size, member and members-truncated lines of a full member list."""
+    lines = [f"set-size: {len(members)}"] + [f"member: {fmt(m)}" for m in members[:20]]
+    return lines + [f"members-truncated: {len(members) - 20}"] * (len(members) > 20)
+
+
+def report_lines(out):
+    return [ln for ln in out.splitlines()
+            if ln.startswith(("set-size:", "member:", "members-truncated:"))]
+
+
+def test_enumerate_decodes_only_the_printed_members(tmp_path, monkeypatch):
+    inst = gp.identity_pair_instance(5, n=8)
+    path = tmp_path / "pair.gpx"
+    gp.save_instance(inst, path)
+    decoded = count_decoded(monkeypatch)
+    code, out = run_main(["enumerate", str(path), "--epsilon", "10"])
+    assert code == 0 and sum(decoded) <= gproximity.cli._MEMBER_PREVIEW
+    want = members_reference(gp.load_instance(path), 10.0)
+    assert len(want) == 64
+    assert report_lines(out) == enumerate_lines(want, gproximity.cli._fmt_pair)
+
+
+def test_fine_segments_demo_decodes_only_the_printed_members(monkeypatch):
+    decoded = count_decoded(monkeypatch)
+    code, out = run_main(["demo", "segments", "--grid-step", "0.002"])
+    assert code == 0 and sum(decoded) <= gproximity.cli._MEMBER_PREVIEW
+    want = members_reference(gp.segments_example(0.002), 0.01)
+    assert len(want) == 501 ** 2
+    assert report_lines(out) == enumerate_lines(want, gproximity.cli._fmt_pair)
 
 
 @settings(max_examples=60, deadline=None)
@@ -848,7 +927,8 @@ def test_passes_on_demand_match_the_full_passes(seed, rule, kind, coords, tol, b
                 want = np.concatenate([np.empty(0, np.intp)] + [
                     start + np.flatnonzero(df - inst.d_ab <= eps + tol)
                     for start, _stop, _d, df, _u in eng.blocks()])
-                assert np.array_equal(gp.enumerate_pair_set(inst, eps).positions, want)
+                assert np.array_equal(gp.enumerate_pair_set(inst, eps).positions,
+                                      np.stack(eng.edge_pairs(want)))
             return
         cert, want = inst.engine.certificate, certificate_reference(ref.engine)
         assert cert == want

@@ -1,11 +1,16 @@
-"""Every name a module of the package imports is used in that module: an
-import left behind by a change is a failure here, not a silent cost."""
+"""Every name a module of the package imports is used in that module, and
+every name the benchmark's tracer wraps exists: an import left behind or a
+traced name renamed by a change is a failure here, not a silent cost."""
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "gproximity"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "gproximity"
+BENCH = ROOT / "bench"
 
 
 def imported_names(tree):
@@ -36,3 +41,21 @@ def test_an_unused_import_is_found():
     tree = ast.parse("from .graph import explicit_graph, adjacency\nimport numpy as np\n"
                      "from __future__ import annotations\nadjacency(np)\n")
     assert [n for n, _ in imported_names(tree) if n not in used_names(tree)] == ["explicit_graph"]
+
+
+def test_every_traced_name_resolves():
+    """Every (module, attribute path) the benchmark's span tracer wraps names
+    a package object, but the one the package deleted on purpose: a rename
+    fails here instead of reading 0 in a traced span.  Reads ``SPEC`` without
+    installing the tracer."""
+    spec = importlib.util.spec_from_file_location("tracing", BENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    unresolved = set()
+    for name, module, path, _mode in tracing.SPEC:
+        owner = importlib.import_module(module)
+        for attr in path.split("."):
+            owner = getattr(owner, attr, None)
+        if owner is None:
+            unresolved.add(name)
+    assert unresolved == {"graph.preserves_edges"}
