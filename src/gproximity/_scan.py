@@ -29,9 +29,11 @@ row is longer, 512 KiB per float64 array, so that with a fold's own
 buffers, also allocated once per pass, they stay near a 2 MiB L2 cache.
 The distance kernel writes every block into them in place.
 
-Streaming contract: the arrays of a block are views of the pass's buffers,
-valid until the next block is requested, which overwrites them.  A consumer
-that keeps values past that point copies them.
+Streaming contract: a block is (pairs, D, DF, U); ``pairs(p)`` gives the
+point indices (I, J) of the block's edges at offsets p, an int or an array.
+Its arrays are views of the pass's buffers, valid until the next block is
+requested, which overwrites them.  A consumer that keeps values past that
+point copies them.
 """
 from __future__ import annotations
 
@@ -83,11 +85,10 @@ class EdgeScanner:
 
     Holds the instance's ``tol``, images, point arrays, self-distances and
     the graph's ``adjacency`` over the points (``adj``, the instance's), and
-    streams (start, stop, D, DF, U) blocks over the edges at scan positions
-    start..stop-1.  DF takes ``images_left`` on the I side and
-    ``images_right`` (default: the same) on the J side; a map pair, given
-    ``images_right``, scans the edges of A x B only (rows ``rows``, columns
-    ``cols``).
+    streams (pairs, D, DF, U) blocks over the edges (module docstring).  DF
+    takes ``images_left`` on the I side and ``images_right`` (default: the
+    same) on the J side; a map pair, given ``images_right``, scans the edges
+    of A x B only (rows ``rows``, columns ``cols``).
 
     Listed edges (every graph but the complete one) are the set entries of
     the adjacency's ``rows`` x ``cols`` cut in row-major order, scanned
@@ -96,7 +97,7 @@ class EdgeScanner:
     in row blocks of about ``_BLOCK_ELEMS`` pairs; when ``symmetric`` (one
     map, an exactly symmetric metric) the block starting at row s covers
     columns s..n-1 only, which changes no fold result (see the module
-    docstring), else every column.  Scan positions count the visited edges.
+    docstring), else every column.
     """
 
     def __init__(self, space, sets, graph, adj, tol, images_left, images_right=None):
@@ -142,38 +143,21 @@ class EdgeScanner:
     def _largest_block(self) -> int:
         if self.edges is not None:
             return min(_BLOCK_ELEMS, self.edges[0].size)
-        layout = self._layout
-        return int(((layout[:, 1] - layout[:, 0]) * (self.cols.size - layout[:, 2])).max())
+        nc = self.cols.size
+        return max((e - s) * (nc - lo) for s, e, lo in self._layout)
 
     @cached_property
-    def _layout(self):
-        """The row blocks of a complete-graph scan, one array row per block:
-        first row rank, end row rank, first column rank, first scan position."""
+    def _layout(self) -> list:
+        """The row blocks of a complete-graph scan, one (first row rank, end
+        row rank, first column rank) per block."""
         nr, nc = self.rows.size, self.cols.size
-        out, s, pos = [], 0, 0
+        out, s = [], 0
         while s < nr:
             lo = s if self.symmetric else 0
             e = min(nr, s + max(1, _BLOCK_ELEMS // (nc - lo)))
-            out.append((s, e, lo, pos))
-            pos += (e - s) * (nc - lo)
+            out.append((s, e, lo))
             s = e
-        return np.array(out, dtype=np.intp).reshape(-1, 4)
-
-    def edge_pairs(self, pos):
-        """Point indices (I, J) of the edges at scan positions ``pos``."""
-        pos = np.asarray(pos, dtype=np.intp)
-        if self.edges is not None:
-            return self.edges[0][pos], self.edges[1][pos]
-        layout = self._layout
-        b = np.searchsorted(layout[:, 3], pos, side="right") - 1
-        s, lo = layout[b, 0], layout[b, 2]
-        r, c = np.divmod(pos - layout[b, 3], self.cols.size - lo)
-        return self.rows[s + r], self.cols[lo + c]
-
-    def edge_at(self, k: int):
-        """(i, j) of the edge at position k of the scan order."""
-        i, j = self.edge_pairs([k])
-        return int(i[0]), int(j[0])
+        return out
 
     @cached_property
     def on_edge(self):
@@ -186,10 +170,10 @@ class EdgeScanner:
         """(ok, first violating edge): each scanned edge (x, y) keeps (Fx, Fy)
         and, for a pair, (Gx, Gy) an edge of the graph."""
         k = first_unpreserved(self.graph, self.adj, self.edges, *self.maps)
-        return (True, None) if k is None else (False, self._edge(k))
+        return (True, None) if k is None else (False, self._edge([e[k] for e in self.edges]))
 
     def blocks(self, *, d=True, u=True):
-        """Yield (start, stop, D, DF, U) in row-major scan order, in buffers
+        """Yield (pairs, D, DF, U) in row-major scan order, in buffers
         allocated once per pass (module docstring).  D and U are computed
         only when asked for (``d``, ``u``); one that is not holds a read-only
         NaN view of the block's length."""
@@ -214,11 +198,11 @@ class EdgeScanner:
                 if d:
                     kern(_gather(pr, bi, gi), _gather(pc, bj, gj), False, dv, scratch)
                 kern(_gather(fr, bi, gi), _gather(fc, bj, gj), False, dfv, scratch)
-                yield s, s + m, dv, dfv, uv
+                yield (lambda p, bi=bi, bj=bj: (bi[p], bj[p])), dv, dfv, uv
             return
-        nc = self.cols.size
-        for s, e, lo, start in self._layout.tolist():
-            shape = (e - s, nc - lo)
+        for s, e, lo in self._layout:
+            rows, cols = self.rows[s:e], self.cols[lo:]
+            shape = (rows.size, cols.size)
             m = shape[0] * shape[1]
             dv, dfv, uv = d_buf[:m], df_buf[:m], u_buf[:m]
             if d:
@@ -226,7 +210,7 @@ class EdgeScanner:
             kern(fr[..., s:e], fc[..., lo:], True, dfv.reshape(shape), scratch)
             if u:
                 np.add.outer(ur[s:e], uc[lo:], out=uv.reshape(shape))
-            yield start, start + m, dv, dfv, uv
+            yield (lambda p, r=rows, c=cols: (r[p // c.size], c[p % c.size])), dv, dfv, uv
 
     @cached_property
     def certificate(self) -> Certificate:
@@ -253,19 +237,19 @@ class EdgeScanner:
         size = self._largest_block
         values = np.empty(size)
         low, high = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
-        for start, _stop, d, df, _u in self.blocks(u=False):
+        for pairs, d, df, _u in self.blocks(u=False):
             buf, lo, hi = values[:d.size], low[:d.size], high[:d.size]
             np.less_equal(d, 0.0, out=lo)
             np.greater(df, self.tol, out=hi)
-            zero.add(np.logical_and(lo, hi, out=lo), start)  # first max: first True
+            zero.add(np.logical_and(lo, hi, out=lo), pairs)  # first max: first True
             np.greater(d, 0.0, out=hi)
             if hi.any():
                 buf.fill(-np.inf)
-                ratio.add(np.divide(df, d, out=buf, where=hi), start)
+                ratio.add(np.divide(df, d, out=buf, where=hi), pairs)
             if verdict_only and (zero.value or ratio.value is not None and ratio.value >= 1.0):
                 return None
-            margin.add(np.subtract(df, d, out=buf), start)
-            reach.add(df, start, d, df)
+            margin.add(np.subtract(df, d, out=buf), pairs)
+            reach.add(df, pairs, d, df)
         return Certificate(self._edge(zero.at) if zero.value else None,
                            0.0 if ratio.value is None else ratio.value, self._edge(ratio.at),
                            margin.value, self._edge(margin.at), reach.value,
@@ -278,25 +262,25 @@ class EdgeScanner:
         certificate's reach witness, the cut of the candidate (0, 0, 0)."""
         return [self.certificate.reach_witness]
 
-    def _edge(self, k):
-        return None if k is None else tuple(self.points[i] for i in self.edge_at(k))
+    def _edge(self, ij):
+        return None if ij is None else tuple(self.points[i] for i in ij)
 
-    def _u_at(self, k) -> float:
-        """U at scan position k: the addition ``blocks`` makes there."""
-        i, j = self.edge_at(k)
+    def _u_at(self, ij) -> float:
+        """U at edge (i, j): the addition ``blocks`` makes there."""
+        i, j = ij
         return float(self.self_left[i] + self.self_right[j])
 
 
 class _FirstMax:
-    """Running max of a fold over a scan's blocks, the first scan position
-    reaching it (a tie keeps the earlier edge, as the half-triangle rule
+    """Running max of a fold over a scan's blocks, the (i, j) of the first
+    edge reaching it (a tie keeps the earlier edge, as the half-triangle rule
     needs) and the given columns' values there; ``value`` is None until a block."""
     value = at = witness = None
 
-    def add(self, vals, start, *cols):
+    def add(self, vals, pairs, *cols):
         p = int(np.argmax(vals))
         if self.at is None or vals[p] > self.value:
-            self.value, self.at = vals[p].item(), start + p
+            self.value, self.at = vals[p].item(), tuple(map(int, pairs(p)))
             self.witness = tuple(float(col[p]) for col in cols)
 
 
@@ -320,14 +304,14 @@ def fold_max(scanner: EdgeScanner, a: float, b: float = 0.0, c: float = 0.0):
     size = scanner._largest_block
     values, terms = np.empty(size), np.empty(size)
     best = _FirstMax()
-    for start, _stop, d, df, u in scanner.blocks(u=bool(b)):
+    for pairs, d, df, u in scanner.blocks(u=bool(b)):
         v, t = values[:d.size], terms[:d.size]
         np.subtract(df, np.multiply(a, d, out=t), out=v)
         if b:
             np.subtract(v, np.multiply(b, u, out=t), out=v)
         if b or c:
             np.subtract(v, c, out=v)
-        best.add(v, start, d, df)
+        best.add(v, pairs, d, df)
     if best.at is None:
         return None, None, None
-    return best.value, scanner.edge_at(best.at), best.witness + (scanner._u_at(best.at),)
+    return best.value, best.at, best.witness + (scanner._u_at(best.at),)

@@ -73,10 +73,9 @@ def enumerate_pair_set(inst: Instance, epsilon: float) -> PairProximitySet:
     if not epsilon >= 0:
         raise DomainError("epsilon must be nonnegative")
     eng = inst.pair_engine
-    pos = np.concatenate([np.empty(0, np.intp)] + [
-        start + np.flatnonzero(within_epsilon(df - inst.d_ab, epsilon, inst.tol))
-        for start, _stop, _d, df, _u in eng.blocks(d=False, u=False)])
-    ij = np.stack(eng.edge_pairs(pos))
+    ij = np.concatenate([np.empty((2, 0), np.intp)] + [
+        pairs(np.flatnonzero(within_epsilon(df - inst.d_ab, epsilon, inst.tol)))
+        for pairs, _d, df, _u in eng.blocks(d=False, u=False)], axis=1)
     ij.setflags(write=False)
     return PairProximitySet(epsilon, ij, inst.points)
 
@@ -117,7 +116,7 @@ def two_map_diam_bound(k: float, epsilon: float, d_ab: float) -> float:
 def minimizer_report(inst: Instance) -> MinimizerReport:
     """Exact minimizer of d(z, f z) over points with (z, f z) an edge.
 
-    Ties break toward the lowest scan position.  ``minimizer_in_set`` says
+    Ties break toward the lowest point index.  ``minimizer_in_set`` says
     the strict set at epsilon = max(residual, 0) + ``inst.tol`` holds the
     minimizer, true by construction as tol >= 0: the minimizer lies on an
     edge and its residual is within that epsilon, nonexpansive map or not.

@@ -333,7 +333,11 @@ def _edge_lines(pairs, n: int) -> list:
 
 
 def dumps(inst: Instance) -> str:
-    """Serialize an instance to the structured text format."""
+    """Serialize an instance to the structured text format; one that a file
+    cannot state raises SpecError (``docs/instance_format.md``)."""
+    if inst.tol != DEFAULT_TOL:
+        raise SpecError(f"instance {inst.name!r} has tol {inst.tol!r}; a file states none "
+                        f"and loads at DEFAULT_TOL ({DEFAULT_TOL!r})")
     lines = [FORMAT_HEADER, f"name: {inst.name}"]
     if isinstance(inst.space, CoordinateSpace):
         params = dict(inst.params)
@@ -348,7 +352,15 @@ def dumps(inst: Instance) -> str:
         for key, value in params.items():
             lines.append(f"arg: {key}={_fmt(value)}")
         return "\n".join(lines) + "\n"
-    n = inst.space.n
+    n, d = inst.space.n, inst.space.dist
+    for what, idx in (("A", inst.sets.a), ("B", inst.sets.b)):
+        if len(set(idx)) < len(idx):
+            repeated = next(i for k, i in enumerate(idx) if i in idx[:k])
+            raise SpecError(f"tabulated instance {inst.name!r}: {what} index {repeated} repeated")
+    if not np.array_equal(d, d.T) or d.diagonal().any():
+        raise SpecError(f"tabulated instance {inst.name!r} has a distance matrix that is not "
+                        "exactly symmetric with a zero diagonal; a file keeps its strict "
+                        "lower triangle")
     lines.append("kind: tabulated")
     lines.append(f"n: {n}")
     lines.append("A: " + " ".join(str(i) for i in inst.sets.a))
@@ -368,7 +380,6 @@ def dumps(inst: Instance) -> str:
     else:
         lines.append("map: none")
     lines.append("dist:")
-    d = inst.space.dist
     lines.extend("row: " + " ".join(map(repr, d[i, :i].tolist())) for i in range(1, n))
     return "\n".join(lines) + "\n"
 

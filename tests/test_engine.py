@@ -98,10 +98,31 @@ def scan_edges(g, xs, ys):
     return [(x, y) for x in xs for y in ys if gp.contains_edge(g, x, y)]
 
 
+def decoded(eng):
+    """(I, J) of every edge of a pass, as each block's ``pairs`` decodes it."""
+    return np.concatenate([np.empty((2, 0), np.intp)] + [
+        pairs(np.arange(df.size)) for pairs, _d, df, _u in eng.blocks()], axis=1)
+
+
 def listed_edges(eng):
-    """The listed edges of an engine as point pairs, in its scan order."""
-    i, j = eng.edge_pairs(np.arange(eng.edges[0].size))
-    return [(eng.points[a], eng.points[b]) for a, b in zip(i.tolist(), j.tolist())]
+    """The edges of an engine as point pairs, in its scan order."""
+    i, j = decoded(eng).tolist()
+    return [(eng.points[a], eng.points[b]) for a, b in zip(i, j)]
+
+
+def scan_order(eng):
+    """(i, j) of an engine's edges in scan order, from row-major loops over
+    contains_edge: over all rows and columns for listed edges, else over
+    each row block of the layout, from its first column rank on."""
+    pts, rows, cols = eng.points, eng.rows.tolist(), eng.cols.tolist()
+    spans = [(0, len(rows), 0)] if eng.edges is not None else eng._layout
+    return [(i, j) for s, e, lo in spans for i in rows[s:e] for j in cols[lo:]
+            if gp.contains_edge(eng.graph, pts[i], pts[j])]
+
+
+def pass_df(eng, **kwargs):
+    """DF of every edge of a pass, in scan order, copied out of the blocks."""
+    return np.concatenate([np.empty(0)] + [df.copy() for _p, _d, df, _u in eng.blocks(**kwargs)])
 
 
 def first_broken(g, edges, *maps):
@@ -239,8 +260,7 @@ def test_pair_engine_scans_rows_then_cols_order():
     pair = gp.MapPair(gp.CyclicMap("t", table=(2, 3, 0, 1)), gp.CyclicMap("s", table=(0, 1, 2, 3)))
     inst = gp.Instance("order", line_space(4), gp.SubsetPair((1, 0), (3, 2)), g, map_pair=pair)
     eng = inst.pair_engine
-    pts = [(eng.points[i], eng.points[j]) for i, j in zip(*eng.edge_pairs(np.arange(4)))]
-    assert pts == [(1, 3), (1, 2), (0, 3), (0, 2)]
+    assert listed_edges(eng) == [(1, 3), (1, 2), (0, 3), (0, 2)]
 
 
 def test_repeated_entry_scans_as_in_the_complete_graph():
@@ -596,10 +616,31 @@ def test_blocks_are_views_of_one_buffer_per_pass(build):
         blks = list(build().blocks())
     assert len(blks) > 1
     for prev, cur in zip(blks, blks[1:]):
-        for k in (2, 3, 4):
+        for k in (1, 2, 3):
             assert np.shares_memory(prev[k], cur[k])
     largest = max(blk[2].size for blk in blks)
-    assert all(blk[k].base.size == largest for blk in blks for k in (2, 3, 4))
+    assert all(blk[k].base.size == largest for blk in blks for k in (1, 2, 3))
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+@pytest.mark.parametrize("build, symmetric", [
+    (lambda seed: single_instance(seed, "explicit").engine, False),
+    (lambda seed: grid_instance(seed).engine, True),
+    (lambda seed: line_instance(seed, skew=True).engine, False),
+    (lambda seed: pair_instance(seed, "complete").pair_engine, False),
+    (lambda seed: pair_instance(seed, "explicit").pair_engine, False)],
+    ids=("listed", "symmetric", "full", "pair", "listed-pair"))
+def test_block_pairs_decode_the_scan_order(build, symmetric, block):
+    """Each block's ``pairs`` maps its offsets to the point indices of the
+    edges that a row-major loop over contains_edge visits, in that order."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gproximity._scan, "_BLOCK_ELEMS", block)
+        for seed in range(6):
+            eng = build(seed)
+            assert eng.symmetric == symmetric
+            got = decoded(eng)
+            assert got.dtype == np.intp
+            assert list(zip(*got.tolist())) == scan_order(eng)
 
 
 def test_one_block_pass_reserves_only_its_edges():
@@ -653,13 +694,9 @@ def members_reference(inst, epsilon, mode=None):
             keep |= ~eng.on_edge
         k = np.flatnonzero(keep)
         return tuple(inst.points[p] for p in k.tolist())
-    eng = inst.pair_engine
-    pos = np.concatenate([np.empty(0, np.intp)] + [
-        start + np.flatnonzero(within_epsilon(df - inst.d_ab, epsilon, inst.tol))
-        for start, _stop, _d, df, _u in eng.blocks(d=False, u=False)])
-    (i, j), pts = eng.edge_pairs(pos), inst.points
-    members = list(zip([pts[k] for k in i.tolist()], [pts[k] for k in j.tolist()]))
-    return tuple(members)
+    eng, pts = inst.pair_engine, inst.points
+    keep = within_epsilon(pass_df(eng, d=False, u=False) - inst.d_ab, epsilon, inst.tol)
+    return tuple((pts[i], pts[j]) for (i, j), k in zip(scan_order(eng), keep.tolist()) if k)
 
 
 def exact(value):
@@ -842,23 +879,27 @@ def test_library_pass_imports_nothing():
 
 def certificate_reference(eng):
     """The certificate pass with U on every block and the reach witness read
-    off U's block, as the engine computed it before U became optional."""
+    off U's block, as the engine computed it before U became optional; edges
+    are decoded from ``scan_order``."""
     _FirstMax = gproximity._scan._FirstMax
     zero, ratio, margin, reach = _FirstMax(), _FirstMax(), _FirstMax(), _FirstMax()
     size = eng._largest_block
     values = np.empty(size)
     low, high = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
-    for start, _stop, d, df, u in eng.blocks():
+    order, start = scan_order(eng), 0
+    for _pairs, d, df, u in eng.blocks():
+        pairs = lambda p, s=start: order[s + p]
+        start += d.size
         buf, lo, hi = values[:d.size], low[:d.size], high[:d.size]
         np.less_equal(d, 0.0, out=lo)
         np.greater(df, eng.tol, out=hi)
-        zero.add(np.logical_and(lo, hi, out=lo), start)  # first max: first True
+        zero.add(np.logical_and(lo, hi, out=lo), pairs)  # first max: first True
         np.greater(d, 0.0, out=hi)
         if hi.any():
             buf.fill(-np.inf)
-            ratio.add(np.divide(df, d, out=buf, where=hi), start)
-        margin.add(np.subtract(df, d, out=buf), start)
-        reach.add(df, start, d, df, u)
+            ratio.add(np.divide(df, d, out=buf, where=hi), pairs)
+        margin.add(np.subtract(df, d, out=buf), pairs)
+        reach.add(df, pairs, d, df, u)
     return gproximity._scan.Certificate(
         eng._edge(zero.at) if zero.value else None,
         0.0 if ratio.value is None else ratio.value, eng._edge(ratio.at),
@@ -866,20 +907,24 @@ def certificate_reference(eng):
 
 
 def fold_max_reference(scanner, a, b=0.0, c=0.0):
-    """``fold_max`` with U on every block and the witness read off the blocks."""
+    """``fold_max`` with U on every block and the witness read off the blocks;
+    edges are decoded from ``scan_order``."""
     size = scanner._largest_block
     values, terms = np.empty(size), np.empty(size)
     best = gproximity._scan._FirstMax()
-    for start, _stop, d, df, u in scanner.blocks():
+    order, start = scan_order(scanner), 0
+    for _pairs, d, df, u in scanner.blocks():
+        pairs = lambda p, s=start: order[s + p]
+        start += d.size
         v, t = values[:d.size], terms[:d.size]
         np.subtract(df, np.multiply(a, d, out=t), out=v)
         if b or c:
             np.subtract(v, np.multiply(b, u, out=t), out=v)
             np.subtract(v, c, out=v)
-        best.add(v, start, d, df, u)
+        best.add(v, pairs, d, df, u)
     if best.at is None:
         return None, None, None
-    return best.value, scanner.edge_at(best.at), best.witness
+    return best.value, best.at, best.witness
 
 
 def crr_search_reference(inst, grid_step, cuts):
@@ -923,12 +968,10 @@ def test_passes_on_demand_match_the_full_passes(seed, rule, kind, coords, tol, b
         if kind == "pair":
             eng = inst.pair_engine
             check_folds(eng, inst.d_ab)
+            order = np.array(scan_order(eng), dtype=np.intp).reshape(-1, 2).T
             for eps in (0.0, 0.3):
-                want = np.concatenate([np.empty(0, np.intp)] + [
-                    start + np.flatnonzero(df - inst.d_ab <= eps + tol)
-                    for start, _stop, _d, df, _u in eng.blocks()])
-                assert np.array_equal(gp.enumerate_pair_set(inst, eps).positions,
-                                      np.stack(eng.edge_pairs(want)))
+                want = order[:, pass_df(eng) - inst.d_ab <= eps + tol]
+                assert np.array_equal(gp.enumerate_pair_set(inst, eps).positions, want)
             return
         cert, want = inst.engine.certificate, certificate_reference(ref.engine)
         assert cert == want

@@ -61,14 +61,19 @@ def on_line(g, table):
                     cyclic_map=CyclicMap("m", table=table))
 
 
+def scanned(eng):
+    """(i, j) of the edges of a pass, as each block's ``pairs`` decodes them."""
+    return [ij for pairs, _d, df, _u in eng.blocks()
+            for ij in zip(*(a.tolist() for a in pairs(np.arange(df.size))))]
+
+
 def test_listed_edges_are_deterministic():
     """The engine scans a listed graph's edges among the points in sorted
     order, the diagonal included, whatever order they were listed in."""
     g = explicit_graph({(2, 0), (0, 1), (1, 2), (0, 9)})
     first, second = on_line(g, (0, 1, 2, 3)).engine, on_line(g, (0, 1, 2, 3)).engine
-    pairs = [tuple(a.tolist()) for a in first.edge_pairs(np.arange(first.edges[0].size))]
-    assert pairs == [tuple(a.tolist()) for a in second.edge_pairs(np.arange(second.edges[0].size))]
-    assert list(zip(*pairs)) == [(0, 0), (0, 1), (1, 1), (1, 2), (2, 0), (2, 2), (3, 3)]
+    pairs = [scanned(first), scanned(second)]
+    assert pairs[0] == pairs[1] == [(0, 0), (0, 1), (1, 1), (1, 2), (2, 0), (2, 2), (3, 3)]
 
 
 class TestPreservesEdges:

@@ -369,6 +369,27 @@ class TestSerialization:
                                             r"index in 0\.\.3"):
             gp.dumps(bad)
 
+    @pytest.mark.parametrize("sets, entry, words", [
+        (((0, 1, 0), (2, 3)), None, "A index 0 repeated"),
+        (((0, 1), (2, 3, 3)), None, "B index 3 repeated"),
+        (((0, 1), (2, 3)), ((0, 1), 1.0000001), "not exactly symmetric"),
+        (((0, 1), (2, 3)), ((1, 0), np.nextafter(0.36, 1.0)), "not exactly symmetric"),
+        (((0, 1), (2, 3)), ((1, 1), 0.5), "zero diagonal")],
+        ids=("repeated-A", "repeated-B", "upper", "lower-ulp", "diagonal"))
+    def test_tabulated_instance_a_file_cannot_state_does_not_serialize(self, sets, entry, words):
+        """A file lists each index of A and B once and keeps only the strict
+        lower triangle of the distances, so ``dumps`` refuses a repeated
+        index, which ``loads`` would reject, and a matrix that is not
+        exactly symmetric with a zero diagonal, which ``loads`` would give
+        back as another metric."""
+        inst = gp.random_instance(1, 2, 2)
+        dist = inst.space.dist.copy()
+        if entry is not None:
+            dist[entry[0]] = entry[1]
+        bad = dataclasses.replace(inst, space=gp.TabulatedSpace(dist), sets=gp.SubsetPair(*sets))
+        with pytest.raises(SpecError, match=words):
+            gp.dumps(bad)
+
     @pytest.mark.parametrize("graph", [
         gp.diagonal_graph(), gp.explicit_graph({((-3.0,), (2.0,))})])
     def test_coordinate_instance_keeps_its_builder_graph(self, graph):

@@ -74,10 +74,16 @@ def test_a_new_tolerance_builds_a_new_engine():
 
 
 def test_files_carry_no_tolerance():
+    """A file loads at DEFAULT_TOL, so ``dumps`` refuses any other tol, of a
+    tabulated or a coordinate instance, rather than write one that loads at
+    another slack."""
     inst = gp.loads(PSEUDO)
-    loose = dataclasses.replace(inst, tol=1e-6)
-    assert gp.dumps(loose) == gp.dumps(inst)
-    assert gp.loads(gp.dumps(loose)).tol == gp.DEFAULT_TOL
+    assert inst.tol == gp.DEFAULT_TOL
+    assert gp.dumps(dataclasses.replace(inst, tol=gp.DEFAULT_TOL)) == gp.dumps(inst)
+    for other, tol in ((inst, 1e-6), (gp.random_instance(7, 10, 10), 0.5),
+                       (gp.interval_example(0.5), 0.0)):
+        with pytest.raises(gp.SpecError, match=rf"has tol {tol!r}; a file states none"):
+            gp.dumps(dataclasses.replace(other, tol=tol))
 
 
 def instance_functions():
