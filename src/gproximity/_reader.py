@@ -6,7 +6,8 @@ exists: indices lie in 0..n-1, distances are finite floats, builder
 arguments are named in ``BUILDER_ARGS``.  It returns a ``Coordinate`` or a
 ``Tabulated`` record that ``instances.build`` turns into an instance.  This
 module imports no numpy, so the command line rejects a bad file before it
-imports any numeric code.
+imports any numeric code.  ``instances.dumps`` checks what it writes by the
+same rules, ``index_error`` and ``MAP_TABLES``.
 """
 from __future__ import annotations
 
@@ -27,6 +28,9 @@ BUILDER_ARGS = {
     "affine-segments": ("factor", "shift", "grid_step"),
 }
 
+#: The table lines after each ``map:`` word, read, named and written by these keys.
+MAP_TABLES = {"table": ("table",), "pair": ("table-t", "table-s"), "none": ()}
+
 
 class Coordinate(NamedTuple):
     name: str
@@ -42,7 +46,7 @@ class Tabulated(NamedTuple):
     b: tuple
     graph: str  # COMPLETE, DIAGONAL or EXPLICIT
     edges: Optional[tuple]  # (I, J): the ends of an EXPLICIT graph's edge: lines, as int lists
-    tables: tuple  # (), (table,) or (table-t, table-s): map none, table or pair
+    tables: dict  # each table of the map, by its line's key in MAP_TABLES
     rows: list  # row i = 1..n-1 of the strict lower triangle, as i floats
 
 
@@ -72,6 +76,20 @@ class _Reader:
     def error(self, message: str):
         raise ParseError(message, line=self.pos)
 
+    def ints(self, text: str, what: str) -> tuple:
+        try:
+            return tuple(int(tok) for tok in text.split())
+        except ValueError:
+            self.error(f"malformed {what} list {text!r}")
+
+    def indices(self, what: str, n: int, count: int = None, unique: bool = False) -> tuple:
+        """The next line, ``what: <i> ...``, as an index list that
+        ``index_error`` passes."""
+        idx = self.ints(self.next(what), what)
+        if message := index_error(idx, n, what, count, unique):
+            self.error(message)
+        return idx
+
     def columns(self, count: int, n: int):
         """The next ``count`` lines as ``edge: <i> <j>`` pairs with both ends
         in 0..n-1, read in one pass into the lists (I, J); None (``pos``
@@ -89,6 +107,22 @@ class _Reader:
             return None
         self.pos += count
         return ends[:count], ends[count:]
+
+
+def index_error(idx, n: int, what: str, count: int = None, unique: bool = False):
+    """What is wrong with the index list ``idx`` of a ``what:`` line, or None:
+    it holds ``count`` entries (at least one when None), each of type int in
+    0..n-1, and none twice when ``unique``; checked in that order."""
+    if not idx or count is not None and len(idx) != count:
+        return f"{what} needs {count or 'at least one'} entries, got {len(idx)}"
+    bad = [i for i in idx if type(i) is not int or not 0 <= i < n]
+    if bad:
+        return (f"{what} index {bad[0]} outside 0..{n - 1}" if type(bad[0]) is int
+                else f"{what} index {bad[0]!r} is not of type int")
+    if unique and len(set(idx)) < len(idx):
+        repeated = next(i for k, i in enumerate(idx) if i in idx[:k])
+        return f"{what} index {repeated} repeated"
+    return None
 
 
 def _indices_below(n: int, toks) -> list:
@@ -135,40 +169,14 @@ def read(text: str) -> Coordinate | Tabulated:
         return Coordinate(name, builder, kwargs, builder_line)
     if kind != "tabulated":
         r.error(f"unknown kind {kind!r}")
-
-    def ints(text, what):
-        try:
-            return tuple(int(tok) for tok in text.split())
-        except ValueError:
-            r.error(f"malformed {what} list {text!r}")
-
-    def in_range(idx, what):
-        bad = [i for i in idx if not 0 <= i < n]
-        if bad:
-            r.error(f"{what} index {bad[0]} outside 0..{n - 1}")
-        return idx
-
-    def indices(what, count=None):
-        idx = ints(r.next(what), what)
-        if not idx or count is not None and len(idx) != count:
-            r.error(f"{what} needs {count or 'at least one'} entries, got {len(idx)}")
-        return in_range(idx, what)
-
-    def subset(what):
-        idx = indices(what)
-        if len(set(idx)) < len(idx):
-            repeated = next(i for k, i in enumerate(idx) if i in idx[:k])
-            r.error(f"{what} index {repeated} repeated")
-        return idx
-
     try:
         n = int(r.next("n"))
     except ValueError:
         r.error("malformed point count")
     if n < 1:
         r.error(f"point count {n} is not positive")
-    a = subset("A")
-    b = subset("B")
+    a = r.indices("A", n, unique=True)
+    b = r.indices("B", n, unique=True)
     gspec = r.next("graph")
     words = gspec.split()
     edges = None
@@ -187,23 +195,19 @@ def read(text: str) -> Coordinate | Tabulated:
             edges = [], []
             for _ in range(count):
                 body = r.next("edge")
-                pair = ints(body, "edge")
+                pair = r.ints(body, "edge")
                 if len(pair) != 2:
                     r.error(f"malformed edge {body!r}")
-                i, j = in_range(pair, "edge")
-                edges[0].append(i)
-                edges[1].append(j)
+                if message := index_error(pair, n, "edge"):
+                    r.error(message)
+                edges[0].append(pair[0])
+                edges[1].append(pair[1])
     else:
         r.error(f"unknown graph spec {gspec!r}")
     mspec = r.next("map")
-    if mspec == "table":
-        tables = (indices("table", n),)
-    elif mspec == "pair":
-        tables = (indices("table-t", n), indices("table-s", n))
-    elif mspec == "none":
-        tables = ()
-    else:
+    if mspec not in MAP_TABLES:
         r.error(f"unknown map spec {mspec!r}")
+    tables = {key: r.indices(key, n, n) for key in MAP_TABLES[mspec]}
     if r.next() != "dist:":
         r.error("expected 'dist:' section")
     rows = []

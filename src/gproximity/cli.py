@@ -186,6 +186,9 @@ def cmd_classify(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    if args.mode == "alternating" and (args.alpha is None or args.gamma is None):
+        print("error: alternating mode needs --alpha and --gamma", file=sys.stderr)
+        return EXIT_USAGE
     inst = _load(args)
     from .solver import (SolveConfig, find_proximity_point, two_map_alternating,
                          two_map_parallel)
@@ -201,9 +204,6 @@ def cmd_solve(args) -> int:
             _solve_report(rep, inst, result, cfg)
         else:
             y0 = _parse_start(inst, args.start_b) if args.start_b else inst.sets.b[0]
-            if args.mode == "alternating" and (args.alpha is None or args.gamma is None):
-                print("error: alternating mode needs --alpha and --gamma", file=sys.stderr)
-                return EXIT_USAGE
             rep.add("start", _fmt_point(x0))
             rep.add("start-b", _fmt_point(y0))
             if args.mode == "parallel":

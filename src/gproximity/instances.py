@@ -13,7 +13,8 @@ from operator import index
 
 import numpy as np
 
-from ._reader import FORMAT_HEADER, Coordinate, read, read_file
+from ._reader import (BUILDER_ARGS, FORMAT_HEADER, MAP_TABLES, Coordinate, _Reader,
+                      index_error, read, read_file)
 from .errors import ParseError, SpecError
 from .graph import COMPLETE, DIAGONAL, EXPLICIT, DirectedGraph, complete_graph, diagonal_graph
 from .maps import CyclicMap, Instance, MapPair
@@ -338,12 +339,18 @@ def dumps(inst: Instance) -> str:
     if inst.tol != DEFAULT_TOL:
         raise SpecError(f"instance {inst.name!r} has tol {inst.tol!r}; a file states none "
                         f"and loads at DEFAULT_TOL ({DEFAULT_TOL!r})")
+    if _Reader(f"name: {inst.name}").next("name") != inst.name:
+        raise SpecError(f"instance name {inst.name!r} does not read back from a name: line, "
+                        "which is one line with its blanks stripped")
     lines = [FORMAT_HEADER, f"name: {inst.name}"]
     if isinstance(inst.space, CoordinateSpace):
         params = dict(inst.params)
         builder = params.pop("builder", None)
         if builder not in _BUILDERS:
             raise SpecError(f"coordinate instance {inst.name!r} has no registered builder")
+        if inst.name != builder or sorted(params) != sorted(BUILDER_ARGS[builder]):
+            raise SpecError(f"coordinate instance {inst.name!r} with arguments {tuple(params)} "
+                            f"would load as {builder!r} with arguments {BUILDER_ARGS[builder]}")
         if inst.graph.rule != COMPLETE:
             raise SpecError(f"coordinate instance {inst.name!r} has a {inst.graph.rule} graph; "
                             "its builder makes the complete one")
@@ -353,10 +360,17 @@ def dumps(inst: Instance) -> str:
             lines.append(f"arg: {key}={_fmt(value)}")
         return "\n".join(lines) + "\n"
     n, d = inst.space.n, inst.space.dist
-    for what, idx in (("A", inst.sets.a), ("B", inst.sets.b)):
-        if len(set(idx)) < len(idx):
-            repeated = next(i for k, i in enumerate(idx) if i in idx[:k])
-            raise SpecError(f"tabulated instance {inst.name!r}: {what} index {repeated} repeated")
+    maps = ((inst.map_pair.t, inst.map_pair.s) if inst.map_pair is not None
+            else (inst.cyclic_map,) if inst.cyclic_map is not None else ())
+    word = next(w for w, keys in MAP_TABLES.items() if len(keys) == len(maps))
+    tables = {key: f.table for key, f in zip(MAP_TABLES[word], maps)}
+    if None in tables.values():
+        raise SpecError(f"tabulated instance {inst.name!r}: a map without a table has no file form")
+    for what, idx, count, unique in (("A", inst.sets.a, None, True),
+                                     ("B", inst.sets.b, None, True),
+                                     *((key, t, n, False) for key, t in tables.items())):
+        if message := index_error(idx, n, what, count, unique):
+            raise SpecError(f"tabulated instance {inst.name!r}: {message}")
     if not np.array_equal(d, d.T) or d.diagonal().any():
         raise SpecError(f"tabulated instance {inst.name!r} has a distance matrix that is not "
                         "exactly symmetric with a zero diagonal; a file keeps its strict "
@@ -370,15 +384,8 @@ def dumps(inst: Instance) -> str:
         lines.append(f"graph: {g.rule}")
     else:
         lines.extend(_edge_lines(g.pairs, n))
-    if inst.map_pair is not None:
-        lines.append("map: pair")
-        lines.append("table-t: " + " ".join(str(i) for i in inst.map_pair.t.table))
-        lines.append("table-s: " + " ".join(str(i) for i in inst.map_pair.s.table))
-    elif inst.cyclic_map is not None:
-        lines.append("map: table")
-        lines.append("table: " + " ".join(str(i) for i in inst.cyclic_map.table))
-    else:
-        lines.append("map: none")
+    lines.append(f"map: {word}")
+    lines.extend(f"{key}: " + " ".join(map(str, t)) for key, t in tables.items())
     lines.append("dist:")
     lines.extend("row: " + " ".join(map(repr, d[i, :i].tolist())) for i in range(1, n))
     return "\n".join(lines) + "\n"
@@ -394,12 +401,9 @@ def build(spec) -> Instance:
         except (SpecError, TypeError) as exc:
             raise ParseError(f"builder {spec.builder!r} rejects its arguments: {exc}",
                              line=spec.line) from exc
-    fmap = pair = None
-    if len(spec.tables) == 1:
-        fmap = CyclicMap("table", table=spec.tables[0])
-    elif spec.tables:
-        pair = MapPair(CyclicMap("table-t", table=spec.tables[0]),
-                       CyclicMap("table-s", table=spec.tables[1]))
+    maps = [CyclicMap(key, table=table) for key, table in spec.tables.items()]
+    fmap = maps[0] if len(maps) == 1 else None
+    pair = MapPair(*maps) if len(maps) == 2 else None
     dist = np.zeros((spec.n, spec.n))
     for i, values in enumerate(spec.rows, 1):
         dist[i, :i] = values

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -278,6 +279,49 @@ def test_fine_crr_grid_stays_accepted(files, step):
     assert code in (0, 1) and not error_lines(err) and "crr-params: " in out
 
 
+def dumps_replaced(base, **changes):
+    return lambda: gp.dumps(dataclasses.replace(base, **changes))
+
+
+#: Instances a file cannot state, by the change that makes them: the
+#: seeded 8-point random-7 (random_instance(7, 4, 4)) and interval.
+RANDOM_7 = gp.random_instance(7, 4, 4)
+INTERVAL = gp.interval_example(0.5)
+UNWRITABLE = [
+    (dumps_replaced(RANDOM_7, cyclic_map=gp.CyclicMap("f", fn=lambda p: p)), SpecError,
+     "tabulated instance 'random-7': a map without a table has no file form"),
+    (dumps_replaced(RANDOM_7, cyclic_map=gp.CyclicMap("f", table=(0,) * 7 + (9,))), SpecError,
+     "tabulated instance 'random-7': table index 9 outside 0..7"),
+    (dumps_replaced(RANDOM_7, cyclic_map=gp.CyclicMap("f", table=(0, 1))), SpecError,
+     "tabulated instance 'random-7': table needs 8 entries, got 2"),
+    (dumps_replaced(RANDOM_7, map_pair=gp.MapPair(gp.CyclicMap("t", table=(4,) * 8),
+                                                 gp.CyclicMap("s", table=(-1,) * 8))),
+     SpecError, "tabulated instance 'random-7': table-s index -1 outside 0..7"),
+    (dumps_replaced(RANDOM_7, sets=gp.SubsetPair((0, 9), (4, 5, 6, 7))), SpecError,
+     "tabulated instance 'random-7': A index 9 outside 0..7"),
+] + [
+    (dumps_replaced(RANDOM_7, sets=gp.SubsetPair((0, 1), (4, entry))), SpecError,
+     f"tabulated instance 'random-7': B index {entry!r} is not of type int")
+    for entry in (0.5, True, np.int64(3))
+] + [
+    (dumps_replaced(RANDOM_7, name=name), SpecError,
+     f"instance name {name!r} does not read back from a name: line, "
+     "which is one line with its blanks stripped")
+    for name in (" padded ", "two\nlines", "x\r", 7)
+] + [
+    (dumps_replaced(INTERVAL, name="foo"), SpecError,
+     "coordinate instance 'foo' with arguments ('grid_step',) would load as 'interval' "
+     "with arguments ('grid_step',)"),
+    (dumps_replaced(INTERVAL, params=INTERVAL.params + (("bogus", 1),)), SpecError,
+     "coordinate instance 'interval' with arguments ('grid_step', 'bogus') would load as "
+     "'interval' with arguments ('grid_step',)"),
+    (dumps_replaced(gp.affine_segments_pair(0.5, 0.25), params=(("builder", "affine-segments"),
+                                                               ("factor", 0.5))),
+     SpecError, "coordinate instance 'affine-segments' with arguments ('factor',) would load "
+     "as 'affine-segments' with arguments ('factor', 'shift', 'grid_step')"),
+]
+
+
 #: A file whose table is one entry short (n = 2).
 SHORT_TABLE = ("gproximity-instance v1\nname: x\nkind: tabulated\nn: 2\nA: 0\nB: 1\n"
                "graph: complete\nmap: table\ntable: 1\ndist:\nrow: 1.0\n")
@@ -323,7 +367,7 @@ SHORT_TABLE = ("gproximity-instance v1\nname: x\nkind: tabulated\nn: 2\nA: 0\nB:
      DomainError, "power must be an integer, got nan"),
     (lambda: gp.is_gt_minimizing(gp.contraction_instance(3), None, NAN, 0.1), DomainError,
      "window must be an integer, got nan"),
-])
+] + UNWRITABLE)
 def test_library_raise_names_its_cause(call, error, message):
     with pytest.raises(error) as info:
         call()
@@ -390,6 +434,7 @@ REJECTED = {
     "not-utf8": (NOT_UTF8, ["validate"]),
     "missing": (None, ["solve"]),
     "tol-nan": (BASES[0], ["--tol", "nan", "classify"]),
+    "alternating-without-constants": (BASES[3], ["solve", "--mode=alternating"]),
 }
 
 

@@ -3,6 +3,7 @@ import dataclasses
 import inspect
 import math
 import re
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -11,9 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gproximity as gp
-from gproximity import _reader, instances
+from gproximity import _reader, cli, instances
 from gproximity.cli import main
-from gproximity.errors import ParseError, SpecError
+from gproximity.errors import GproximityError, ParseError, SpecError
 
 
 class TestIntervalExample:
@@ -354,7 +355,9 @@ class TestSerialization:
     def test_every_graph_roundtrips(self, graph):
         inst = gp.random_instance(8, 3, 3)
         inst = gp.Instance(inst.name, inst.space, inst.sets, graph, cyclic_map=inst.cyclic_map)
-        assert gp.loads(gp.dumps(inst)).graph == inst.graph
+        text = gp.dumps(inst)
+        assert "edges" not in vars(inst.graph)  # written from the end sequences
+        assert gp.loads(text).graph == inst.graph
 
     @pytest.mark.parametrize("end", [9, 4, -1, 2.0, np.float64(1.0), "1", None, (0,)])
     @pytest.mark.parametrize("side", [0, 1])
@@ -417,6 +420,67 @@ def test_random_instance_roundtrip_property(seed, n_a, n_b):
     assert np.array_equal(back.space.dist, inst.space.dist)
     assert back.cyclic_map.table == inst.cyclic_map.table
     assert back.sets.a == inst.sets.a and back.sets.b == inst.sets.b
+
+
+#: The options the classify report reads.
+CLASSIFY_ARGS = SimpleNamespace(alpha=0.9, crr_grid=0.1)
+
+
+def report_lines(inst):
+    """The validate, classify and enumerate report lines of ``inst``, each
+    block closed by its result or by the error that ended it."""
+    out = []
+    for block in (lambda rep: cli._validation_block(rep, inst),
+                  lambda rep: cli._classify_block(rep, inst, CLASSIFY_ARGS),
+                  lambda rep: cli._enumerate_block(rep, inst, 0.3, "strict")):
+        rep = cli.Report()
+        try:
+            rep.add("result", block(rep))
+        except GproximityError as exc:
+            rep.add(type(exc).__name__, exc)
+        out += rep.lines
+    return out
+
+
+@st.composite
+def replaced_instances(draw):
+    """A small random instance with its map, pair, sets, graph, tol and name
+    replaced, each at random, by ones a file may or may not state."""
+    inst = gp.random_instance(draw(st.integers(0, 99)), draw(st.integers(1, 4)),
+                              draw(st.integers(1, 4)))
+    n = inst.space.n
+    point = st.integers(0, n - 1)
+    near = st.integers(-1, n)  # an index, or one just outside 0..n-1
+    in_range = st.lists(point, min_size=n, max_size=n)
+    tables = st.one_of(in_range, in_range,  # in range on half the draws
+                       st.lists(near, min_size=n, max_size=n), st.lists(point, max_size=n - 1))
+    one_map = st.one_of(tables.map(lambda t: gp.CyclicMap("drawn", table=t)),
+                        st.just(gp.CyclicMap("identity", fn=lambda p: p)))
+    entry = st.one_of(near, st.sampled_from((0.5, True, np.int64(1))))
+    subset = st.one_of(st.lists(point, min_size=1, max_size=n, unique=True),
+                       st.lists(entry, min_size=1, max_size=n + 1))
+    graph = st.one_of(st.sampled_from((gp.complete_graph(), gp.diagonal_graph())),
+                      st.lists(st.tuples(near, near), max_size=2 * n).map(gp.explicit_graph))
+    options = {"cyclic_map": st.one_of(st.none(), one_map),
+               "map_pair": st.one_of(st.none(), st.builds(gp.MapPair, one_map, one_map)),
+               "sets": st.builds(gp.SubsetPair, subset, subset),
+               "graph": graph,
+               "tol": st.sampled_from((gp.DEFAULT_TOL, 0.0, 1e-6)),
+               "name": st.sampled_from(("drawn", "", "tab\tinside", " padded ", "two\nlines"))}
+    changes = {key: draw(value) for key, value in options.items() if draw(st.booleans())}
+    return dataclasses.replace(inst, **changes)
+
+
+@settings(max_examples=150, deadline=None)
+@given(replaced_instances())
+def test_dumps_refuses_or_writes_what_loads_gives_back(inst):
+    """``dumps`` raises SpecError for an instance a file cannot state, and
+    otherwise writes one whose reports read as the instance's own."""
+    try:
+        text = gp.dumps(inst)
+    except SpecError:
+        return
+    assert report_lines(gp.loads(text)) == report_lines(inst)
 
 
 def dumps_reference(inst):
