@@ -21,13 +21,14 @@ at row s then scans only columns s..n-1: a row-major subsequence holding
 every i <= j, hence the same maximum, the same first arg-max edge and the
 same first zero-length edge as the full square.
 
-Buffers: an engine holds the kernel forms of its points and images (see
-``metric.DistanceKernel``), built once.  Each pass of ``blocks()`` allocates
-DF, the D and U its consumer reads, and one kernel scratch array once, at
-the size of its largest block: at most ``_BLOCK_ELEMS`` pairs unless one
-row is longer, 512 KiB per float64 array, so that with a fold's own
-buffers, also allocated once per pass, they stay near a 2 MiB L2 cache.
-The distance kernel writes every block into them in place.
+Buffers: an engine holds the kernel forms of its points and images (the
+space's ``row_form`` and ``col_form``), built once.  Each pass of
+``blocks()`` allocates DF, the D and U its consumer reads, and one kernel
+scratch array once, at the size of its largest block: at most
+``_BLOCK_ELEMS`` pairs unless one row is longer, 512 KiB per float64
+array, so that with a fold's own buffers, also allocated once per pass,
+they stay near a 2 MiB L2 cache.  The space's ``kernel`` writes every
+block into them in place.
 
 Streaming contract: a block is (pairs, D, DF, U); ``pairs(p)`` gives the
 point indices (I, J) of the block's edges at offsets p, an int or an array.
@@ -44,20 +45,17 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .graph import contains_pairs, first_unpreserved, image_positions
-from .metric import _BLOCK_ELEMS, DistanceKernel, point_array
+from .metric import _BLOCK_ELEMS, point_array
 
 
 def elem_dists(space, p, q):
-    """Distances between aligned point arrays (``point_array`` rows), in a
-    new array."""
-    kern = DistanceKernel(space)
-    return kern(kern.rows(p), kern.cols(q))
+    """Distances between aligned point arrays, in a new array."""
+    return space.kernel(space.row_form(p), space.col_form(q))
 
 
 def cross_dists(space, p, q):
     """Full |p| x |q| distance matrix of two point arrays, in a new array."""
-    kern = DistanceKernel(space)
-    return kern(kern.rows(p), kern.cols(q), cross=True)
+    return space.kernel(space.row_form(p), space.col_form(q), cross=True)
 
 
 def _gather(form, idx, buf):
@@ -101,7 +99,7 @@ class EdgeScanner:
     """
 
     def __init__(self, space, sets, graph, adj, tol, images_left, images_right=None):
-        self.kernel = DistanceKernel(space)
+        self.space = space
         self.tol = tol
         self.points = sets.points
         self.graph = graph
@@ -124,20 +122,19 @@ class EdgeScanner:
         images = (self.images_left, self.images_right) if pair else (self.images_left,)
         self.maps = [(m, image_positions(pos, m)) for m in images]  # I side, then a pair's J side
         # one map on a complete graph, with d(x, y) == d(y, x) bitwise
-        self.symmetric = (self.edges is None and not pair
-                          and (not self.kernel.table or np.array_equal(space.dist, space.dist.T)))
+        self.symmetric = self.edges is None and not pair and space.symmetric
 
     @cached_property
     def _forms(self):
         """Kernel forms of P and FL on the row side and of P and FR on the
         column side, with the self-distances U adds: of the row and column
         points for a complete graph, of every point for listed edges."""
-        k = self.kernel
+        sp = self.space
         r = c = slice(None)
         if self.edges is None:
             r, c = self.rows, self.cols
-        return (k.rows(self.P[r]), k.rows(self.FL[r]), self.self_left[r],
-                k.cols(self.P[c]), k.cols(self.FR[c]), self.self_right[c])
+        return (sp.row_form(self.P[r]), sp.row_form(self.FL[r]), self.self_left[r],
+                sp.col_form(self.P[c]), sp.col_form(self.FR[c]), self.self_right[c])
 
     @cached_property
     def _largest_block(self) -> int:
@@ -177,14 +174,14 @@ class EdgeScanner:
         allocated once per pass (module docstring).  D and U are computed
         only when asked for (``d``, ``u``); one that is not holds a read-only
         NaN view of the block's length."""
-        kern = self.kernel
+        kern = self.space.kernel
         pr, fr, ur, pc, fc, uc = self._forms
         size = self._largest_block
         unread = np.broadcast_to(np.nan, size)
         d_buf = np.empty(size) if d else unread
         df_buf = np.empty(size)
         u_buf = np.empty(size) if u else unread
-        scratch = np.empty(size, dtype=kern.scratch_dtype)
+        scratch = np.empty(size, dtype=self.space.scratch_dtype)
         if self.edges is not None:
             i, j = self.edges
             gi = np.empty(math.prod(pr.shape[:-1]) * size, dtype=pr.dtype)

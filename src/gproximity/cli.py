@@ -130,6 +130,8 @@ def _validation_block(rep: Report, inst: Instance) -> bool:
         for v in report.violations:
             rep.add(f"{label}-violation", str(v))
             ok = False
+        if report.omitted:
+            rep.add(f"{label}-violations-omitted", report.omitted)
     return ok
 
 
@@ -301,10 +303,9 @@ def cmd_demo(args) -> int:
         return EXIT_USAGE
     from dataclasses import replace
 
-    from .instances import ellipse_example, interval_example, segments_example
+    from .instances import _BUILDERS
     from .solver import SolveConfig, find_proximity_point, two_map_alternating, two_map_parallel
-    builder = {"interval": interval_example, "ellipse": ellipse_example,
-               "segments": segments_example}[args.name]
+    builder = _BUILDERS[args.name]
     try:
         inst = builder() if args.grid_step is None else builder(args.grid_step)
         inst = replace(inst, tol=args.tol)
@@ -428,7 +429,3 @@ def main(argv=None) -> int:
         code = EXIT_NEGATIVE
     print(f"elapsed-seconds: {time.perf_counter() - started:.3f}", file=sys.stderr)
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

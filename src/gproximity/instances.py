@@ -13,8 +13,8 @@ from operator import index
 
 import numpy as np
 
-from ._reader import (BUILDER_ARGS, FORMAT_HEADER, MAP_TABLES, Coordinate, _Reader,
-                      index_error, read, read_file)
+from ._reader import (BUILDER_ARGS, FORMAT_HEADER, MAP_TABLES, Coordinate, _parse_value,
+                      _Reader, index_error, read, read_file)
 from .errors import ParseError, SpecError
 from .graph import COMPLETE, DIAGONAL, EXPLICIT, DirectedGraph, complete_graph, diagonal_graph
 from .maps import CyclicMap, Instance, MapPair
@@ -357,7 +357,11 @@ def dumps(inst: Instance) -> str:
         lines.append("kind: coordinate")
         lines.append(f"builder: {builder}")
         for key, value in params.items():
-            lines.append(f"arg: {key}={_fmt(value)}")
+            text = _fmt(value)
+            if _parse_value(text) != value:
+                raise SpecError(f"coordinate instance {inst.name!r}: argument {key}={value!r} "
+                                "does not read back from an arg: line")
+            lines.append(f"arg: {key}={text}")
         return "\n".join(lines) + "\n"
     n, d = inst.space.n, inst.space.dist
     maps = ((inst.map_pair.t, inst.map_pair.s) if inst.map_pair is not None
@@ -371,7 +375,7 @@ def dumps(inst: Instance) -> str:
                                      *((key, t, n, False) for key, t in tables.items())):
         if message := index_error(idx, n, what, count, unique):
             raise SpecError(f"tabulated instance {inst.name!r}: {message}")
-    if not np.array_equal(d, d.T) or d.diagonal().any():
+    if not inst.space.symmetric or d.diagonal().any():
         raise SpecError(f"tabulated instance {inst.name!r} has a distance matrix that is not "
                         "exactly symmetric with a zero diagonal; a file keeps its strict "
                         "lower triangle")

@@ -4,6 +4,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import index
 from typing import Callable, Optional
 
 from ._constants import EXPLICIT
@@ -29,7 +30,15 @@ class CyclicMap:
         if (self.table is None) == (self.fn is None):
             raise DomainError("a map needs exactly one of table / fn")
         if self.table is not None:
-            object.__setattr__(self, "table", tuple(int(i) for i in self.table))
+            object.__setattr__(self, "table", tuple(map(self._entry, self.table)))
+
+    def _entry(self, i) -> int:
+        """A table entry as an int: ``operator.index``, which truncates no float."""
+        try:
+            return index(i)
+        except TypeError:
+            raise DomainError(f"map {self.name!r} has a table entry {i!r} "
+                              "that is not an integer") from None
 
     def __call__(self, x):
         if self.table is not None:
@@ -73,9 +82,10 @@ class CrrParams:
         return (self.alpha + self.beta) / (1.0 - self.beta)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Instance:
-    """A metric space, subsets A/B, a graph, and the map(s) under study."""
+    """A metric space, subsets A/B, a graph, and the map(s) under study;
+    compared and hashed by identity."""
 
     name: str
     space: object

@@ -37,9 +37,15 @@ class Violation:
         return f"{self.axiom} at {self.where}: {self.detail}"
 
 
+#: Violations of each metric axiom that ``validate_metric`` keeps, the first
+#: in scan order; it counts the rest.
+_KEPT_VIOLATIONS = 1000
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     violations: tuple = ()
+    omitted: int = 0  # violations found beyond the kept ones
 
     @property
     def ok(self) -> bool:
@@ -49,11 +55,15 @@ class ValidationReport:
         return self.ok
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TabulatedSpace:
-    """Finite metric space given by an explicit n x n distance matrix."""
+    """Finite metric space given by an explicit n x n distance matrix,
+    compared and hashed by identity.  Its distance kernel gathers from the
+    flattened matrix at row offsets (index * n) plus column indices, into a
+    scratch of those flat indices."""
 
     dist: np.ndarray
+    scratch_dtype = np.intp
 
     def __post_init__(self):
         m = np.asarray(self.dist, dtype=float)
@@ -69,15 +79,41 @@ class TabulatedSpace:
     def n(self) -> int:
         return self.dist.shape[0]
 
+    @cached_property
+    def symmetric(self) -> bool:
+        """Whether d(x, y) == d(y, x) bitwise for every pair, decided once."""
+        return np.array_equal(self.dist, self.dist.T)
+
     def distance(self, x: int, y: int) -> float:
         return float(self.dist[x, y])
+
+    def row_form(self, arr):
+        """Row-side kernel form of a point array: each index's row offset."""
+        return self.col_form(arr) * self.n
+
+    def col_form(self, arr):
+        """Column-side kernel form of a point array: its checked indices."""
+        arr = np.asarray(arr, dtype=np.intp)
+        if arr.size and (arr.min() < 0 or arr.max() >= self.n):
+            raise DomainError(f"point index outside 0..{self.n - 1}")
+        return arr
+
+    def kernel(self, p, q, cross=False, out=None, scratch=None):
+        """d between kernel forms: ``euclidean``'s arguments and buffer rules."""
+        shape = (p.size, q.size) if cross else p.shape
+        idx = None if scratch is None else scratch[:math.prod(shape)].reshape(shape)
+        idx = (np.add.outer if cross else np.add)(p, q, out=idx)
+        return np.take(self.dist, idx, out=out, mode="clip")
 
 
 @dataclass(frozen=True)
 class CoordinateSpace:
-    """R^d with the Euclidean metric; points are tuples of floats."""
+    """R^d with the Euclidean metric; points are tuples of floats.  Its
+    distance kernel is ``euclidean`` on coordinate-major copies of the points."""
 
     dimension: int
+    scratch_dtype = float
+    symmetric = True  # d(y, x) squares d(x, y)'s negated differences in its order
 
     def distance(self, x, y) -> float:
         """``euclidean``'s operations in its order, so the same bits."""
@@ -85,6 +121,15 @@ class CoordinateSpace:
         for a, b in zip(x, y, strict=True):
             total += (a - b) * (a - b)
         return math.sqrt(total)
+
+    def row_form(self, arr):
+        """Kernel form of a point array, either side: one row per coordinate."""
+        return np.ascontiguousarray(arr.T)
+
+    col_form = row_form
+
+    def kernel(self, p, q, cross=False, out=None, scratch=None):
+        return euclidean(p, q, cross, out, scratch)
 
 
 def point_array(space, pts):
@@ -138,45 +183,6 @@ def _root_sum_sq(diff, p, q, out, scratch):
             np.multiply(t, t, out=t)
             np.add(out, t, out=out)
     return np.sqrt(out, out=out)
-
-
-class DistanceKernel:
-    """The in-place distance kernel of a space and the point forms it reads.
-
-    Coordinates: ``euclidean`` on coordinate-major copies of the points.
-    Tables: a gather from the flattened matrix at row offsets (index * n,
-    the row side) plus column indices (the column side); its scratch holds
-    the flat indices, so it is an intp array.  Calls take the arguments of
-    ``euclidean`` and share its buffer rules.
-    """
-
-    def __init__(self, space):
-        self.table = isinstance(space, TabulatedSpace)
-        self.n = space.n if self.table else None
-        self.flat = space.dist.ravel() if self.table else None
-        self.scratch_dtype = np.intp if self.table else float
-
-    def rows(self, arr):
-        """Row-side form of a point array."""
-        return self._indices(arr) * self.n if self.table else np.ascontiguousarray(arr.T)
-
-    def cols(self, arr):
-        """Column-side form of a point array."""
-        return self._indices(arr) if self.table else np.ascontiguousarray(arr.T)
-
-    def _indices(self, arr):
-        arr = np.asarray(arr, dtype=np.intp)
-        if arr.size and (arr.min() < 0 or arr.max() >= self.n):
-            raise DomainError(f"point index outside 0..{self.n - 1}")
-        return arr
-
-    def __call__(self, p, q, cross=False, out=None, scratch=None):
-        if not self.table:
-            return euclidean(p, q, cross, out, scratch)
-        shape = (p.size, q.size) if cross else p.shape
-        idx = None if scratch is None else scratch[:math.prod(shape)].reshape(shape)
-        idx = (np.add.outer if cross else np.add)(p, q, out=idx)
-        return np.take(self.flat, idx, out=out, mode="clip")
 
 
 @dataclass(frozen=True)
@@ -235,34 +241,45 @@ def point_positions(points) -> dict:
 
 
 def validate_metric(space, tol: float = DEFAULT_TOL) -> ValidationReport:
-    """Check the metric axioms; coordinate spaces hold by construction."""
+    """Check the metric axioms; coordinate spaces hold by construction.  The
+    first ``_KEPT_VIOLATIONS`` violations of each axiom, in scan order, are
+    kept, and the rest are counted in ``omitted``."""
     if not tol >= 0:
         raise DomainError("tolerance must be nonnegative")
     if isinstance(space, CoordinateSpace):
         return ValidationReport()
     d = space.dist
     n = space.n
-    out = []
-    for i in np.flatnonzero(np.abs(np.diag(d)) > tol):
+    out, omitted = [], 0
+
+    def head(hits, room=_KEPT_VIOLATIONS):
+        nonlocal omitted
+        omitted += max(0, len(hits) - room)
+        return hits[:room]
+
+    for i in head(np.flatnonzero(np.abs(np.diag(d)) > tol)):
         out.append(Violation("identity", (int(i),), f"d({i},{i}) = {float(d[i, i])!r} != 0"))
-    for i, j in np.argwhere(np.triu(np.abs(d - d.T), k=1) > tol):
+    for i, j in head(np.argwhere(np.triu(np.abs(d - d.T), k=1) > tol)):
         out.append(Violation("symmetry", (int(i), int(j)),
                              f"d({i},{j}) = {float(d[i, j])!r} but d({j},{i}) = {float(d[j, i])!r}"))
-    for i, j in np.argwhere(d < -tol):
+    for i, j in head(np.argwhere(d < -tol)):
         out.append(Violation("nonnegativity", (int(i), int(j)), f"d({i},{j}) = {float(d[i, j])!r} < 0"))
     # d[i,j] <= d[i,k] + d[k,j] + tol for every triple, in blocks of i so
     # that no n x n x n array is formed
     step = max(1, _BLOCK_ELEMS // max(n * n, 1))
+    room = _KEPT_VIOLATIONS
     for i0 in range(0, n, step):
         excess = d[i0:i0 + step, :, None] + d[None, :, :]  # [i, k, j]
         np.subtract(d[i0:i0 + step, None, :], excess, out=excess)
         if not excess.max() > tol:
             continue
-        for i, k, j in np.argwhere(excess > tol):
+        hits = head(np.argwhere(excess > tol), room)
+        room -= len(hits)
+        for i, k, j in hits:
             i += i0
             out.append(Violation("triangle", (int(i), int(k), int(j)),
                                  f"d({i},{j}) = {float(d[i, j])!r} > d({i},{k}) + d({k},{j}) = {float(d[i, k] + d[k, j])!r}"))
-    return ValidationReport(tuple(out))
+    return ValidationReport(tuple(out), omitted)
 
 
 def validate_sets(space, sets: SubsetPair) -> ValidationReport:
@@ -314,14 +331,13 @@ def _fold_cross(space, xs, ys, reduce) -> float:
     """reduce (np.min or np.max) of d(x, y) over the rows of point arrays xs
     x ys, folded over row blocks of at most _BLOCK_ELEMS pairs, each computed
     into one buffer, so the full matrix never exists."""
-    kern = DistanceKernel(space)
-    p, q = kern.rows(xs), kern.cols(ys)
+    p, q = space.row_form(xs), space.col_form(ys)
     n, m = len(xs), len(ys)
     rows = max(1, _BLOCK_ELEMS // m)
     buf = np.empty(min(rows, n) * m)
-    scratch = np.empty(buf.size, dtype=kern.scratch_dtype)
+    scratch = np.empty(buf.size, dtype=space.scratch_dtype)
     folds = []
     for s in range(0, n, rows):
         block = buf[:min(rows, n - s) * m].reshape(-1, m)
-        folds.append(reduce(kern(p[..., s:s + rows], q, True, block, scratch)))
+        folds.append(reduce(space.kernel(p[..., s:s + rows], q, True, block, scratch)))
     return float(reduce(folds))

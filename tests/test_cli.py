@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import gproximity as gp
@@ -89,6 +90,25 @@ class TestValidate:
         assert [ln for ln in lines if ln.startswith("cyclic-violation: ")] == [
             "cyclic-violation: cyclic at (2,): image 1 of B-point is not in A"]
         assert "exit-status: 1" in lines
+
+    def test_violations_past_the_first_thousand_are_counted(self, capsys, tmp_path):
+        """A symmetric table of random distances breaks the triangle
+        inequality thousands of times: 1,000 lines name the first, and one
+        ``metric-violations-omitted`` line counts the rest."""
+        rng = np.random.default_rng(3)
+        d = np.triu(rng.uniform(0.0, 1.0, size=(30, 30)), k=1)
+        d += d.T
+        inst = gp.Instance("noisy", gp.TabulatedSpace(d),
+                           gp.SubsetPair(tuple(range(15)), tuple(range(15, 30))), gp.complete_graph())
+        path = tmp_path / "noisy.gpx"
+        gp.save_instance(inst, path)
+        triangles = np.count_nonzero(d[:, None, :] - (d[:, :, None] + d[None, :, :]) > gp.DEFAULT_TOL)
+        code, out = run(capsys, "validate", str(path))
+        lines = out.splitlines()
+        assert code == 1 and triangles > 1000
+        assert sum(ln.startswith("metric-violation: triangle ") for ln in lines) == 1000
+        assert lines[lines.index("metric-valid: false") + 1001] == (
+            f"metric-violations-omitted: {triangles - 1000}")
 
     def test_missing_file_is_usage_error(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as err:

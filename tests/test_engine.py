@@ -312,6 +312,21 @@ def line_instance(seed, skew=False):
                        gp.complete_graph(), cyclic_map=gp.CyclicMap("t", table=table))
 
 
+def test_table_symmetry_is_decided_once(monkeypatch):
+    """A table's exact symmetry is one ``array_equal``, cached on the space,
+    which the engine's half-triangle rule and ``dumps``' refusal both read."""
+    calls = []
+    equal = np.array_equal
+    monkeypatch.setattr(np, "array_equal", lambda a, b: calls.append(1) or equal(a, b))
+    inst, skewed = line_instance(4), line_instance(4, skew=True)
+    gp.dumps(inst)
+    assert inst.engine.symmetric and not skewed.engine.symmetric
+    with pytest.raises(gp.SpecError, match="not exactly symmetric"):
+        gp.dumps(skewed)
+    gp.dumps(inst)
+    assert len(calls) == 2 and gp.CoordinateSpace(2).symmetric
+
+
 def shared_ratio_instance():
     """Points 0..6 on a line and k -> min(2k, 6): the largest ratio, 2, is
     reached by every edge among 0..3 in both directions."""

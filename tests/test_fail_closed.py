@@ -319,6 +319,11 @@ UNWRITABLE = [
                                                                ("factor", 0.5))),
      SpecError, "coordinate instance 'affine-segments' with arguments ('factor',) would load "
      "as 'affine-segments' with arguments ('factor', 'shift', 'grid_step')"),
+] + [
+    (dumps_replaced(INTERVAL, params=(("builder", "interval"), ("grid_step", value))), SpecError,
+     f"coordinate instance 'interval': argument grid_step={value!r} does not read back "
+     "from an arg: line")
+    for value in (np.float64(0.5), True, NAN, "0.5")
 ]
 
 
@@ -343,6 +348,8 @@ SHORT_TABLE = ("gproximity-instance v1\nname: x\nkind: tabulated\nn: 2\nA: 0\nB:
      "coordinate instance 'interval' has no registered builder"),
     (lambda: gp.loads(SHORT_TABLE), ParseError, "line 9: table needs 2 entries, got 1"),
     (lambda: gp.CyclicMap("t"), DomainError, "a map needs exactly one of table / fn"),
+    (lambda: gp.CyclicMap("f", table=(1.7, True, -0.5)), DomainError,
+     "map 'f' has a table entry 1.7 that is not an integer"),
     (lambda: gp.contraction_instance(3).require_pair(), DomainError,
      "instance 'contraction-3' has no map pair"),
     (lambda: gp.SubsetPair((), (1,)), DomainError, "subsets A and B must be nonempty"),

@@ -272,6 +272,27 @@ MALFORMED_FILES = [
 ]
 
 
+def test_instances_and_tables_compare_by_identity():
+    """Two builds of one instance are two objects, and ``==`` and ``hash``
+    say so: for a table, whose matrices would compare elementwise, and for
+    coordinates, whose maps are fresh closures."""
+    for make in (lambda: gp.random_instance(1, 4, 4), lambda: gp.interval_example(0.5)):
+        a, b = make(), make()
+        assert a == a and a != b and len({a, b, a}) == 2
+    a, b = gp.random_instance(1, 4, 4).space, gp.random_instance(1, 4, 4).space
+    assert a == a and a != b and len({a, b, a}) == 2
+
+
+def test_map_tables_take_integer_entries():
+    """Each entry through ``operator.index``: a bool or numpy integer is its
+    int, and a float is refused, not truncated."""
+    table = gp.CyclicMap("f", table=(np.int64(2), True, 0)).table
+    assert table == (2, 1, 0) and {type(i) for i in table} == {int}
+    for bad in (1.7, -0.5, np.float64(1.0)):
+        with pytest.raises(gp.DomainError, match=re.escape(f"table entry {bad!r} ")):
+            gp.CyclicMap("f", table=(0, bad))
+
+
 class TestSerialization:
     @pytest.mark.parametrize("build", ROUNDTRIP_BUILDERS)
     def test_roundtrip(self, build):

@@ -92,6 +92,24 @@ class TestValidateMetric:
                     if d[i, j] - (d[i, k] + d[k, j]) > 1e-9]
         assert found == expected == [(2, 3, 4), (4, 3, 2)]
 
+    def test_violations_past_the_first_thousand_of_an_axiom_are_counted(self):
+        """A table with thousands of violations of three axioms keeps the
+        first 1,000 of each in scan order (``argwhere``'s) and counts the rest
+        exactly, so a report no longer grows with the violations."""
+        rng = np.random.default_rng(5)
+        d = rng.uniform(-1.0, 1.0, size=(60, 60))
+        tol = 1e-9
+        hits = {"identity": np.argwhere(np.abs(np.diag(d)) > tol),
+                "symmetry": np.argwhere(np.triu(np.abs(d - d.T), k=1) > tol),
+                "nonnegativity": np.argwhere(d < -tol),
+                "triangle": np.argwhere(d[:, None, :] - (d[:, :, None] + d[None, :, :]) > tol)}
+        report = validate_metric(TabulatedSpace(d), tol)
+        assert not report.ok and len(report.violations) <= 4000
+        assert report.omitted == sum(len(h) for h in hits.values()) - len(report.violations) > 0
+        for axiom, where in hits.items():
+            kept = [v.where for v in report.violations if v.axiom == axiom]
+            assert kept == [tuple(map(int, w)) for w in where[:1000]]
+
     def test_triangle_check_memory_stays_below_one_cube(self):
         import tracemalloc
 
