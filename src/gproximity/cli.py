@@ -199,13 +199,13 @@ def cmd_solve(args) -> int:
     rep.add("epsilon", _fmt(args.epsilon))
     cfg = SolveConfig(args.epsilon, args.max_iter)
     try:
-        x0 = _parse_start(inst, args.start) if args.start else inst.sets.a[0]
+        x0 = _parse_start(inst, args.start) if args.start is not None else inst.sets.a[0]
         if args.mode == "single":
             rep.add("start", _fmt_point(x0))
             result = find_proximity_point(inst, x0, cfg)
             _solve_report(rep, inst, result, cfg)
         else:
-            y0 = _parse_start(inst, args.start_b) if args.start_b else inst.sets.b[0]
+            y0 = _parse_start(inst, args.start_b) if args.start_b is not None else inst.sets.b[0]
             rep.add("start", _fmt_point(x0))
             rep.add("start-b", _fmt_point(y0))
             if args.mode == "parallel":
@@ -308,12 +308,13 @@ def cmd_demo(args) -> int:
     builder = _BUILDERS[args.name]
     try:
         inst = builder() if args.grid_step is None else builder(args.grid_step)
+        step = dict(inst.params)["grid_step"]
         inst = replace(inst, tol=args.tol)
     except GproximityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     rep = _report(inst, args)
-    rep.add("grid-step", _fmt(dict(inst.params)["grid_step"]))
+    rep.add("grid-step", _fmt(step))
     rep.section("validate")
     ok = _validation_block(rep, inst)
     rep.section("classify")

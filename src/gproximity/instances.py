@@ -13,7 +13,7 @@ from operator import index
 
 import numpy as np
 
-from ._reader import (BUILDER_ARGS, FORMAT_HEADER, MAP_TABLES, Coordinate, _parse_value,
+from ._reader import (FORMAT_HEADER, MAP_TABLES, Coordinate, _parse_value,
                       _Reader, index_error, read, read_file)
 from .errors import ParseError, SpecError
 from .graph import COMPLETE, DIAGONAL, EXPLICIT, DirectedGraph, complete_graph, diagonal_graph
@@ -48,6 +48,17 @@ def _check_divides(step: float, length: float, what: str) -> int:
     return k
 
 
+def _built(builder: str, dimension: int, sets: SubsetPair, fmap=None, pair=None,
+           **args) -> Instance:
+    """The coordinate builder's instance on the complete graph.  Only here
+    are ``params`` set: the builder's name and arguments, which ``dumps``
+    writes as the file's builder call."""
+    inst = Instance(builder, CoordinateSpace(dimension), sets, complete_graph(),
+                    cyclic_map=fmap, map_pair=pair)
+    object.__setattr__(inst, "params", (("builder", builder), *args.items()))
+    return inst
+
+
 def interval_example(grid_step: float = 0.01) -> Instance:
     """A = [-3, -1], B = [1, 3] with the halving map between them."""
     k = _check_divides(grid_step, 2.0, "the interval length 2")
@@ -65,9 +76,7 @@ def interval_example(grid_step: float = 0.01) -> Instance:
         a_contains=lambda p: -3.0 - DEFAULT_TOL <= p[0] <= -1.0 + DEFAULT_TOL,
         b_contains=lambda p: 1.0 - DEFAULT_TOL <= p[0] <= 3.0 + DEFAULT_TOL,
     )
-    fmap = CyclicMap("interval-halving", fn=t)
-    return Instance("interval", CoordinateSpace(1), sets, complete_graph(),
-                    cyclic_map=fmap, params=(("builder", "interval"), ("grid_step", grid_step)))
+    return _built("interval", 1, sets, CyclicMap("interval-halving", fn=t), grid_step=grid_step)
 
 
 def ellipse_example(grid_step: float = 0.1) -> Instance:
@@ -91,9 +100,7 @@ def ellipse_example(grid_step: float = 0.1) -> Instance:
         return (-x, y)
 
     sets = SubsetPair(a, b, a_contains=in_a, b_contains=in_b)
-    fmap = CyclicMap("mirror-x", fn=t)
-    return Instance("ellipse", CoordinateSpace(2), sets, complete_graph(),
-                    cyclic_map=fmap, params=(("builder", "ellipse"), ("grid_step", grid_step)))
+    return _built("ellipse", 2, sets, CyclicMap("mirror-x", fn=t), grid_step=grid_step)
 
 
 def _segment_grids(grid_step: float):
@@ -117,9 +124,7 @@ def segments_example(grid_step: float = 0.01) -> Instance:
     sets = _segment_grids(grid_step)
     t = CyclicMap("const-upper-mid", fn=lambda p: (0.5, 1.0))
     s = CyclicMap("const-lower-mid", fn=lambda p: (0.5, 0.0))
-    return Instance("segments", CoordinateSpace(2), sets, complete_graph(),
-                    map_pair=MapPair(t, s),
-                    params=(("builder", "segments"), ("grid_step", grid_step)))
+    return _built("segments", 2, sets, pair=MapPair(t, s), grid_step=grid_step)
 
 
 def affine_segments_pair(factor: float, shift: float = 0.0,
@@ -137,15 +142,25 @@ def affine_segments_pair(factor: float, shift: float = 0.0,
     sets = _segment_grids(grid_step)
     t = CyclicMap("affine-up", fn=lambda p: (factor * p[0] + shift, 1.0))
     s = CyclicMap("affine-down", fn=lambda p: (factor * p[0] + shift, 0.0))
-    return Instance("affine-segments", CoordinateSpace(2), sets, complete_graph(),
-                    map_pair=MapPair(t, s),
-                    params=(("builder", "affine-segments"), ("factor", factor),
-                            ("shift", shift), ("grid_step", grid_step)))
+    return _built("affine-segments", 2, sets, pair=MapPair(t, s),
+                  factor=factor, shift=shift, grid_step=grid_step)
 
 
 def _tabulated_from_coords(coords: np.ndarray) -> TabulatedSpace:
     ct = np.ascontiguousarray(coords.T)
     return TabulatedSpace(euclidean(ct, ct, cross=True))
+
+
+def _rule_number(rule: str, what: str, low: float = -math.inf, high: float = math.inf) -> float:
+    """The number after the colon of ``rule``: finite and in [low, high],
+    or a SpecError naming the rule and ``what`` it must be."""
+    try:
+        value = float(rule.split(":", 1)[1])
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and low <= value <= high):
+        raise SpecError(f"rule {rule!r}: {what}")
+    return value
 
 
 def _graph_from_rule(rule: str, n: int, rng) -> DirectedGraph:
@@ -154,7 +169,7 @@ def _graph_from_rule(rule: str, n: int, rng) -> DirectedGraph:
     if rule == "diagonal":
         return diagonal_graph()
     if rule.startswith("random:"):
-        p = float(rule.split(":", 1)[1])
+        p = _rule_number(rule, "the edge probability must be a number in [0, 1]", 0.0, 1.0)
         i, j = np.nonzero(np.eye(n, dtype=bool) | (rng.random((n, n)) < p))
         return DirectedGraph(EXPLICIT, pairs=(i.tolist(), j.tolist()))
     raise SpecError(f"unknown graph rule {rule!r}")
@@ -192,7 +207,7 @@ def random_instance(seed: int, n_a: int, n_b: int, map_rule: str = "nearest",
         table.update(_nearest_in(coords, a_idx, b_idx))
         table.update(_nearest_in(coords, b_idx, a_idx))
     elif map_rule.startswith("affine:"):
-        factor = float(map_rule.split(":", 1)[1])
+        factor = _rule_number(map_rule, "the factor must be a finite number")
         ca = coords[list(a_idx)].mean(axis=0)
         cb = coords[list(b_idx)].mean(axis=0)
         table = {}
@@ -344,19 +359,12 @@ def dumps(inst: Instance) -> str:
                         "which is one line with its blanks stripped")
     lines = [FORMAT_HEADER, f"name: {inst.name}"]
     if isinstance(inst.space, CoordinateSpace):
-        params = dict(inst.params)
-        builder = params.pop("builder", None)
-        if builder not in _BUILDERS:
-            raise SpecError(f"coordinate instance {inst.name!r} has no registered builder")
-        if inst.name != builder or sorted(params) != sorted(BUILDER_ARGS[builder]):
-            raise SpecError(f"coordinate instance {inst.name!r} with arguments {tuple(params)} "
-                            f"would load as {builder!r} with arguments {BUILDER_ARGS[builder]}")
-        if inst.graph.rule != COMPLETE:
-            raise SpecError(f"coordinate instance {inst.name!r} has a {inst.graph.rule} graph; "
-                            "its builder makes the complete one")
-        lines.append("kind: coordinate")
-        lines.append(f"builder: {builder}")
-        for key, value in params.items():
+        if not inst.params:
+            raise SpecError(f"coordinate instance {inst.name!r} is not a builder's own; "
+                            "a coordinate file states a builder call")
+        (_, builder), *args = inst.params
+        lines += ["kind: coordinate", f"builder: {builder}"]
+        for key, value in args:
             text = _fmt(value)
             if _parse_value(text) != value:
                 raise SpecError(f"coordinate instance {inst.name!r}: argument {key}={value!r} "

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from operator import index
 from typing import Callable, Optional
@@ -84,8 +84,8 @@ class CrrParams:
 
 @dataclass(frozen=True, eq=False)
 class Instance:
-    """A metric space, subsets A/B, a graph, and the map(s) under study;
-    compared and hashed by identity."""
+    """A metric space, subsets A/B, a graph, and one cyclic map or one map
+    pair under study; compared and hashed by identity."""
 
     name: str
     space: object
@@ -93,12 +93,14 @@ class Instance:
     graph: DirectedGraph
     cyclic_map: Optional[CyclicMap] = None
     map_pair: Optional[MapPair] = None
-    params: tuple = ()  # a coordinate builder's name and arguments, for dumps
+    params: tuple = field(default=(), init=False)  # a coordinate builder's call, set by it alone
     tol: float = DEFAULT_TOL  # the absolute slack of every distance inequality tested on it
 
     def __post_init__(self):
         if not 0 <= self.tol < math.inf:
             raise DomainError(f"tolerance must be finite and nonnegative, got {self.tol!r}")
+        if self.cyclic_map is not None and self.map_pair is not None:
+            raise DomainError(f"instance {self.name!r} has both a cyclic map and a map pair")
 
     @property
     def points(self) -> tuple:

@@ -82,7 +82,7 @@ def _run(inst: Instance, steps, cfg: SolveConfig, bounds=None, stop=None) -> Sol
     names a status for, or up to max_iter + 1 steps; the orbit fills ``bounds``."""
     stop = stop or (lambda step: FOUND if within_epsilon(step[1], cfg.epsilon, inst.tol) else None)
     pts, res = [], []
-    for step in islice(steps, cfg.max_iter + 1):
+    for _, step in zip(range(cfg.max_iter + 1), steps):  # no step is pulled past the bound
         pts.append(step[0])
         res.append(step[1])
         if status := stop(step):

@@ -70,7 +70,7 @@ def test_criterion_01_interval_exact_set(fine_interval):
 
 def test_criterion_02_interval_epsilon_030(fine_interval):
     inst = fine_interval
-    step = dict(inst.params)["grid_step"]
+    step = dict(gp.interval_example(1e-3).params)["grid_step"]  # a replaced one has no params
     members = set(gp.enumerate_proximity_set(inst, 0.3).members)
 
     def in_band(x, slack):

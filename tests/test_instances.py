@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gproximity as gp
@@ -421,7 +421,7 @@ class TestSerialization:
         graph; any other graph would come back complete, so it does not
         serialize."""
         inst = dataclasses.replace(gp.interval_example(0.5), graph=graph)
-        with pytest.raises(SpecError, match="complete"):
+        with pytest.raises(SpecError, match="a coordinate file states a builder call"):
             gp.dumps(inst)
         assert gp.loads(gp.dumps(gp.interval_example(0.5))).graph == gp.complete_graph()
 
@@ -463,10 +463,18 @@ def report_lines(inst):
     return out
 
 
+def one_kind(one_map):
+    """Replacements of an instance's maps: one map, a pair, or none, never
+    both a map and a pair."""
+    return st.one_of(st.builds(dict, cyclic_map=st.one_of(st.none(), one_map), map_pair=st.none()),
+                     st.builds(dict, cyclic_map=st.none(),
+                               map_pair=st.builds(gp.MapPair, one_map, one_map)))
+
+
 @st.composite
 def replaced_instances(draw):
-    """A small random instance with its map, pair, sets, graph, tol and name
-    replaced, each at random, by ones a file may or may not state."""
+    """A small random instance with its map or pair, sets, graph, tol and
+    name replaced, each at random, by ones a file may or may not state."""
     inst = gp.random_instance(draw(st.integers(0, 99)), draw(st.integers(1, 4)),
                               draw(st.integers(1, 4)))
     n = inst.space.n
@@ -482,13 +490,12 @@ def replaced_instances(draw):
                        st.lists(entry, min_size=1, max_size=n + 1))
     graph = st.one_of(st.sampled_from((gp.complete_graph(), gp.diagonal_graph())),
                       st.lists(st.tuples(near, near), max_size=2 * n).map(gp.explicit_graph))
-    options = {"cyclic_map": st.one_of(st.none(), one_map),
-               "map_pair": st.one_of(st.none(), st.builds(gp.MapPair, one_map, one_map)),
-               "sets": st.builds(gp.SubsetPair, subset, subset),
+    options = {"sets": st.builds(gp.SubsetPair, subset, subset),
                "graph": graph,
                "tol": st.sampled_from((gp.DEFAULT_TOL, 0.0, 1e-6)),
                "name": st.sampled_from(("drawn", "", "tab\tinside", " padded ", "two\nlines"))}
-    changes = {key: draw(value) for key, value in options.items() if draw(st.booleans())}
+    changes = draw(one_kind(one_map)) if draw(st.booleans()) else {}
+    changes.update((key, draw(value)) for key, value in options.items() if draw(st.booleans()))
     return dataclasses.replace(inst, **changes)
 
 
@@ -504,23 +511,65 @@ def test_dumps_refuses_or_writes_what_loads_gives_back(inst):
     assert report_lines(gp.loads(text)) == report_lines(inst)
 
 
+#: Each coordinate builder's instance at a coarse grid.
+BUILT = (gp.interval_example(0.5), gp.ellipse_example(0.5), gp.segments_example(0.5),
+         gp.affine_segments_pair(0.5, 0.25, 0.5))
+
+
+@st.composite
+def replaced_builds(draw):
+    """A coordinate builder's instance with its map or pair, sets, space,
+    graph, name and tol replaced, each at random: by coordinate ones, or by
+    the tables of its points, which a tabulated file may state."""
+    inst = draw(st.sampled_from(BUILT))
+    pts, pos = inst.points, inst.sets.position
+    n = len(pts)
+    point = st.integers(0, n - 1)
+    table = st.lists(point, min_size=n, max_size=n).map(lambda t: gp.CyclicMap("drawn", table=t))
+    one_map = st.one_of(table, st.just(gp.CyclicMap("identity", fn=lambda p: p)))
+    indices = gp.SubsetPair(*(tuple(pos[p] for p in side) for side in (inst.sets.a, inst.sets.b)))
+    # the points as a table: the space, index sets and table maps at once
+    tables = instances._tabulated_from_coords(np.asarray(pts))
+    tabulated = one_kind(table).map(lambda maps: {"space": tables, "sets": indices, **maps})
+    space = st.one_of(tabulated, st.fixed_dictionaries(
+        {"space": st.sampled_from((gp.CoordinateSpace(1), gp.CoordinateSpace(2)))}))
+    graph = st.one_of(st.sampled_from((gp.complete_graph(), gp.diagonal_graph())),
+                      st.lists(st.tuples(point, point), max_size=n).map(gp.explicit_graph))
+    rest = st.fixed_dictionaries({}, optional={
+        "sets": st.sampled_from((indices, gp.SubsetPair(inst.sets.b, inst.sets.a))),
+        "graph": graph,
+        "name": st.sampled_from((inst.name, "drawn", " padded ")),
+        "tol": st.sampled_from((gp.DEFAULT_TOL, 0.0))})
+    changes = {}
+    for option in (space, one_kind(one_map), rest):
+        if draw(st.booleans()):
+            changes.update(draw(option))
+    return dataclasses.replace(inst, **changes) if changes else inst
+
+
+@settings(max_examples=100, deadline=None)
+@given(replaced_builds())
+@example(BUILT[0])  # and each builder's own instance, unreplaced
+@example(BUILT[1])
+@example(BUILT[2])
+@example(BUILT[3])
+def test_dumps_of_a_built_instance_refuses_or_writes_what_loads_gives_back(inst):
+    """A coordinate file states a builder call, so ``dumps`` writes a
+    builder's own instance, refuses any replaced coordinate one, and holds
+    a replaced tabulated one to the reports of what it writes."""
+    try:
+        text = gp.dumps(inst)
+    except SpecError:
+        assert not inst.params
+        return
+    assert report_lines(gp.loads(text)) == report_lines(inst)
+
+
 def dumps_reference(inst):
-    """``dumps`` as it wrote the ``edge:`` section from ``graph.edges``, a
-    set of (x, y) tuples sorted as tuples: the reference of the keyed writer."""
+    """``dumps`` of a tabulated instance as it wrote the ``edge:`` section
+    from ``graph.edges``, a set of (x, y) tuples sorted as tuples: the
+    reference of the keyed writer."""
     lines = [instances.FORMAT_HEADER, f"name: {inst.name}"]
-    if isinstance(inst.space, gp.CoordinateSpace):
-        params = dict(inst.params)
-        builder = params.pop("builder", None)
-        if builder not in instances._BUILDERS:
-            raise SpecError(f"coordinate instance {inst.name!r} has no registered builder")
-        if inst.graph.rule != gp.COMPLETE:
-            raise SpecError(f"coordinate instance {inst.name!r} has a {inst.graph.rule} graph; "
-                            "its builder makes the complete one")
-        lines.append("kind: coordinate")
-        lines.append(f"builder: {builder}")
-        for key, value in params.items():
-            lines.append(f"arg: {key}={instances._fmt(value)}")
-        return "\n".join(lines) + "\n"
     n = inst.space.n
     lines.append("kind: tabulated")
     lines.append(f"n: {n}")
